@@ -7,11 +7,8 @@ over long distances without losing it to beam divergence.
 """
 
 from .biphoton import (
-    BiphotonSetup,
     CoincidenceProfile,
     DetectorSpec,
-    UnsupportedAsymmetryError,
-    coincidence_free,
     coincidence_imaged,
     coincidence_rate_map,
     divergence_loss_distance,
@@ -20,7 +17,6 @@ from .biphoton import (
     nondegenerate_distance_scale,
     rate_from_intensity,
     scan_detector,
-    setup_from_scenario,
     unfolded_pump_train,
 )
 from .counting import (
@@ -38,6 +34,7 @@ from .errors import (
     PhysicsError,
     SamplingError,
     TwinbeamError,
+    UnsupportedAsymmetryError,
     ValidationError,
 )
 from .field import (

@@ -28,27 +28,14 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import PhysicsError, SamplingError, ValidationError
-from .field import ScalarField, WaveContext, bilinear_sample
-from .propagation import (
-    FreeSpace,
-    Mask,
-    OpticalTrain,
-    ThinLens,
-    propagate,
-    propagate_train,
-)
-from .field import wire_mask
+from .errors import SamplingError, UnsupportedAsymmetryError, ValidationError
+from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
+from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 MIN_APERTURE_SAMPLES = 5  # samples across the diameter
-
-
-class UnsupportedAsymmetryError(PhysicsError):
-    """Signal and idler twin-side trains differ; the unfolded picture needs
-    identical arms."""
 
 
 @dataclass(frozen=True)
@@ -65,49 +52,6 @@ class DetectorSpec:
             raise ValidationError(f"detector role must be signal or idler, got {self.role!r}")
         if self.aperture_radius_m < 0:
             raise ValidationError("aperture radius must be >= 0")
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x_m, self.y_m)
-
-
-@dataclass(frozen=True)
-class BiphotonSetup:
-    """Pump field at the crystal plus wavenumbers and path geometry.
-
-    Distances (meters): ``crystal_to_detector`` is the common detector
-    distance, ``mask_to_crystal`` the pump-side object leg,
-    ``crystal_to_lens`` and ``lens_to_detector`` the twin-side legs when a
-    lens is present.  Signal/idler wavenumbers are stored but not forced to
-    sum to the pump wavenumber.
-    """
-
-    pump_at_crystal: ScalarField
-    pump_wavenumber: float
-    signal_wavenumber: float
-    idler_wavenumber: float
-    crystal_to_detector: float
-    mask_to_crystal: float = 0.0
-    crystal_to_lens: float = 0.0
-    lens_to_detector: float = 0.0
-
-    def __post_init__(self):
-        for name in ("crystal_to_detector", "mask_to_crystal",
-                     "crystal_to_lens", "lens_to_detector"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("pump_wavenumber", "signal_wavenumber", "idler_wavenumber"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-
-    def detector_plane_field(self) -> ScalarField:
-        """Pump field propagated to the detector distance (cached)."""
-        cached = self.__dict__.get("_detector_field")
-        if cached is None:
-            ctx = WaveContext(self.pump_wavenumber)
-            cached = propagate(self.pump_at_crystal, ctx, self.crystal_to_detector)
-            object.__setattr__(self, "_detector_field", cached)
-        return cached
 
 
 def divergence_prefactor(pump_wavenumber: float, distance: float) -> float:
@@ -129,27 +73,7 @@ def rate_from_intensity(intensity: np.ndarray, pitch: float,
     return kappa * prefactor * bilinear_sample(intensity, pitch, ux, uy)
 
 
-def coincidence_free(setup: BiphotonSetup,
-                     rho_s: tuple[float, float], rho_i: tuple[float, float],
-                     include_divergence_prefactor: bool = False,
-                     kappa: float = 1.0) -> float:
-    """Point coincidence rate for free twin propagation.
-
-    The pump is propagated to the detector distance at the pump wavenumber
-    and |W|^2 is read at rho_s + rho_i.  With the prefactor flag the rate
-    carries the explicit (k_p / Z)^2 divergence loss.
-    """
-    if setup.crystal_to_detector <= 0:
-        raise ValidationError("crystal_to_detector must be positive")
-    w = setup.detector_plane_field()
-    pref = 1.0
-    if include_divergence_prefactor:
-        pref = divergence_prefactor(setup.pump_wavenumber, setup.crystal_to_detector)
-    u = (rho_s[0] + rho_i[0], rho_s[1] + rho_i[1])
-    return rate_from_intensity(w.intensity(), w.pitch, u, kappa, pref)
-
-
-def coincidence_imaged(setup: BiphotonSetup, w_at_mask: ScalarField,
+def coincidence_imaged(w_at_mask: ScalarField,
                        object_distance: float, image_distance: float,
                        rho_s: tuple[float, float], rho_i: tuple[float, float],
                        kappa: float = 1.0) -> float:
@@ -171,58 +95,20 @@ def coincidence_imaged(setup: BiphotonSetup, w_at_mask: ScalarField,
 
 def pump_input_field(scenario: "Scenario") -> ScalarField:
     """Pump Gaussian at the input (mask) plane."""
-    from .field import gaussian_beam
-
     return gaussian_beam(scenario.pump.waist_m, scenario.grid.n, scenario.grid.pitch_m)
 
 
-def _pump_side_elements(scenario: "Scenario") -> list:
-    elements = []
-    if scenario.mask.type == "wire":
-        elements.append(Mask(wire_mask(scenario.mask.width_m,
-                                       scenario.grid.n, scenario.grid.pitch_m)))
-    z_crystal = scenario.mask.distance_to_crystal_m
-    cursor = 0.0
-    for lens in scenario.pump_side_elements:
-        if not (0.0 <= lens.position_m <= z_crystal):
-            raise ValidationError(
-                f"pump-side lens at {lens.position_m:g} m lies outside the "
-                f"mask-to-crystal leg of {z_crystal:g} m"
-            )
-        if lens.position_m < cursor:
-            raise ValidationError("pump-side elements must be ordered by position")
-        if lens.position_m > cursor:
-            elements.append(FreeSpace(lens.position_m - cursor))
-            cursor = lens.position_m
-        elements.append(ThinLens(lens.focal_m, lens.aperture_radius_m))
-    if z_crystal > cursor:
-        elements.append(FreeSpace(z_crystal - cursor))
-    return elements
-
-
-def _twin_side_elements(scenario: "Scenario", distance_scale: float) -> list:
-    if scenario.twin_side_signal != scenario.twin_side_idler:
-        raise UnsupportedAsymmetryError(
-            "signal and idler twin-side trains differ; the unfolded "
-            "equivalent train requires identical arms"
-        )
-    z_det = scenario.detectors.distance_from_crystal_m
+def _leg(lenses: tuple, length: float, distance_scale: float = 1.0) -> list:
+    """Free-space hops and thin lenses along one leg, whose lenses Scenario has checked."""
     elements = []
     cursor = 0.0
-    for lens in scenario.twin_side_signal:
-        if not (0.0 <= lens.position_m <= z_det):
-            raise ValidationError(
-                f"twin-side lens at {lens.position_m:g} m lies outside the "
-                f"crystal-to-detector leg of {z_det:g} m"
-            )
-        if lens.position_m < cursor:
-            raise ValidationError("twin-side elements must be ordered by position")
+    for lens in lenses:
         if lens.position_m > cursor:
             elements.append(FreeSpace((lens.position_m - cursor) * distance_scale))
             cursor = lens.position_m
         elements.append(ThinLens(lens.focal_m, lens.aperture_radius_m))
-    if z_det > cursor:
-        elements.append(FreeSpace((z_det - cursor) * distance_scale))
+    if length > cursor:
+        elements.append(FreeSpace((length - cursor) * distance_scale))
     return elements
 
 
@@ -250,9 +136,19 @@ def unfolded_pump_train(scenario: "Scenario",
     of 1 is the degenerate model.  All other distances are kept exactly as
     declared.
     """
-    return OpticalTrain(tuple(
-        _pump_side_elements(scenario) + _twin_side_elements(scenario, twin_distance_scale)
-    ))
+    if scenario.twin_side_signal != scenario.twin_side_idler:
+        raise UnsupportedAsymmetryError(
+            "signal and idler twin-side trains differ; the unfolded "
+            "equivalent train requires identical arms"
+        )
+    elements = []
+    if scenario.mask.type == "wire":
+        elements.append(Mask(wire_mask(scenario.mask.width_m,
+                                       scenario.grid.n, scenario.grid.pitch_m)))
+    elements += _leg(scenario.pump_side_elements, scenario.mask.distance_to_crystal_m)
+    elements += _leg(scenario.twin_side_signal, scenario.detectors.distance_from_crystal_m,
+                     twin_distance_scale)
+    return OpticalTrain(tuple(elements))
 
 
 def divergence_loss_distance(scenario: "Scenario") -> float:
@@ -275,26 +171,6 @@ def effective_detector_field(scenario: "Scenario",
     return propagate_train(pump_input_field(scenario), ctx, train)
 
 
-def setup_from_scenario(scenario: "Scenario") -> BiphotonSetup:
-    """Low-level setup with the pump propagated to the crystal plane."""
-    ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
-    pump_at_crystal = propagate_train(
-        pump_input_field(scenario), ctx, OpticalTrain(tuple(_pump_side_elements(scenario)))
-    )
-    first_lens = scenario.twin_side_signal[0].position_m if scenario.twin_side_signal else 0.0
-    return BiphotonSetup(
-        pump_at_crystal=pump_at_crystal,
-        pump_wavenumber=ctx.wavenumber,
-        signal_wavenumber=2.0 * np.pi / scenario.twin_wavelengths.signal_m,
-        idler_wavenumber=2.0 * np.pi / scenario.twin_wavelengths.idler_m,
-        crystal_to_detector=scenario.detectors.distance_from_crystal_m,
-        mask_to_crystal=scenario.mask.distance_to_crystal_m,
-        crystal_to_lens=first_lens,
-        lens_to_detector=(scenario.detectors.distance_from_crystal_m - first_lens
-                          if scenario.twin_side_signal else 0.0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Detector scans
 # ---------------------------------------------------------------------------
@@ -305,10 +181,6 @@ class CoincidenceProfile:
 
     coordinates: np.ndarray
     rates: np.ndarray
-    moving: str = "signal"
-    axis: str = "x"
-    fixed_position: tuple[float, float] = (0.0, 0.0)
-    scenario_id: str = ""
 
     def __post_init__(self):
         coords = np.asarray(self.coordinates, dtype=np.float64)
@@ -363,40 +235,34 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
     return np.maximum(out, 0.0)
 
 
-def coincidence_rate_map(scenario: "Scenario", kappa: float = 1.0,
-                         twin_distance_scale: float = 1.0,
-                         apertures: Optional[tuple[float, float]] = None
-                         ) -> tuple[np.ndarray, float]:
+def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
+                         apertures: tuple[float, float],
+                         kappa: float = 1.0) -> tuple[np.ndarray, float]:
     """Aperture-integrated coincidence rate over the sum-coordinate grid.
 
-    Returns the 2D rate map and its pitch.  ``apertures`` defaults to the
-    scenario's detector radii.
+    ``detector_field`` comes from :func:`effective_detector_field`;
+    ``apertures`` are the moving and the fixed detector radii, in that
+    order.  Returns the 2D rate map and its pitch.
     """
-    if apertures is None:
-        apertures = (scenario.detectors.signal.aperture_radius_m,
-                     scenario.detectors.idler.aperture_radius_m)
-    w = effective_detector_field(scenario, twin_distance_scale)
     prefactor = 1.0
     if scenario.include_divergence_prefactor:
         k_p = 2.0 * np.pi / scenario.pump.wavelength_m
         prefactor = divergence_prefactor(k_p, divergence_loss_distance(scenario))
-    point_map = kappa * prefactor * w.intensity()
-    return aperture_integrated_map(point_map, w.pitch, *apertures), w.pitch
+    point_map = kappa * prefactor * detector_field.intensity()
+    pitch = detector_field.pitch
+    return aperture_integrated_map(point_map, pitch, *apertures), pitch
 
 
-def scan_detector(scenario: "Scenario",
-                  moving: Optional[str] = None,
-                  axis: Optional[str] = None,
-                  scan_range: Optional[tuple[float, float]] = None,
-                  step: Optional[float] = None,
-                  fixed_other: Optional[DetectorSpec] = None,
-                  kappa: float = 1.0,
-                  twin_distance_scale: float = 1.0) -> CoincidenceProfile:
-    """Scan one detector and integrate the rate over both apertures.
+def scan_points(scenario: "Scenario",
+                moving: Optional[str] = None,
+                axis: Optional[str] = None,
+                scan_range: Optional[tuple[float, float]] = None,
+                step: Optional[float] = None,
+                fixed_other: Optional[DetectorSpec] = None):
+    """Validated scan geometry, arguments defaulting to the scenario's scan block.
 
-    Arguments default to the scenario's scan block.  Every scan point is an
-    independent pure evaluation of one precomputed map, so evaluation order
-    cannot change the result.
+    Returns the scanned coordinates, the sum-coordinate sample points
+    ``(ux, uy)`` and the aperture radii ``(moving, fixed)``.
     """
     moving = moving or scenario.scan.moving
     axis = axis or scenario.scan.axis
@@ -415,26 +281,37 @@ def scan_detector(scenario: "Scenario",
     moving_spec = detectors[moving]
     fixed = fixed_other if fixed_other is not None else detectors["idler" if moving == "signal" else "signal"]
 
-    rate_map, pitch = coincidence_rate_map(
-        scenario, kappa, twin_distance_scale,
-        apertures=(moving_spec.aperture_radius_m, fixed.aperture_radius_m),
-    )
-
     start, stop = scan_range
     n_steps = int(np.floor((stop - start) / step + 1e-9))
     coords = start + step * np.arange(n_steps + 1)
-    rates = np.empty_like(coords)
-    for i, c in enumerate(coords):
-        if axis == "x":
-            u = (c + fixed.x_m, moving_spec.y_m + fixed.y_m)
-        else:
-            u = (moving_spec.x_m + fixed.x_m, c + fixed.y_m)
-        rates[i] = bilinear_sample(rate_map, pitch, u[0], u[1])
-    return CoincidenceProfile(
-        coordinates=coords,
-        rates=np.maximum(rates, 0.0),
-        moving=moving,
-        axis=axis,
-        fixed_position=fixed.position,
-        scenario_id=scenario.name,
-    )
+    if axis == "x":
+        points = (coords + fixed.x_m, moving_spec.y_m + fixed.y_m)
+    else:
+        points = (moving_spec.x_m + fixed.x_m, coords + fixed.y_m)
+    return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
+
+
+def read_profile(rate_map: np.ndarray, pitch: float, coords: np.ndarray,
+                 points: tuple) -> CoincidenceProfile:
+    """Profile of one scan: the rate map read at every scan point at once."""
+    return CoincidenceProfile(coords, np.maximum(bilinear_sample(rate_map, pitch, *points), 0.0))
+
+
+def scan_detector(scenario: "Scenario",
+                  moving: Optional[str] = None,
+                  axis: Optional[str] = None,
+                  scan_range: Optional[tuple[float, float]] = None,
+                  step: Optional[float] = None,
+                  fixed_other: Optional[DetectorSpec] = None,
+                  kappa: float = 1.0,
+                  twin_distance_scale: float = 1.0) -> CoincidenceProfile:
+    """Scan one detector and integrate the rate over both apertures.
+
+    Arguments default to the scenario's scan block.  The detector field and
+    the rate map are computed once; every scan point is a pure read of that
+    map, so evaluation order cannot change the result.
+    """
+    coords, points, apertures = scan_points(scenario, moving, axis, scan_range, step, fixed_other)
+    w = effective_detector_field(scenario, twin_distance_scale)
+    rate_map, pitch = coincidence_rate_map(scenario, w, apertures, kappa)
+    return read_profile(rate_map, pitch, coords, points)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import fileio
 from .biphoton import scan_detector
-from .counting import sweep_distance, sweep_rows_as_tuples
+from .counting import sweep_distance
 from .errors import PhysicsError, TwinbeamError, ValidationError
 from .paraxial import design_telescope
 from .runner import resolve_kappa, run
@@ -88,7 +88,7 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mode = "collimated" if args.collimated else "free"
     path = out / f"{scenario.name}_sweep_{mode}.csv"
-    path.write_text(fileio.sweep_to_csv(sweep_rows_as_tuples(rows)))
+    path.write_text(fileio.sweep_to_csv(rows))
     print(f"wrote {path}")
     for row in rows:
         peak = "infeasible" if row.peak_rate is None else f"{row.peak_rate:.6g}"

@@ -158,7 +158,3 @@ def sweep_distance(scenario, distances: Sequence[float], collimated: bool,
         counted = sample_counts(profile, derived.counting)
         rows.append(SweepRow(z, profile.peak_rate, snr(counted), collimated))
     return rows
-
-
-def sweep_rows_as_tuples(rows: Sequence[SweepRow]):
-    return [(r.distance_m, r.peak_rate, r.snr, r.collimated) for r in rows]

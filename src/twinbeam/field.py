@@ -185,6 +185,19 @@ def circular_mask(radius: float, n: int, pitch: float) -> TransmissionMask:
     return TransmissionMask((xx**2 + yy**2 <= radius**2).astype(np.float64), pitch)
 
 
+def _bilinear(values: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
+    """Bilinear blend at fractional column/row indices, cell corner clamped to [0, N-2]."""
+    n = values.shape[0]
+    i0 = np.clip(fi.astype(int), 0, n - 2)
+    j0 = np.clip(fj.astype(int), 0, n - 2)
+    tx = fi - i0
+    ty = fj - j0
+    return (values[j0, i0] * (1 - tx) * (1 - ty)
+            + values[j0, i0 + 1] * tx * (1 - ty)
+            + values[j0 + 1, i0] * (1 - tx) * ty
+            + values[j0 + 1, i0 + 1] * tx * ty)
+
+
 def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
     """Field resampled at coordinates scaled by a magnification.
 
@@ -198,45 +211,29 @@ def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
     x = fld.coords / magnification
     fi = x / fld.pitch + n // 2
     fi_x, fi_y = np.meshgrid(fi, fi)
-    i0 = np.clip(fi_x.astype(int), 0, n - 2)
-    j0 = np.clip(fi_y.astype(int), 0, n - 2)
-    tx = fi_x - i0
-    ty = fi_y - j0
-    arr = fld.samples
-    out = (arr[j0, i0] * (1 - tx) * (1 - ty)
-           + arr[j0, i0 + 1] * tx * (1 - ty)
-           + arr[j0 + 1, i0] * (1 - tx) * ty
-           + arr[j0 + 1, i0 + 1] * tx * ty)
     inside = (fi_x >= 0) & (fi_x <= n - 1) & (fi_y >= 0) & (fi_y <= n - 1)
-    return fld.with_samples(np.where(inside, out, 0.0))
+    return fld.with_samples(np.where(inside, _bilinear(fld.samples, fi_x, fi_y), 0.0))
 
 
-def bilinear_sample(values: np.ndarray, pitch: float, x: float, y: float) -> float:
+def bilinear_sample(values: np.ndarray, pitch: float, x, y):
     """Bilinearly interpolate a centered grid of real values at (x, y) meters.
 
-    Raises OutOfWindowError when (x, y) falls outside the hull of sample
-    centers; scans that leave the window are configuration bugs, not zeros.
+    Scalar coordinates give a float, broadcast arrays an array of the same
+    values.  Raises OutOfWindowError when any point falls outside the hull
+    of sample centers; scans that leave the window are configuration bugs,
+    not zeros.
     """
     n = values.shape[0]
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     fi = x / pitch + n // 2
     fj = y / pitch + n // 2
-    if not (0.0 <= fi <= n - 1 and 0.0 <= fj <= n - 1):
+    inside = (0.0 <= fi) & (fi <= n - 1) & (0.0 <= fj) & (fj <= n - 1)
+    if not inside.all():
+        k = np.flatnonzero(~inside)[0]
         half = (n // 2) * pitch
         raise OutOfWindowError(
-            f"sample point ({x:g}, {y:g}) m outside grid window "
+            f"sample point ({x.flat[k]:g}, {y.flat[k]:g}) m outside grid window "
             f"[{-half:g}, {(n - 1 - n // 2) * pitch:g}] m"
         )
-    i0 = min(int(fi), n - 2)
-    j0 = min(int(fj), n - 2)
-    tx = fi - i0
-    ty = fj - j0
-    v00 = values[j0, i0]
-    v01 = values[j0, i0 + 1]
-    v10 = values[j0 + 1, i0]
-    v11 = values[j0 + 1, i0 + 1]
-    return float(
-        v00 * (1 - tx) * (1 - ty)
-        + v01 * tx * (1 - ty)
-        + v10 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+    out = _bilinear(values, fi, fj)
+    return float(out) if out.ndim == 0 else out

@@ -41,10 +41,6 @@ def write_field_pgm(fld: ScalarField, path: str | Path) -> None:
     Path(path).write_bytes(intensity_to_pgm(fld.intensity()))
 
 
-def write_intensity_pgm(values: np.ndarray, path: str | Path) -> None:
-    Path(path).write_bytes(intensity_to_pgm(values))
-
-
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary 16-bit P5 file back into a uint16 array."""
     data = Path(path).read_bytes()
@@ -116,13 +112,13 @@ def counted_to_csv(coordinates, expected_rates, counts, accidental_rates) -> str
 
 
 def sweep_to_csv(rows) -> str:
-    """Rows of (Z_m, peak_rate, snr, collimated_flag); None marks infeasible."""
+    """Sweep rows (``counting.SweepRow``) as CSV; a None rate or SNR reads "infeasible"."""
     buf = io.StringIO()
     buf.write("Z_m,peak_rate,snr,collimated_flag\n")
-    for z, peak, snr_val, collimated in rows:
-        peak_s = "infeasible" if peak is None else f"{peak:.17g}"
-        snr_s = "infeasible" if snr_val is None else f"{snr_val:.17g}"
-        buf.write(f"{z:.17g},{peak_s},{snr_s},{int(collimated)}\n")
+    for row in rows:
+        peak_s = "infeasible" if row.peak_rate is None else f"{row.peak_rate:.17g}"
+        snr_s = "infeasible" if row.snr is None else f"{row.snr:.17g}"
+        buf.write(f"{row.distance_m:.17g},{peak_s},{snr_s},{int(row.collimated)}\n")
     return buf.getvalue()
 
 

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import ScalarField, TransmissionMask, WaveContext
+from .field import ScalarField, TransmissionMask, WaveContext, resample_scaled
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -271,7 +271,7 @@ def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
 
 
 # ---------------------------------------------------------------------------
-# Direct-quadrature Fresnel oracle
+# Image-plane search
 # ---------------------------------------------------------------------------
 
 def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
@@ -289,8 +289,6 @@ def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
 
     Returns (best distance, correlation at the best distance).
     """
-    from .field import resample_scaled
-
     if step is None:
         step = fld.pitch
     ref = resample_scaled(obj, magnification).samples
@@ -312,6 +310,10 @@ def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
             best = (c, dz)
     return best[1], best[0]
 
+
+# ---------------------------------------------------------------------------
+# Direct-quadrature Fresnel oracle
+# ---------------------------------------------------------------------------
 
 ORACLE_MAX_GRID = 128
 

@@ -1,8 +1,8 @@
 """Config-driven experiment runs: profile, counts, metrics, artifacts.
 
-A run builds the unfolded train, computes the deterministic
-aperture-integrated profile, samples Poisson counts, derives the dip/peak
-metrics, and writes CSV/PGM artifacts plus a JSON report.  Identical
+A run propagates the unfolded train once and builds one aperture-integrated
+rate map; the profile, Poisson counts, dip/peak metrics and CSV/PGM
+artifacts all come from that field and map, plus a JSON report.  Identical
 scenario and seed give byte-identical artifacts.
 """
 
@@ -22,7 +22,9 @@ from .biphoton import (
     coincidence_rate_map,
     divergence_loss_distance,
     effective_detector_field,
+    read_profile,
     scan_detector,
+    scan_points,
 )
 from .field import axis_coords
 from .counting import CountedProfile, sample_counts, snr
@@ -65,21 +67,22 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def resolve_kappa(scenario: Scenario, _depth: int = 0) -> float:
-    """Calibration constant making the reference scenario's peak rate equal
+def resolve_kappa(scenario: Scenario) -> float:
+    """Calibration constant making the end of the reference chain peak at
     its configured pairs/s; 1.0 when no calibration is declared."""
-    if _depth > 2:
-        raise ValidationError("calibration references form a cycle")
-    calib = scenario.calibration
-    if calib.pairs_per_s is not None:
-        raw_peak = scan_detector(scenario, kappa=1.0).peak_rate
-        if raw_peak <= 0:
-            raise PhysicsError("cannot calibrate: raw peak rate is zero")
-        return calib.pairs_per_s / raw_peak
-    if calib.reference is not None:
-        reference = load_scenario(calib.reference)
-        return resolve_kappa(reference, _depth + 1)
-    return 1.0
+    seen = set()
+    while scenario.calibration.pairs_per_s is None:
+        reference = scenario.calibration.reference
+        if reference is None:
+            return 1.0
+        if reference in seen:
+            raise ValidationError(f"calibration references form a cycle at {reference!r}")
+        seen.add(reference)
+        scenario = load_scenario(reference)
+    raw_peak = scan_detector(scenario, kappa=1.0).peak_rate
+    if raw_peak <= 0:
+        raise PhysicsError("cannot calibrate: raw peak rate is zero")
+    return scenario.calibration.pairs_per_s / raw_peak
 
 
 def profile_metrics(profile: CoincidenceProfile, counted: CountedProfile) -> dict:
@@ -113,16 +116,16 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     if kappa is None:
         kappa = resolve_kappa(scenario)
 
-    profile = scan_detector(scenario, kappa=kappa)
+    scan_coords, points, apertures = scan_points(scenario)
+    w_eff = effective_detector_field(scenario)
+    rate_map, pitch = coincidence_rate_map(scenario, w_eff, apertures, kappa)
+    profile = read_profile(rate_map, pitch, scan_coords, points)
     counted = sample_counts(profile, scenario.counting)
     metrics = profile_metrics(profile, counted)
-
-    w_eff = effective_detector_field(scenario)
     metrics["divergence_loss_distance_m"] = divergence_loss_distance(scenario)
 
     # 2D coincidence map: full resolution as PGM, cropped to the scan region
     # and thinned to at most ~256 points per axis for the CSV
-    rate_map, pitch = coincidence_rate_map(scenario, kappa)
     coords = axis_coords(rate_map.shape[0], pitch)
     margin = 1e-3
     keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)

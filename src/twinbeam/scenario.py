@@ -3,7 +3,8 @@
 Scenarios are JSON documents with SI-unit key suffixes (``wavelength_m``,
 ``acquisition_time_s``).  Structure is checked against the shipped JSON
 schema (unknown keys are rejected with the offending path), then semantic
-constraints are enforced while building the frozen dataclasses.
+constraints are enforced in the frozen dataclasses' ``__post_init__``, so
+parsed, derived and directly built scenarios are all checked when built.
 """
 
 from __future__ import annotations
@@ -134,6 +135,15 @@ class CalibrationSpec:
             raise ValidationError("calibration takes pairs_per_s or reference, not both")
 
 
+def _check_leg(key: str, lenses: tuple, leg_key: str, leg: float) -> None:
+    """The lenses of one leg must be ordered by position and lie within it."""
+    positions = [lens.position_m for lens in lenses]
+    if positions != sorted(positions):
+        raise ValidationError(f"{key}: lenses must be ordered by position")
+    if positions and positions[-1] > leg:
+        raise ValidationError(f"{key}: lens at {positions[-1]:g} m exceeds {leg_key} = {leg:g} m")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -156,6 +166,17 @@ class Scenario:
         object.__setattr__(self, "twin_side_signal", tuple(self.twin_side_signal))
         object.__setattr__(self, "twin_side_idler", tuple(self.twin_side_idler))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
+        _check_leg("pump_side_elements", self.pump_side_elements,
+                   "mask.distance_to_crystal_m", self.mask.distance_to_crystal_m)
+        for lenses in (self.twin_side_signal, self.twin_side_idler):
+            _check_leg("twin_side_elements", lenses,
+                       "detectors.distance_from_crystal_m", self.detectors.distance_from_crystal_m)
+        window = self.grid.n * self.grid.pitch_m
+        if 6 * self.pump.waist_m >= window:
+            raise ValidationError(
+                f"grid window {window:g} m cannot hold pump waist {self.pump.waist_m:g} m "
+                "with a 6-waist guard band"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +235,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         twin_signal = _lens_list(twin_doc, "distance_from_crystal_m")
         twin_idler = twin_signal
 
-    scenario = Scenario(
+    return Scenario(
         name=doc["name"],
         pump=pump,
         twin_wavelengths=twins,
@@ -230,31 +251,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         include_divergence_prefactor=doc.get("include_divergence_prefactor", True),
         assumptions=tuple(doc.get("assumptions", [])),
     )
-    _check_geometry(scenario)
-    return scenario
-
-
-def _check_geometry(scenario: Scenario) -> None:
-    z_c = scenario.mask.distance_to_crystal_m
-    for lens in scenario.pump_side_elements:
-        if lens.position_m > z_c:
-            raise ValidationError(
-                f"pump_side_elements: lens at {lens.position_m:g} m exceeds "
-                f"mask.distance_to_crystal_m = {z_c:g} m"
-            )
-    z_d = scenario.detectors.distance_from_crystal_m
-    for lens in scenario.twin_side_signal + scenario.twin_side_idler:
-        if lens.position_m > z_d:
-            raise ValidationError(
-                f"twin_side_elements: lens at {lens.position_m:g} m exceeds "
-                f"detectors.distance_from_crystal_m = {z_d:g} m"
-            )
-    window = scenario.grid.n * scenario.grid.pitch_m
-    if 6 * scenario.pump.waist_m >= window:
-        raise ValidationError(
-            f"grid window {window:g} m cannot hold pump waist {scenario.pump.waist_m:g} m "
-            "with a 6-waist guard band"
-        )
 
 
 def parse_scenario(text: str) -> Scenario:

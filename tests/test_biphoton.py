@@ -3,13 +3,13 @@ import pytest
 
 from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario
 from twinbeam import (
-    BiphotonSetup,
+    DetectorSpec,
     OutOfWindowError,
     SamplingError,
     UnsupportedAsymmetryError,
     ValidationError,
     WaveContext,
-    coincidence_free,
+    bilinear_sample,
     coincidence_imaged,
     coincidence_rate_map,
     divergence_loss_distance,
@@ -17,90 +17,94 @@ from twinbeam import (
     effective_detector_field,
     gaussian_beam,
     propagate,
+    propagate_train,
     rate_from_intensity,
     scan_detector,
-    setup_from_scenario,
     unfolded_pump_train,
     wire_mask,
 )
-from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map
-from twinbeam.propagation import FreeSpace, Mask, ThinLens
+from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
+from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
 K_P = 2 * np.pi / PUMP_WAVELENGTH
+CTX = WaveContext(K_P)
+
+
+def free_scenario(**overrides):
+    """Unmasked 0.5 mm Gaussian pump at the crystal, point detectors at 0.5 m."""
+    args = dict(mask_type="none", waist=0.5e-3, z_m1=0.0, z_det=0.5, n=256,
+                pitch=20e-6, aperture=0.0, include_prefactor=False)
+    return make_scenario(**{**args, **overrides})
 
 
 @pytest.fixture(scope="module")
-def free_setup():
-    pump = gaussian_beam(0.5e-3, 256, 20e-6)
-    return BiphotonSetup(
-        pump_at_crystal=pump, pump_wavenumber=K_P,
-        signal_wavenumber=K_P / 2, idler_wavenumber=K_P / 2,
-        crystal_to_detector=0.5,
-    )
+def free_field():
+    return effective_detector_field(free_scenario())
 
 
 class TestCoincidenceFree:
-    def test_rate_depends_only_on_sum_coordinate(self, free_setup):
+    def test_free_train_is_one_hop_at_pump_wavenumber(self, free_field):
+        assert unfolded_pump_train(free_scenario()).elements == (FreeSpace(0.5),)
+        direct = propagate(gaussian_beam(0.5e-3, 256, 20e-6), CTX, 0.5)
+        assert np.array_equal(free_field.samples, direct.samples)
+
+    def test_rate_depends_only_on_sum_coordinate(self, free_field):
+        intensity = free_field.intensity()
         rng = np.random.default_rng(0)
         for _ in range(100):
-            rho_s = tuple(rng.uniform(-1e-3, 1e-3, 2))
-            rho_i = tuple(rng.uniform(-1e-3, 1e-3, 2))
+            rho_s = rng.uniform(-1e-3, 1e-3, 2)
+            rho_i = rng.uniform(-1e-3, 1e-3, 2)
             delta = rng.uniform(-5e-4, 5e-4, 2)
-            r1 = coincidence_free(free_setup, rho_s, rho_i)
-            r2 = coincidence_free(free_setup,
-                                  (rho_s[0] + delta[0], rho_s[1] + delta[1]),
-                                  (rho_i[0] - delta[0], rho_i[1] - delta[1]))
+            r1 = rate_from_intensity(intensity, free_field.pitch, tuple(rho_s + rho_i))
+            r2 = rate_from_intensity(intensity, free_field.pitch,
+                                     tuple((rho_s + delta) + (rho_i - delta)))
             assert r2 == pytest.approx(r1, rel=1e-6)
 
-    def test_profile_is_gaussian_centered_at_minus_fixed(self, free_setup):
-        rho_i = (3e-4, 0.0)
-        xs = np.linspace(-1e-3, 1e-3, 401)
-        rates = np.array([coincidence_free(free_setup, (x, 0.0), rho_i) for x in xs])
-        assert xs[np.argmax(rates)] == pytest.approx(-rho_i[0], abs=5e-6)
+    def test_profile_is_gaussian_centered_at_minus_fixed(self):
+        profile = scan_detector(free_scenario(scan=(-1e-3, 1e-3, 5e-6)),
+                                fixed_other=DetectorSpec("idler", x_m=3e-4))
+        peak = profile.coordinates[np.argmax(profile.rates)]
+        assert peak == pytest.approx(-3e-4, abs=5e-6)
 
-    def test_prefactor_quarters_when_distance_doubles(self, free_setup):
-        w = free_setup.detector_plane_field()
-        intensity = w.intensity()
-        r1 = rate_from_intensity(intensity, w.pitch, (1e-4, 2e-4),
+    def test_prefactor_quarters_when_distance_doubles(self, free_field):
+        intensity = free_field.intensity()
+        r1 = rate_from_intensity(intensity, free_field.pitch, (1e-4, 2e-4),
                                  prefactor=divergence_prefactor(K_P, 1.0))
-        r2 = rate_from_intensity(intensity, w.pitch, (1e-4, 2e-4),
+        r2 = rate_from_intensity(intensity, free_field.pitch, (1e-4, 2e-4),
                                  prefactor=divergence_prefactor(K_P, 2.0))
         assert r1 / r2 == pytest.approx(4.0, rel=1e-12)
 
-    def test_out_of_window_is_error_not_zero(self, free_setup):
+    def test_out_of_window_is_error_not_zero(self, free_field):
         with pytest.raises(OutOfWindowError):
-            coincidence_free(free_setup, (5e-3, 0.0), (5e-3, 0.0))
+            rate_from_intensity(free_field.intensity(), free_field.pitch, (1e-2, 0.0))
 
-    def test_kappa_scales_linearly(self, free_setup):
-        r1 = coincidence_free(free_setup, (1e-4, 0.0), (0.0, 0.0), kappa=1.0)
-        r7 = coincidence_free(free_setup, (1e-4, 0.0), (0.0, 0.0), kappa=7.0)
-        assert r7 == pytest.approx(7.0 * r1, rel=1e-12)
+    def test_kappa_scales_linearly(self, free_field):
+        r1, r7 = (coincidence_rate_map(free_scenario(), free_field, (0.0, 0.0), kappa)[0]
+                  for kappa in (1.0, 7.0))
+        assert np.allclose(r7, 7.0 * r1, rtol=1e-12, atol=0.0)
 
 
 class TestCoincidenceImaged:
     def test_unit_magnification_samples_mask_field(self):
         w_mask = wire_mask(0.2e-3, 256, 20e-6).apply(gaussian_beam(0.5e-3, 256, 20e-6))
-        setup = BiphotonSetup(w_mask, K_P, K_P / 2, K_P / 2, 0.5)
         intensity = w_mask.intensity()
-        r = coincidence_imaged(setup, w_mask, 0.2, 0.2, (2e-4, 1e-4), (1e-4, -1e-4))
+        r = coincidence_imaged(w_mask, 0.2, 0.2, (2e-4, 1e-4), (1e-4, -1e-4))
         assert r == pytest.approx(
             rate_from_intensity(intensity, w_mask.pitch, (3e-4, 0.0)), rel=1e-12)
 
     def test_demagnification_scales_coordinates(self):
         w_mask = wire_mask(0.2e-3, 256, 20e-6).apply(gaussian_beam(0.5e-3, 256, 20e-6))
-        setup = BiphotonSetup(w_mask, K_P, K_P / 2, K_P / 2, 0.5)
         # O = 2I: a feature at u in the mask appears at sum coordinate u/2
         u = 4e-4
-        r_feature = coincidence_imaged(setup, w_mask, 0.4, 0.2, (u / 2, 0.0), (0.0, 0.0))
+        r_feature = coincidence_imaged(w_mask, 0.4, 0.2, (u / 2, 0.0), (0.0, 0.0))
         direct = rate_from_intensity(w_mask.intensity(), w_mask.pitch, (u, 0.0))
         assert r_feature == pytest.approx(direct, rel=1e-12)
 
     def test_nonpositive_distances_rejected(self):
         w_mask = gaussian_beam(0.5e-3, 256, 20e-6)
-        setup = BiphotonSetup(w_mask, K_P, K_P / 2, K_P / 2, 0.5)
         with pytest.raises(ValidationError):
-            coincidence_imaged(setup, w_mask, 0.0, 0.2, (0, 0), (0, 0))
+            coincidence_imaged(w_mask, 0.0, 0.2, (0, 0), (0, 0))
 
 
 class TestUnfoldedTrain:
@@ -111,8 +115,8 @@ class TestUnfoldedTrain:
         kinds = [type(el).__name__ for el in train.elements]
         assert kinds == ["Mask", "FreeSpace", "FreeSpace"]
         w_train = effective_detector_field(scenario)
-        setup = setup_from_scenario(scenario)
-        w_free = setup.detector_plane_field()
+        masked = wire_mask(0.2e-3, 512, 20e-6).apply(pump_input_field(scenario))
+        w_free = propagate(propagate(masked, CTX, 0.02), CTX, 0.5)
         assert np.allclose(w_train.samples, w_free.samples, atol=1e-12)
 
     def test_imaging_condition_on_equivalent_abcd(self):
@@ -146,8 +150,9 @@ class TestUnfoldedTrain:
         assert all(not isinstance(el, ThinLens) or el is train.elements[2]
                    for el in train.elements)
         w_eff = effective_detector_field(scenario)
-        ctx = WaveContext.from_wavelength(PUMP_WAVELENGTH)
-        pump_img = propagate(setup_from_scenario(scenario).pump_at_crystal, ctx, 0.7)
+        pump_side = OpticalTrain(train.elements[:-1])  # up to the crystal
+        pump_at_crystal = propagate_train(pump_input_field(scenario), CTX, pump_side)
+        pump_img = propagate(pump_at_crystal, CTX, 0.7)
         assert intensity_ncc(w_eff.intensity(), pump_img.intensity()) >= 0.99
 
     def test_asymmetric_twin_trains_rejected(self):
@@ -212,8 +217,6 @@ class TestScanDetector:
     def test_fixed_detector_offset_shifts_profile(self):
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=0.0,
                                  scan=(-1e-3, 1e-3, 2e-5))
-        from twinbeam import DetectorSpec
-
         centered = scan_detector(scenario, kappa=1.0)
         offset = scan_detector(scenario, kappa=1.0,
                                fixed_other=DetectorSpec("idler", x_m=4e-4))
@@ -235,9 +238,9 @@ class TestScanDetector:
     def test_rate_map_matches_scan(self):
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
-        rate_map, pitch = coincidence_rate_map(scenario, kappa=2.0)
+        w = effective_detector_field(scenario)
+        rate_map, pitch = coincidence_rate_map(scenario, w, (1e-4, 1e-4), kappa=2.0)
         profile = scan_detector(scenario, kappa=2.0)
-        from twinbeam import bilinear_sample
         mid = [bilinear_sample(rate_map, pitch, x, 0.0) for x in profile.coordinates]
         assert np.allclose(profile.rates, mid, rtol=1e-12)
 
@@ -259,12 +262,11 @@ class TestProfileInvariants:
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure lookup on one precomputed map, so sampling
         # the coordinates in reverse must reproduce the profile exactly
-        from twinbeam import bilinear_sample
-
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
-        rate_map, pitch = coincidence_rate_map(scenario, kappa=1.0)
+        w = effective_detector_field(scenario)
+        rate_map, pitch = coincidence_rate_map(scenario, w, (1e-4, 1e-4), kappa=1.0)
         reversed_rates = [bilinear_sample(rate_map, pitch, x, 0.0)
                           for x in profile.coordinates[::-1]]
         assert np.array_equal(np.array(reversed_rates)[::-1], profile.rates)

@@ -155,6 +155,9 @@ class TestBilinearSample:
         vals = np.ones((16, 16))
         with pytest.raises(OutOfWindowError):
             bilinear_sample(vals, 1e-5, 1.0, 0.0)
+        # one point of an array call outside the window fails the whole call
+        with pytest.raises(OutOfWindowError):
+            bilinear_sample(vals, 1e-5, np.array([0.0, 2e-5, 1.0]), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-3e-4, max_value=3e-4),
@@ -167,6 +170,11 @@ class TestBilinearSample:
         j = int(np.floor(y / f.pitch)) + 32
         cell = intensity[j:j + 2, i:i + 2]
         assert cell.min() - 1e-15 <= value <= cell.max() + 1e-15
+        # an array call returns, bit for bit, the scalar call at every point
+        xs, ys = np.array([x, 0.0, -x, y]), np.array([y, y, 0.0, x])
+        batch = bilinear_sample(intensity, f.pitch, xs, ys)
+        one_by_one = [bilinear_sample(intensity, f.pitch, a, b) for a, b in zip(xs, ys)]
+        assert batch.tobytes() == np.array(one_by_one).tobytes()
 
 
 class TestCircularMaskAndResample:

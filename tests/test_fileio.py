@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinbeam import ValidationError, gaussian_beam
+from twinbeam import SweepRow, ValidationError, gaussian_beam
 from twinbeam import fileio
 
 
@@ -52,7 +52,7 @@ def test_counted_csv_columns():
 
 
 def test_sweep_csv_marks_infeasible():
-    text = fileio.sweep_to_csv([(1.0, 2.0, 3.0, True), (2.0, None, None, True)])
+    text = fileio.sweep_to_csv([SweepRow(1.0, 2.0, 3.0, True), SweepRow(2.0, None, None, True)])
     lines = text.splitlines()
     assert lines[0] == "Z_m,peak_rate,snr,collimated_flag"
     assert "infeasible" in lines[2]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from twinbeam import fileio
+from conftest import make_scenario
+from twinbeam import ValidationError, fileio
 from twinbeam.biphoton import nondegenerate_distance_scale
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import load_scenario
@@ -75,3 +76,50 @@ def test_nondegenerate_distance_scales():
 
     res = compare_profiles(base.coordinates, base.rates, probed.coordinates, probed.rates)
     assert res["ncc"] > 0.98
+
+
+def test_run_propagates_the_train_once(tmp_path, monkeypatch):
+    from twinbeam import biphoton
+
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[2])
+        return propagate_train(*args, **kwargs)
+
+    propagate_train = biphoton.propagate_train
+    monkeypatch.setattr(biphoton, "propagate_train", counting_train)
+    scenario = make_scenario(waist=0.5e-3, n=256, aperture=1e-4, scan=(-1e-3, 1e-3, 1e-4))
+    report = run(scenario, tmp_path, kappa=1.0)
+    assert len(calls) == 1
+    assert "rate_map.csv" in report.manifest
+
+
+def _write_chain(tmp_path, names, last_calibration):
+    """Scenario files in which each one's calibration references the next."""
+    paths = [tmp_path / f"{name}.json" for name in names]
+    for i, path in enumerate(paths):
+        calibration = ({"reference": str(paths[i + 1])} if i + 1 < len(paths)
+                       else last_calibration)
+        path.write_text(json.dumps({
+            "name": names[i],
+            "pump": {"wavelength_m": 425e-9, "waist_m": 0.5e-3},
+            "grid": {"n": 128, "pitch_m": 40e-6},
+            "detectors": {"distance_from_crystal_m": 0.3},
+            "scan": {"start_m": -1e-3, "stop_m": 1e-3, "step_m": 5e-5},
+            "calibration": calibration,
+        }))
+    return paths
+
+
+def test_kappa_follows_a_three_hop_reference_chain(tmp_path):
+    a, _, _, d = _write_chain(tmp_path, "abcd", {"pairs_per_s": 500.0})
+    kappa_d = resolve_kappa(load_scenario(d))
+    assert kappa_d != 1.0
+    assert resolve_kappa(load_scenario(a)) == kappa_d
+
+
+def test_kappa_reference_cycle_rejected(tmp_path):
+    a, b = _write_chain(tmp_path, "ab", {"reference": str(tmp_path / "a.json")})
+    with pytest.raises(ValidationError, match="cycle"):
+        resolve_kappa(load_scenario(a))

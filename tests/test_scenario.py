@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from twinbeam import ValidationError, feature_width, compare_profiles, contrast
 from twinbeam.scenario import (
     PRESET_NAMES,
+    LensElement,
     emit_scenario,
     load_scenario,
     parse_scenario,
@@ -64,6 +66,31 @@ class TestParsing:
         doc["pump_side_elements"] = [{"focal_m": 0.1, "distance_from_mask_m": 0.5}]
         with pytest.raises(ValidationError, match="exceeds"):
             parse_scenario(json.dumps(doc))
+
+    def test_unordered_pump_lenses_rejected_when_built(self):
+        doc = dict(MINIMAL)
+        doc["mask"] = {"type": "wire", "width_m": 2e-4, "distance_to_crystal_m": 0.5}
+        doc["pump_side_elements"] = [{"focal_m": 0.1, "distance_from_mask_m": 0.3},
+                                     {"focal_m": 0.1, "distance_from_mask_m": 0.1}]
+        with pytest.raises(ValidationError, match="pump_side_elements.*ordered"):
+            parse_scenario(json.dumps(doc))
+        sc = load_scenario("fig4a")
+        unordered = (LensElement(0.25, 0.3), LensElement(0.25, 0.1))
+        with pytest.raises(ValidationError, match="pump_side_elements.*ordered"):
+            dataclasses.replace(sc, pump_side_elements=unordered)
+
+    def test_unordered_twin_lenses_rejected_when_built(self):
+        doc = dict(MINIMAL)
+        doc["twin_side_elements"] = [{"focal_m": 0.1, "distance_from_crystal_m": 0.4},
+                                     {"focal_m": 0.1, "distance_from_crystal_m": 0.2}]
+        with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
+            parse_scenario(json.dumps(doc))
+        sc = load_scenario("fig5")
+        unordered = sc.twin_side_signal[::-1]
+        with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
+            dataclasses.replace(sc, twin_side_signal=unordered, twin_side_idler=unordered)
+        with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
+            dataclasses.replace(sc, twin_side_idler=unordered)
 
     def test_asymmetric_twin_sides_parse(self):
         doc = dict(MINIMAL)
