@@ -14,7 +14,6 @@ from .biphoton import (
     divergence_loss_distance,
     divergence_prefactor,
     effective_detector_field,
-    nondegenerate_distance_scale,
     rate_from_intensity,
     scan_detector,
     unfolded_pump_train,

@@ -24,12 +24,13 @@ the plain geometry, which is what makes O = (mask-to-crystal) +
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SamplingError, UnsupportedAsymmetryError, ValidationError
-from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
+from .field import (ScalarField, WaveContext, bilinear_sample, gaussian_beam,
+                    radius_squared, wire_mask)
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,43 +99,24 @@ def pump_input_field(scenario: "Scenario") -> ScalarField:
     return gaussian_beam(scenario.pump.waist_m, scenario.grid.n, scenario.grid.pitch_m)
 
 
-def _leg(lenses: tuple, length: float, distance_scale: float = 1.0) -> list:
+def _leg(lenses: tuple, length: float) -> list:
     """Free-space hops and thin lenses along one leg, whose lenses Scenario has checked."""
     elements = []
     cursor = 0.0
     for lens in lenses:
         if lens.position_m > cursor:
-            elements.append(FreeSpace((lens.position_m - cursor) * distance_scale))
+            elements.append(FreeSpace(lens.position_m - cursor))
             cursor = lens.position_m
         elements.append(ThinLens(lens.focal_m, lens.aperture_radius_m))
     if length > cursor:
-        elements.append(FreeSpace((length - cursor) * distance_scale))
+        elements.append(FreeSpace(length - cursor))
     return elements
 
 
-def nondegenerate_distance_scale(scenario: "Scenario", arm: str) -> float:
-    """Twin-leg rescale factor k_arm / (k_p / 2) for probing non-degeneracy.
-
-    Returns 1 exactly in the degenerate default where both arms run at half
-    the pump wavenumber.
-    """
-    k_half = 0.5 * 2.0 * np.pi / scenario.pump.wavelength_m
-    if arm == "signal":
-        k_arm = 2.0 * np.pi / scenario.twin_wavelengths.signal_m
-    elif arm == "idler":
-        k_arm = 2.0 * np.pi / scenario.twin_wavelengths.idler_m
-    else:
-        raise ValidationError(f"arm must be signal or idler, got {arm!r}")
-    return k_arm / k_half
-
-
-def unfolded_pump_train(scenario: "Scenario",
-                        twin_distance_scale: float = 1.0) -> OpticalTrain:
+def unfolded_pump_train(scenario: "Scenario") -> OpticalTrain:
     """Single equivalent train: pump-side elements then one twin arm.
 
-    ``twin_distance_scale`` rescales twin-side free-space legs; the default
-    of 1 is the degenerate model.  All other distances are kept exactly as
-    declared.
+    All distances are kept exactly as declared.
     """
     if scenario.twin_side_signal != scenario.twin_side_idler:
         raise UnsupportedAsymmetryError(
@@ -146,8 +128,7 @@ def unfolded_pump_train(scenario: "Scenario",
         elements.append(Mask(wire_mask(scenario.mask.width_m,
                                        scenario.grid.n, scenario.grid.pitch_m)))
     elements += _leg(scenario.pump_side_elements, scenario.mask.distance_to_crystal_m)
-    elements += _leg(scenario.twin_side_signal, scenario.detectors.distance_from_crystal_m,
-                     twin_distance_scale)
+    elements += _leg(scenario.twin_side_signal, scenario.detectors.distance_from_crystal_m)
     return OpticalTrain(tuple(elements))
 
 
@@ -163,12 +144,10 @@ def divergence_loss_distance(scenario: "Scenario") -> float:
     return scenario.detectors.distance_from_crystal_m
 
 
-def effective_detector_field(scenario: "Scenario",
-                             twin_distance_scale: float = 1.0) -> ScalarField:
+def effective_detector_field(scenario: "Scenario") -> ScalarField:
     """Pump field propagated through the unfolded train to the detectors."""
     ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
-    train = unfolded_pump_train(scenario, twin_distance_scale)
-    return propagate_train(pump_input_field(scenario), ctx, train)
+    return propagate_train(pump_input_field(scenario), ctx, unfolded_pump_train(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +182,7 @@ class CoincidenceProfile:
 
 def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
     """FFT of a centered disk indicator times the pixel area (midpoint rule)."""
-    x = (np.arange(n) - n // 2) * pitch
-    xx, yy = np.meshgrid(x, x)
-    disk = (xx**2 + yy**2 <= radius**2).astype(np.float64) * pitch**2
+    disk = (radius_squared(n, pitch) <= radius**2).astype(np.float64) * pitch**2
     return np.fft.fft2(np.fft.ifftshift(disk))
 
 
@@ -215,22 +192,21 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
 
     Because the rate depends only on the detector coordinate sum, the
     double aperture integral is a convolution of the sum-coordinate map
-    with the two disk indicators.
+    with the two disk indicators.  Equal radii share one kernel.
     """
-    n = intensity.shape[0]
-    for radius in (radius_signal, radius_idler):
-        if radius > 0 and 2.0 * radius / pitch < MIN_APERTURE_SAMPLES:
+    radii = [r for r in (radius_signal, radius_idler) if r > 0]
+    for radius in radii:
+        if 2.0 * radius / pitch < MIN_APERTURE_SAMPLES:
             raise SamplingError(
                 f"aperture radius {radius:g} m under-resolved: need at least "
                 f"{MIN_APERTURE_SAMPLES} samples across the diameter at pitch {pitch:g} m"
             )
-    if radius_signal == 0 and radius_idler == 0:
+    if not radii:
         return intensity
+    kernels = {r: _disk_kernel_spectrum(intensity.shape[0], pitch, r) for r in set(radii)}
     spec = np.fft.fft2(intensity)
-    if radius_signal > 0:
-        spec = spec * _disk_kernel_spectrum(n, pitch, radius_signal)
-    if radius_idler > 0:
-        spec = spec * _disk_kernel_spectrum(n, pitch, radius_idler)
+    for radius in radii:
+        spec = kernels[radius] * spec
     out = np.fft.ifft2(spec).real
     return np.maximum(out, 0.0)
 
@@ -253,38 +229,19 @@ def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
     return aperture_integrated_map(point_map, pitch, *apertures), pitch
 
 
-def scan_points(scenario: "Scenario",
-                moving: Optional[str] = None,
-                axis: Optional[str] = None,
-                scan_range: Optional[tuple[float, float]] = None,
-                step: Optional[float] = None,
-                fixed_other: Optional[DetectorSpec] = None):
-    """Validated scan geometry, arguments defaulting to the scenario's scan block.
+def scan_points(scenario: "Scenario"):
+    """Scan geometry of the scenario's scan block, which ScanSpec has checked.
 
     Returns the scanned coordinates, the sum-coordinate sample points
     ``(ux, uy)`` and the aperture radii ``(moving, fixed)``.
     """
-    moving = moving or scenario.scan.moving
-    axis = axis or scenario.scan.axis
-    if moving not in ("signal", "idler"):
-        raise ValidationError(f"moving detector must be signal or idler, got {moving!r}")
-    if axis not in ("x", "y"):
-        raise ValidationError(f"scan axis must be x or y, got {axis!r}")
-    if scan_range is None:
-        scan_range = (scenario.scan.start_m, scenario.scan.stop_m)
-    if step is None:
-        step = scenario.scan.step_m
-    if step <= 0:
-        raise ValidationError(f"scan step must be positive, got {step}")
-
-    detectors = {"signal": scenario.detectors.signal, "idler": scenario.detectors.idler}
-    moving_spec = detectors[moving]
-    fixed = fixed_other if fixed_other is not None else detectors["idler" if moving == "signal" else "signal"]
-
-    start, stop = scan_range
-    n_steps = int(np.floor((stop - start) / step + 1e-9))
-    coords = start + step * np.arange(n_steps + 1)
-    if axis == "x":
+    scan = scenario.scan
+    moving_spec, fixed = scenario.detectors.signal, scenario.detectors.idler
+    if scan.moving == "idler":
+        moving_spec, fixed = fixed, moving_spec
+    n_steps = int(np.floor((scan.stop_m - scan.start_m) / scan.step_m + 1e-9))
+    coords = scan.start_m + scan.step_m * np.arange(n_steps + 1)
+    if scan.axis == "x":
         points = (coords + fixed.x_m, moving_spec.y_m + fixed.y_m)
     else:
         points = (moving_spec.x_m + fixed.x_m, coords + fixed.y_m)
@@ -297,21 +254,15 @@ def read_profile(rate_map: np.ndarray, pitch: float, coords: np.ndarray,
     return CoincidenceProfile(coords, np.maximum(bilinear_sample(rate_map, pitch, *points), 0.0))
 
 
-def scan_detector(scenario: "Scenario",
-                  moving: Optional[str] = None,
-                  axis: Optional[str] = None,
-                  scan_range: Optional[tuple[float, float]] = None,
-                  step: Optional[float] = None,
-                  fixed_other: Optional[DetectorSpec] = None,
-                  kappa: float = 1.0,
-                  twin_distance_scale: float = 1.0) -> CoincidenceProfile:
+def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:
     """Scan one detector and integrate the rate over both apertures.
 
-    Arguments default to the scenario's scan block.  The detector field and
-    the rate map are computed once; every scan point is a pure read of that
-    map, so evaluation order cannot change the result.
+    The scan is the scenario's: to scan differently, ``dataclasses.replace``
+    its ``scan`` or ``detectors``.  The detector field and the rate map are
+    computed once; every scan point is a pure read of that map, so
+    evaluation order cannot change the result.
     """
-    coords, points, apertures = scan_points(scenario, moving, axis, scan_range, step, fixed_other)
-    w = effective_detector_field(scenario, twin_distance_scale)
+    coords, points, apertures = scan_points(scenario)
+    w = effective_detector_field(scenario)
     rate_map, pitch = coincidence_rate_map(scenario, w, apertures, kappa)
     return read_profile(rate_map, pitch, coords, points)

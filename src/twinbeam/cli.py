@@ -68,7 +68,9 @@ def _cmd_run(args) -> int:
 def _cmd_scan(args) -> int:
     scenario = _load(args)
     kappa = args.kappa if args.kappa is not None else resolve_kappa(scenario)
-    profile = scan_detector(scenario, moving=args.moving, axis=args.axis, kappa=kappa)
+    flags = {"moving": args.moving, "axis": args.axis}
+    scan = dataclasses.replace(scenario.scan, **{k: v for k, v in flags.items() if v})
+    profile = scan_detector(dataclasses.replace(scenario, scan=scan), kappa=kappa)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_scan.csv"

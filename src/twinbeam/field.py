@@ -43,6 +43,12 @@ def axis_coords(n: int, pitch: float) -> np.ndarray:
     return (np.arange(n) - n // 2) * pitch
 
 
+def radius_squared(n: int, pitch: float) -> np.ndarray:
+    """Squared distance x^2 + y^2 from the optical axis at every grid sample."""
+    x2 = axis_coords(n, pitch) ** 2
+    return x2[None, :] + x2[:, None]
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Complex transverse amplitude sampled on a centered square grid."""
@@ -151,9 +157,7 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
             f"window {n * pitch:g} m too small for waist {waist:g} m; "
             f"need N > {needed} at pitch {pitch:g} m"
         )
-    x = axis_coords(n, pitch)
-    xx, yy = np.meshgrid(x, x)
-    return ScalarField(np.exp(-(xx**2 + yy**2) / waist**2).astype(np.complex128), pitch)
+    return ScalarField(np.exp(-radius_squared(n, pitch) / waist**2).astype(np.complex128), pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
@@ -180,9 +184,7 @@ def circular_mask(radius: float, n: int, pitch: float) -> TransmissionMask:
         raise SamplingError(
             f"aperture radius {radius:g} m under-resolved at pitch {pitch:g} m"
         )
-    x = axis_coords(n, pitch)
-    xx, yy = np.meshgrid(x, x)
-    return TransmissionMask((xx**2 + yy**2 <= radius**2).astype(np.float64), pitch)
+    return TransmissionMask((radius_squared(n, pitch) <= radius**2).astype(np.float64), pitch)
 
 
 def _bilinear(values: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
     n = fld.n
     x = fld.coords / magnification
     fi = x / fld.pitch + n // 2
-    fi_x, fi_y = np.meshgrid(fi, fi)
+    fi_x, fi_y = fi[None, :], fi[:, None]
     inside = (fi_x >= 0) & (fi_x <= n - 1) & (fi_y >= 0) & (fi_y <= n - 1)
     return fld.with_samples(np.where(inside, _bilinear(fld.samples, fi_x, fi_y), 0.0))
 

@@ -37,10 +37,6 @@ def intensity_to_pgm(values: np.ndarray) -> bytes:
     return header + scaled.astype(">u2").tobytes()
 
 
-def write_field_pgm(fld: ScalarField, path: str | Path) -> None:
-    Path(path).write_bytes(intensity_to_pgm(fld.intensity()))
-
-
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary 16-bit P5 file back into a uint16 array."""
     data = Path(path).read_bytes()
@@ -67,10 +63,6 @@ def field_to_csv(fld: ScalarField) -> str:
     buf.write("x_m,y_m,re,im\n")
     np.savetxt(buf, cols, fmt=FLOAT_FMT, delimiter=",")
     return buf.getvalue()
-
-
-def write_field_csv(fld: ScalarField, path: str | Path) -> None:
-    Path(path).write_text(field_to_csv(fld))
 
 
 def read_field_csv(path: str | Path) -> ScalarField:

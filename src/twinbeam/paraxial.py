@@ -134,14 +134,6 @@ class TelescopePlan:
         """Source plane up to just after the first lens (the collimated leg)."""
         return compose(self.matrices()[:2])
 
-    def as_dict(self) -> dict:
-        return {
-            "focal_lengths_m": list(self.focal_lengths),
-            "station_positions_m": list(self.station_positions),
-            "total_distance_m": self.total_distance,
-            "magnification": self.magnification,
-        }
-
 
 MAG_REL_TOL = 0.02
 PLAN_B_TOL = 1e-6

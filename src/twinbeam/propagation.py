@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import ScalarField, TransmissionMask, WaveContext, resample_scaled
+from .field import ScalarField, TransmissionMask, WaveContext, radius_squared, resample_scaled
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -45,8 +45,9 @@ def safe_frequency_limit(window: float, wavelength: float, distance: float) -> f
 
 
 def _freq_grids(n: int, pitch: float):
+    """Spatial frequencies as a row (fx) and a column (fy) that broadcast to the grid."""
     f = np.fft.fftfreq(n, d=pitch)
-    return np.meshgrid(f, f, indexing="xy")
+    return f[None, :], f[:, None]
 
 
 def _clipped_fraction(spectrum_sq: np.ndarray, fx: np.ndarray, fy: np.ndarray,
@@ -170,9 +171,7 @@ def apply_thin_lens(fld: ScalarField, ctx: WaveContext, focal: float) -> ScalarF
         raise ValidationError(f"focal length must be nonzero, got {focal}")
     if np.isinf(focal):
         return fld.with_samples(fld.samples.copy())
-    x = fld.coords
-    xx, yy = np.meshgrid(x, x)
-    phase = np.exp(-1j * ctx.wavenumber * (xx**2 + yy**2) / (2.0 * focal))
+    phase = np.exp(-1j * ctx.wavenumber * radius_squared(fld.n, fld.pitch) / (2.0 * focal))
     return fld.with_samples(fld.samples * phase)
 
 
@@ -230,9 +229,6 @@ class OpticalTrain:
             if not isinstance(el, (FreeSpace, ThinLens, Mask)):
                 raise ValidationError(f"unsupported optical element {el!r}")
 
-    def total_path(self) -> float:
-        return sum(el.distance for el in self.elements if isinstance(el, FreeSpace))
-
 
 def _apply_element(fld: ScalarField, ctx: WaveContext, el: OpticalElement,
                    max_clip_fraction: float) -> ScalarField:
@@ -241,11 +237,8 @@ def _apply_element(fld: ScalarField, ctx: WaveContext, el: OpticalElement,
     if isinstance(el, ThinLens):
         out = apply_thin_lens(fld, ctx, el.focal)
         if el.aperture_radius is not None:
-            x = out.coords
-            xx, yy = np.meshgrid(x, x)
-            out = out.with_samples(
-                np.where(xx**2 + yy**2 <= el.aperture_radius**2, out.samples, 0.0)
-            )
+            inside = radius_squared(out.n, out.pitch) <= el.aperture_radius**2
+            out = out.with_samples(np.where(inside, out.samples, 0.0))
         return out
     return el.transmission.apply(fld)
 
@@ -293,9 +286,7 @@ def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
         step = fld.pitch
     ref = resample_scaled(obj, magnification).samples
     if abs(curvature) > 1e-12:
-        x = fld.coords
-        xx, yy = np.meshgrid(x, x)
-        ref = ref * np.exp(1j * ctx.wavenumber * curvature * (xx**2 + yy**2)
+        ref = ref * np.exp(1j * ctx.wavenumber * curvature * radius_squared(fld.n, fld.pitch)
                            / (2.0 * magnification))
     ref_norm = np.sqrt(np.sum(np.abs(ref) ** 2))
     steps = int(round(halfwidth / step))

@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario
 from twinbeam import (
-    DetectorSpec,
     OutOfWindowError,
     SamplingError,
     UnsupportedAsymmetryError,
@@ -23,6 +24,7 @@ from twinbeam import (
     unfolded_pump_train,
     wire_mask,
 )
+from twinbeam import biphoton
 from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
@@ -36,6 +38,13 @@ def free_scenario(**overrides):
     args = dict(mask_type="none", waist=0.5e-3, z_m1=0.0, z_det=0.5, n=256,
                 pitch=20e-6, aperture=0.0, include_prefactor=False)
     return make_scenario(**{**args, **overrides})
+
+
+def with_idler_at(scenario, x_m):
+    """The scenario with its fixed idler detector moved to x_m."""
+    idler = dataclasses.replace(scenario.detectors.idler, x_m=x_m)
+    return dataclasses.replace(
+        scenario, detectors=dataclasses.replace(scenario.detectors, idler=idler))
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +71,7 @@ class TestCoincidenceFree:
             assert r2 == pytest.approx(r1, rel=1e-6)
 
     def test_profile_is_gaussian_centered_at_minus_fixed(self):
-        profile = scan_detector(free_scenario(scan=(-1e-3, 1e-3, 5e-6)),
-                                fixed_other=DetectorSpec("idler", x_m=3e-4))
+        profile = scan_detector(with_idler_at(free_scenario(scan=(-1e-3, 1e-3, 5e-6)), 3e-4))
         peak = profile.coordinates[np.argmax(profile.rates)]
         assert peak == pytest.approx(-3e-4, abs=5e-6)
 
@@ -156,22 +164,10 @@ class TestUnfoldedTrain:
         assert intensity_ncc(w_eff.intensity(), pump_img.intensity()) >= 0.99
 
     def test_asymmetric_twin_trains_rejected(self):
-        import dataclasses
-
         scenario = make_scenario(twin_lenses=(LensElement(0.15, 0.2),), z_det=0.5)
         asym = dataclasses.replace(scenario, twin_side_idler=(LensElement(0.25, 0.2),))
         with pytest.raises(UnsupportedAsymmetryError):
             unfolded_pump_train(asym)
-
-    def test_twin_distance_scale_changes_twin_legs_only(self):
-        scenario = make_scenario(z_m1=0.02, twin_lenses=(LensElement(0.15, 0.2),), z_det=0.5)
-        base = unfolded_pump_train(scenario, 1.0)
-        scaled = unfolded_pump_train(scenario, 1.05)
-        frees_base = [el.distance for el in base.elements if isinstance(el, FreeSpace)]
-        frees_scaled = [el.distance for el in scaled.elements if isinstance(el, FreeSpace)]
-        assert frees_scaled[0] == frees_base[0]  # pump leg untouched
-        assert frees_scaled[1] == pytest.approx(frees_base[1] * 1.05)
-        assert frees_scaled[2] == pytest.approx(frees_base[2] * 1.05)
 
     def test_divergence_loss_distance(self):
         free = make_scenario(twin_lenses=(), z_det=0.7)
@@ -194,8 +190,7 @@ class TestScanDetector:
     def test_role_swap_symmetry(self):
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
-        import dataclasses
-        a = scan_detector(scenario, moving="signal")
+        a = scan_detector(scenario)
         swapped = dataclasses.replace(
             scenario, scan=dataclasses.replace(scenario.scan, moving="idler"))
         b = scan_detector(swapped)
@@ -218,8 +213,7 @@ class TestScanDetector:
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=0.0,
                                  scan=(-1e-3, 1e-3, 2e-5))
         centered = scan_detector(scenario, kappa=1.0)
-        offset = scan_detector(scenario, kappa=1.0,
-                               fixed_other=DetectorSpec("idler", x_m=4e-4))
+        offset = scan_detector(with_idler_at(scenario, 4e-4), kappa=1.0)
         # rate depends on the coordinate sum, so an offset idler shifts the
         # whole profile by -offset along the scanned axis
         shift = int(round(4e-4 / 2e-5))
@@ -258,6 +252,20 @@ class TestProfileInvariants:
         intensity = gaussian_beam(0.15e-3, 64, 20e-6).intensity()
         out = aperture_integrated_map(intensity, 20e-6, 0.0, 0.0)
         assert out is intensity
+
+    @pytest.mark.parametrize("radii, kernels", [((1e-4, 1e-4), 1), ((1e-4, 2e-4), 2)])
+    def test_one_disk_kernel_per_distinct_radius(self, monkeypatch, radii, kernels):
+        calls = []
+        build = biphoton._disk_kernel_spectrum
+
+        def counting_build(n, pitch, radius):
+            calls.append(radius)
+            return build(n, pitch, radius)
+
+        monkeypatch.setattr(biphoton, "_disk_kernel_spectrum", counting_build)
+        intensity = gaussian_beam(0.5e-3, 256, 20e-6).intensity()
+        aperture_integrated_map(intensity, 20e-6, *radii)
+        assert len(calls) == kernels
 
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure lookup on one precomputed map, so sampling

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from twinbeam import fileio
+from twinbeam import fileio, scan_detector
 from twinbeam.cli import main
-from twinbeam.runner import run
+from twinbeam.runner import resolve_kappa, run
 from twinbeam.scenario import load_scenario
 
 
@@ -60,6 +61,22 @@ def test_scan_subcommand(fast_scenario_path, tmp_path, capsys):
     x, r = fileio.read_profile_csv(tmp_path / "cli-fast_scan.csv")
     assert x.size == 41
     assert np.all(r >= 0)
+
+
+def test_scan_flags_replace_the_scan_block(fast_scenario_path, tmp_path):
+    code = main(["scan", str(fast_scenario_path), "--out-dir", str(tmp_path),
+                 "--axis", "y", "--moving", "idler"])
+    assert code == 0
+    loaded = load_scenario(fast_scenario_path)
+    kappa = resolve_kappa(loaded)  # calibrated on the scan as loaded
+    moved = dataclasses.replace(
+        loaded, scan=dataclasses.replace(loaded.scan, axis="y", moving="idler"))
+    expected = scan_detector(moved, kappa=kappa)
+    x, r = fileio.read_profile_csv(tmp_path / "cli-fast_scan.csv")
+    assert np.array_equal(x, expected.coordinates)
+    assert np.array_equal(r, expected.rates)
+    # the y scan runs along the wire, so it misses the dip of the loaded x scan
+    assert not np.allclose(r, scan_detector(loaded, kappa=kappa).rates)
 
 
 def test_grid_override(fast_scenario_path, tmp_path):

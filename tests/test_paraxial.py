@@ -121,12 +121,6 @@ class TestDesignTelescope:
         plan = design_telescope(3.0, -1.0, [0.5, 0.1])
         assert plan.first_focal == pytest.approx(0.1)
 
-    def test_plan_serializes(self):
-        plan = design_telescope(1.0, -1.0, [0.2])
-        doc = plan.as_dict()
-        assert doc["total_distance_m"] == 1.0
-        assert doc["focal_lengths_m"] == [0.2, 0.2, 0.2, 0.2]
-
     def test_station_order_invariant(self):
         with pytest.raises(ValidationError):
             TelescopePlan((0.1, 0.1, 0.1, 0.1), (0.5, 0.2), 1.0, -1.0)

@@ -175,10 +175,6 @@ class TestTrains:
         )
         assert power(clipped) < power(f)
 
-    def test_total_path(self):
-        train = OpticalTrain((FreeSpace(0.1), ThinLens(0.2), FreeSpace(0.4)))
-        assert train.total_path() == pytest.approx(0.5)
-
 
 class TestOracle:
     def test_matches_fft_propagator(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from conftest import make_scenario
 from twinbeam import ValidationError, fileio
-from twinbeam.biphoton import nondegenerate_distance_scale
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import load_scenario
 
@@ -63,16 +63,23 @@ def test_seed_override_changes_counts_only(tmp_path):
 
 def test_nondegenerate_distance_scales():
     scenario = load_scenario("fig4b")
-    # 850 nm degenerate twins against the 890/800 nm stored pair
-    assert nondegenerate_distance_scale(scenario, "signal") == pytest.approx(850 / 890, rel=1e-12)
-    assert nondegenerate_distance_scale(scenario, "idler") == pytest.approx(850 / 800, rel=1e-12)
-    # the probe barely moves the profile: degenerate approximation is mild
-    from twinbeam import scan_detector
+    k_half = np.pi / scenario.pump.wavelength_m
+    scale = 2 * np.pi / scenario.twin_wavelengths.signal_m / k_half
+    # 850 nm degenerate twins against the 890 nm stored signal
+    assert scale == pytest.approx(850 / 890, rel=1e-12)
+    # twin legs rescaled by k_s / (k_p / 2) barely move the profile: the
+    # degenerate approximation is mild
+    lenses = tuple(dataclasses.replace(lens, position_m=lens.position_m * scale)
+                   for lens in scenario.twin_side_signal)
+    detectors = dataclasses.replace(
+        scenario.detectors,
+        distance_from_crystal_m=scenario.detectors.distance_from_crystal_m * scale)
+    scaled = dataclasses.replace(scenario, twin_side_signal=lenses, twin_side_idler=lenses,
+                                 detectors=detectors)
+    from twinbeam import compare_profiles, scan_detector
 
     base = scan_detector(scenario, kappa=1.0)
-    probed = scan_detector(scenario, kappa=1.0,
-                           twin_distance_scale=nondegenerate_distance_scale(scenario, "signal"))
-    from twinbeam import compare_profiles
+    probed = scan_detector(scaled, kappa=1.0)
 
     res = compare_profiles(base.coordinates, base.rates, probed.coordinates, probed.rates)
     assert res["ncc"] > 0.98

@@ -92,6 +92,17 @@ class TestParsing:
         with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
             dataclasses.replace(sc, twin_side_idler=unordered)
 
+    @pytest.mark.parametrize("bad", [{"start_m": 1e-3, "stop_m": -1e-3},
+                                     {"start_m": 1e-3, "stop_m": 1e-3},
+                                     {"step_m": 0.0},
+                                     {"step_m": -5e-5}])
+    def test_bad_scan_block_rejected_when_built(self, bad):
+        with pytest.raises(ValidationError, match=r"scan\.(stop|step)_m"):
+            parse_scenario(json.dumps(dict(MINIMAL, scan=bad)))
+        sc = load_scenario("fig4b")
+        with pytest.raises(ValidationError, match=r"scan\.(stop|step)_m"):
+            dataclasses.replace(sc, scan=dataclasses.replace(sc.scan, **bad))
+
     def test_asymmetric_twin_sides_parse(self):
         doc = dict(MINIMAL)
         doc["twin_side_elements"] = {
