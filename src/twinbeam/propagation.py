@@ -44,37 +44,47 @@ def safe_frequency_limit(window: float, wavelength: float, distance: float) -> f
     return 1.0 / (wavelength * np.hypot(ratio, 1.0))
 
 
-def _freq_grids(n: int, pitch: float):
-    """Spatial frequencies as a row (fx) and a column (fy) that broadcast to the grid."""
-    f = np.fft.fftfreq(n, d=pitch)
-    return f[None, :], f[:, None]
+def _half_freqs(n: int, pitch: float) -> np.ndarray:
+    """The n//2 + 1 distinct values of |fftfreq(n, pitch)|, in ascending order."""
+    return np.abs(np.fft.fftfreq(n, d=pitch)[: n // 2 + 1])
 
 
-def _clipped_fraction(spectrum_sq: np.ndarray, fx: np.ndarray, fy: np.ndarray,
-                      f_limit: float) -> float:
-    total = spectrum_sq.sum()
-    if total == 0.0:
-        return 0.0
-    outside = (np.abs(fx) > f_limit) | (np.abs(fy) > f_limit)
-    return float(spectrum_sq[outside].sum() / total)
+def _ring(n: int) -> np.ndarray:
+    """Index of each FFT-ordered sample into the half axis of |fftfreq|.
 
-
-def max_safe_distance(fld: ScalarField, ctx: WaveContext,
-                      max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> float:
-    """Largest distance this field can be propagated within the clip budget.
-
-    Monotone in distance (the safe cone only shrinks), so a bisection on the
-    clipped power fraction suffices.
+    fftfreq gives samples i and n - i exact negatives of each other, so any
+    array that depends only on |fx| and |fy| is built on the half axes and
+    mirrored with ``quadrant[np.ix_(ring, ring)]``, bit for bit.
     """
-    spectrum_sq = np.abs(np.fft.fft2(fld.samples)) ** 2
-    fx, fy = _freq_grids(fld.n, fld.pitch)
-    wavelength = ctx.wavelength
+    i = np.arange(n)
+    return np.minimum(i, n - i)
 
-    def frac(z):
-        return _clipped_fraction(spectrum_sq, fx, fy,
-                                 safe_frequency_limit(fld.window, wavelength, z))
 
-    lo, hi = 0.0, fld.window * 4.0
+def _clip_curve(spectrum: np.ndarray, ring_f: np.ndarray, window: float,
+                wavelength: float):
+    """Clipped power fraction as a function of distance, from one ring table.
+
+    The clip at f_limit removes the samples whose Chebyshev ring
+    max(ring_x, ring_y) has a frequency ``ring_f[r]`` above f_limit.  The
+    table holds the power on and beyond each ring, summed in reverse so a
+    small tail suffers no cancellation, with a trailing 0.
+    """
+    ring = _ring(spectrum.shape[0])
+    power = np.bincount(np.maximum(ring[None, :], ring[:, None]).ravel(),
+                        weights=(np.abs(spectrum) ** 2).ravel(), minlength=ring_f.size)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+
+    def clipped(z):
+        if tail[0] == 0.0:
+            return 0.0
+        f_limit = safe_frequency_limit(window, wavelength, z)
+        return float(tail[np.searchsorted(ring_f, f_limit, side="right")] / tail[0])
+
+    return clipped
+
+
+def _bisect_safe_distance(frac, window: float, max_clip_fraction: float) -> float:
+    lo, hi = 0.0, window * 4.0
     if frac(hi) <= max_clip_fraction:
         while frac(hi) <= max_clip_fraction and hi < 1e6:
             hi *= 4.0
@@ -87,6 +97,18 @@ def max_safe_distance(fld: ScalarField, ctx: WaveContext,
         else:
             hi = mid
     return lo
+
+
+def max_safe_distance(fld: ScalarField, ctx: WaveContext,
+                      max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> float:
+    """Largest distance this field can be propagated within the clip budget.
+
+    Monotone in distance (the safe cone only shrinks), so a bisection on the
+    clipped power fraction suffices.
+    """
+    clipped = _clip_curve(np.fft.fft2(fld.samples), _half_freqs(fld.n, fld.pitch),
+                          fld.window, ctx.wavelength)
+    return _bisect_safe_distance(clipped, fld.window, max_clip_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +151,14 @@ def propagate(fld: ScalarField, ctx: WaveContext, distance: float,
 
     k = ctx.wavenumber
     n = fld.n
-    fx, fy = _freq_grids(n, fld.pitch)
-    kx = 2.0 * np.pi * fx
-    ky = 2.0 * np.pi * fy
+    f = _half_freqs(n, fld.pitch)
 
     spectrum = np.fft.fft2(fld.samples)
     f_limit = safe_frequency_limit(fld.window, ctx.wavelength, distance)
-    spectrum_sq = np.abs(spectrum) ** 2
-    clipped = _clipped_fraction(spectrum_sq, fx, fy, f_limit)
+    clipped_at = _clip_curve(spectrum, f, fld.window, ctx.wavelength)
+    clipped = clipped_at(distance)
     if clipped > max_clip_fraction:
-        z_max = max_safe_distance(fld, ctx, max_clip_fraction)
+        z_max = _bisect_safe_distance(clipped_at, fld.window, max_clip_fraction)
         raise AliasingRiskError(
             f"distance {distance:g} m would clip {clipped:.2%} of the power "
             f"(budget {max_clip_fraction:.2%}); max safe distance for this "
@@ -146,6 +166,11 @@ def propagate(fld: ScalarField, ctx: WaveContext, distance: float,
             max_safe_distance=z_max,
         )
 
+    # The transfer depends on |fx| and |fy| only: build it on one quadrant
+    # of the half axes and mirror it onto the FFT-ordered grid.
+    fx, fy = f[None, :], f[:, None]
+    kx = 2.0 * np.pi * fx
+    ky = 2.0 * np.pi * fy
     kz_sq = k**2 - kx**2 - ky**2
     propagating = kz_sq > 0.0
     in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
@@ -157,6 +182,10 @@ def propagate(fld: ScalarField, ctx: WaveContext, distance: float,
     # cancellation-free form.
     kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
     transfer = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+    ring = _ring(n)
+    # Bound to a name first: an inline indexed temporary lets numpy reuse it
+    # for the product, which rounds differently.
+    transfer = transfer[np.ix_(ring, ring)]
     return fld.with_samples(np.fft.ifft2(spectrum * transfer))
 
 
@@ -171,7 +200,13 @@ def apply_thin_lens(fld: ScalarField, ctx: WaveContext, focal: float) -> ScalarF
         raise ValidationError(f"focal length must be nonzero, got {focal}")
     if np.isinf(focal):
         return fld.with_samples(fld.samples.copy())
-    phase = np.exp(-1j * ctx.wavenumber * radius_squared(fld.n, fld.pitch) / (2.0 * focal))
+    # rho^2 on the quadrant of distances |i - n//2| from the axis, then
+    # mirrored; named before the product for the reason given in propagate
+    n = fld.n
+    x2 = (np.arange(n // 2 + 1) * fld.pitch) ** 2
+    phase = np.exp(-1j * ctx.wavenumber * (x2[None, :] + x2[:, None]) / (2.0 * focal))
+    fold = np.abs(np.arange(n) - n // 2)
+    phase = phase[np.ix_(fold, fold)]
     return fld.with_samples(fld.samples * phase)
 
 

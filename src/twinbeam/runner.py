@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,18 @@ def resolve_kappa(scenario: Scenario) -> float:
     return scenario.calibration.pairs_per_s / raw_peak
 
 
+def _write_atomic(path: Path, raw: bytes) -> None:
+    """Write under a temporary name beside ``path``, then rename it into place,
+    so ``path`` never holds a partial file and a failed write leaves nothing."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def profile_metrics(profile: CoincidenceProfile, counted: CountedProfile) -> dict:
     metrics = {
         "peak_rate_pairs_per_s": profile.peak_rate,
@@ -136,12 +149,9 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     artifacts = {}
 
     def emit(name: str, data: bytes | str):
-        path = out / name
-        if isinstance(data, str):
-            path.write_text(data)
-        else:
-            path.write_bytes(data)
-        artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        raw = data.encode() if isinstance(data, str) else data
+        _write_atomic(out / name, raw)
+        artifacts[name] = hashlib.sha256(raw).hexdigest()
 
     emit("scenario.json", emit_scenario(scenario))
     emit("profile.csv", fileio.profile_to_csv(profile.coordinates, profile.rates))
@@ -163,5 +173,5 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
         manifest=artifacts,
         assumptions=scenario.assumptions,
     )
-    (out / "report.json").write_text(report.to_json())
+    _write_atomic(out / "report.json", report.to_json().encode())
     return report

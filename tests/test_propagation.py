@@ -21,8 +21,10 @@ from twinbeam import (
     propagate,
     propagate_train,
     resample_scaled,
+    safe_frequency_limit,
     wire_mask,
 )
+from twinbeam.field import radius_squared
 
 CTX = WaveContext.from_wavelength(425e-9)
 
@@ -86,6 +88,116 @@ class TestPropagate:
         out = propagate(f, CTX, 0.999 * z, max_clip_fraction=0.03)
         ratio = power(out) / power(f)
         assert 0.96 < ratio < 1.0
+
+
+def _full_grid_propagate(samples, pitch, ctx, distance):
+    """Angular-spectrum hop with the transfer built on every FFT-ordered sample."""
+    n = samples.shape[0]
+    k = ctx.wavenumber
+    f = np.fft.fftfreq(n, d=pitch)
+    fx, fy = f[None, :], f[:, None]
+    kx = 2.0 * np.pi * fx
+    ky = 2.0 * np.pi * fy
+    f_limit = safe_frequency_limit(n * pitch, ctx.wavelength, distance)
+    kz_sq = k**2 - kx**2 - ky**2
+    propagating = kz_sq > 0.0
+    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
+    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
+    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
+    transfer = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+    spectrum = np.fft.fft2(samples)
+    return np.fft.ifft2(spectrum * transfer)
+
+
+def _mask_safe_distance(fld, ctx, max_clip_fraction=0.05):
+    """Bisection on a boolean mask of the clipped samples, as a brute-force oracle."""
+    spectrum_sq = np.abs(np.fft.fft2(fld.samples)) ** 2
+    f = np.fft.fftfreq(fld.n, d=fld.pitch)
+    fx, fy = f[None, :], f[:, None]
+    total = spectrum_sq.sum()
+
+    def frac(z):
+        if total == 0.0:
+            return 0.0
+        f_limit = safe_frequency_limit(fld.window, ctx.wavelength, z)
+        outside = (np.abs(fx) > f_limit) | (np.abs(fy) > f_limit)
+        return float(spectrum_sq[outside].sum() / total)
+
+    lo, hi = 0.0, fld.window * 4.0
+    if frac(hi) <= max_clip_fraction:
+        while frac(hi) <= max_clip_fraction and hi < 1e6:
+            hi *= 4.0
+        if hi >= 1e6:
+            return float("inf")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if frac(mid) <= max_clip_fraction:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestMirroredBuilds:
+    """The transfer and the lens phase, built on one quadrant and mirrored,
+    equal the full-grid expressions byte for byte.
+
+    The grids are at least 128 wide so that their complex arrays reach
+    numpy's 256 KiB temporary-elision threshold: a mirrored array used
+    unnamed in the product is then multiplied in place, which rounds
+    differently and fails these tests.
+    """
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("distance", [0.05, 1.5])  # full band; band-limited
+    def test_propagate_matches_full_grid_transfer(self, n, distance):
+        pitch = 20e-6
+        assert (safe_frequency_limit(n * pitch, CTX.wavelength, distance)
+                > 0.5 / pitch) == (distance == 0.05)
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out = propagate(ScalarField(samples, pitch), CTX, distance, max_clip_fraction=1.0)
+        ref = _full_grid_propagate(samples, pitch, CTX, distance)
+        assert out.samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("focal", [0.2, -0.2])
+    def test_lens_matches_full_grid_phase(self, n, focal):
+        pitch = 20e-6
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out = apply_thin_lens(ScalarField(samples, pitch), CTX, focal)
+        phase = np.exp(-1j * CTX.wavenumber * radius_squared(n, pitch) / (2.0 * focal))
+        ref = samples * phase
+        assert out.samples.tobytes() == ref.tobytes()
+
+
+class TestSafeDistance:
+    def test_ring_table_matches_mask_bisection(self, masked_beam):
+        assert max_safe_distance(masked_beam, CTX) == _mask_safe_distance(masked_beam, CTX)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=45e-6, max_value=0.2e-3),
+           st.floats(min_value=1e-3, max_value=0.2),
+           st.sampled_from([64, 65]))
+    def test_ring_table_matches_mask_bisection_on_gaussians(self, waist, budget, n):
+        f = gaussian_beam(waist, n, 20e-6)
+        assert max_safe_distance(f, CTX, budget) == _mask_safe_distance(f, CTX, budget)
+
+    def test_refusal_transforms_the_field_once(self, monkeypatch):
+        f = gaussian_beam(60e-6, 64, 20e-6)
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting_fft2(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+        with pytest.raises(AliasingRiskError) as err:
+            propagate(f, CTX, 2.0)
+        assert calls == [(64, 64)]
+        assert err.value.max_safe_distance == max_safe_distance(f, CTX)
 
 
 class TestThinLens:

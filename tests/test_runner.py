@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -130,3 +132,40 @@ def test_kappa_reference_cycle_rejected(tmp_path):
     a, b = _write_chain(tmp_path, "ab", {"reference": str(tmp_path / "a.json")})
     with pytest.raises(ValidationError, match="cycle"):
         resolve_kappa(load_scenario(a))
+
+
+def _small_scenario():
+    return make_scenario(waist=0.5e-3, n=256, aperture=1e-4, scan=(-1e-3, 1e-3, 1e-4))
+
+
+def test_manifest_hashes_match_files_on_disk(tmp_path):
+    report = run(_small_scenario(), tmp_path, kappa=1.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*report.manifest, "report.json"])
+    for name, digest in report.manifest.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert json.loads((tmp_path / "report.json").read_text())["artifacts"] == report.manifest
+
+
+@pytest.mark.parametrize("failing", ["encoder", "rename"])
+def test_failed_fourth_artifact_leaves_no_report_and_no_temporary(tmp_path, monkeypatch,
+                                                                  failing):
+    if failing == "encoder":
+        def intensity_to_pgm(*args):
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(fileio, "intensity_to_pgm", intensity_to_pgm)
+    else:
+        renames = []
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            renames.append(dst)
+            if len(renames) == 4:
+                raise RuntimeError("rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(RuntimeError, match="failed"):
+        run(_small_scenario(), tmp_path, kappa=1.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "profile.csv",
+                                                           "scenario.json"]
