@@ -183,7 +183,8 @@ class CoincidenceProfile:
 def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
     """FFT of a centered disk indicator times the pixel area (midpoint rule)."""
     disk = (radius_squared(n, pitch) <= radius**2).astype(np.float64) * pitch**2
-    return np.fft.fft2(np.fft.ifftshift(disk))
+    kernel = np.fft.ifftshift(disk).astype(np.complex128)
+    return np.fft.fft2(kernel, out=kernel)
 
 
 def aperture_integrated_map(intensity: np.ndarray, pitch: float,
@@ -204,11 +205,17 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
     if not radii:
         return intensity
     kernels = {r: _disk_kernel_spectrum(intensity.shape[0], pitch, r) for r in set(radii)}
-    spec = np.fft.fft2(intensity)
+    # One complex array holds the map, its transform, both products
+    # (kernel * spec, the order that rounds as the formula does) and the
+    # inverse; np.fft.ifft2 ignores out=, ifftn does not.  Assigning the real
+    # map first spares the full-size cast a real-input transform makes.
+    spec = np.empty(intensity.shape, np.complex128)
+    spec[...] = intensity
+    np.fft.fft2(spec, out=spec)
     for radius in radii:
-        spec = kernels[radius] * spec
-    out = np.fft.ifft2(spec).real
-    return np.maximum(out, 0.0)
+        np.multiply(kernels[radius], spec, out=spec)
+    np.fft.ifftn(spec, axes=(-2, -1), out=spec)
+    return np.maximum(spec.real, 0.0)
 
 
 def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,

@@ -118,10 +118,14 @@ class TransmissionMask:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    def apply(self, fld: ScalarField) -> ScalarField:
-        if fld.samples.shape != self.samples.shape or fld.pitch != self.pitch:
+    def multiply_into(self, samples: np.ndarray, pitch: float) -> np.ndarray:
+        """Multiply a writable field array on this mask's grid in place."""
+        if samples.shape != self.samples.shape or pitch != self.pitch:
             raise ValidationError("mask grid does not match field grid")
-        return fld.with_samples(fld.samples * self.samples)
+        return np.multiply(samples, self.samples, out=samples)
+
+    def apply(self, fld: ScalarField) -> ScalarField:
+        return fld.with_samples(self.multiply_into(np.array(fld.samples), fld.pitch))
 
 
 def power(fld: ScalarField) -> float:

@@ -7,6 +7,29 @@ paths free of wraparound ghosts; if that clipping would remove more than a
 small configurable fraction of the field power, propagation refuses and
 reports the largest safe distance instead.
 
+Every train runs on one working array.  :func:`propagate_train` copies the
+input field once; each element then writes into the complex array it reads
+(forward FFT, spectral product, inverse FFT, lens phase, lens stop, mask),
+and the array is wrapped in a ScalarField only at the end.  A second array
+of the same shape receives each hop's transfer function and each lens's
+phase in turn: both depend on two half axes only, so they are built on one
+quadrant and mirrored into it by slice copies.  :func:`propagate` and
+:func:`apply_thin_lens` are one copy plus the same in-place kernels.
+
+The results equal the out-of-place formulas ``ifft2(fft2(u) * transfer)``
+and ``u * phase`` byte for byte.  Three traps break that:
+
+* operand order.  Each product is ``np.multiply(u, factor, out=u)`` in the
+  order of the formula: under FMA, a complex product with swapped operands
+  rounds differently;
+* numpy's temporary elision.  An unnamed temporary of 256 KiB and up that
+  enters a commutative operation is overwritten in place with the operands
+  swapped, so ``u * quadrant[np.ix_(i, j)]`` computes ``gathered * u``;
+* ``np.fft.ifft2`` ignores ``out=`` (numpy 2.4 passes ``out=None`` on), so
+  the inverse is ``np.fft.ifftn(u, axes=(-2, -1), out=u)``.
+
+``out=`` on the ``numpy.fft`` functions needs numpy 2.0.
+
 A slow direct-quadrature Fresnel propagator is provided purely as an
 independent cross-check for the FFT path.
 """
@@ -49,29 +72,49 @@ def _half_freqs(n: int, pitch: float) -> np.ndarray:
     return np.abs(np.fft.fftfreq(n, d=pitch)[: n // 2 + 1])
 
 
-def _ring(n: int) -> np.ndarray:
-    """Index of each FFT-ordered sample into the half axis of |fftfreq|.
+def _fft_runs(n: int) -> tuple:
+    """(axis slice, half-axis slice) pairs that mirror a half axis into FFT order.
 
-    fftfreq gives samples i and n - i exact negatives of each other, so any
-    array that depends only on |fx| and |fy| is built on the half axes and
-    mirrored with ``quadrant[np.ix_(ring, ring)]``, bit for bit.
+    fftfreq gives samples i and n - i exact negatives of each other, so
+    sample i takes entry min(i, n - i) of the half axis: an ascending run,
+    then a descending one.
     """
+    h = n // 2 + 1
+    return ((slice(0, h), slice(0, h)), (slice(h, n), slice(n - h, 0, -1)))
+
+
+def _centred_runs(n: int) -> tuple:
+    """The same pairs for a centred axis, whose sample i takes entry |i - n//2|."""
+    c = n // 2
+    return ((slice(c, n), slice(0, n - c)), (slice(0, c), slice(c, 0, -1)))
+
+
+def _mirror(quadrant: np.ndarray, runs: tuple, out: np.ndarray) -> np.ndarray:
+    """Write ``quadrant[m(i), m(j)]`` into ``out[i, j]`` by four slice copies,
+    for the index map ``m`` that ``runs`` spells out."""
+    for rows, q_rows in runs:
+        for cols, q_cols in runs:
+            out[rows, cols] = quadrant[q_rows, q_cols]
+    return out
+
+
+def _chebyshev_rings(n: int) -> np.ndarray:
+    """Flattened ring max(min(i, n - i), min(j, n - j)) of each FFT-ordered sample."""
     i = np.arange(n)
-    return np.minimum(i, n - i)
+    ring = np.minimum(i, n - i)
+    return np.maximum(ring[None, :], ring[:, None]).ravel()
 
 
-def _clip_curve(spectrum: np.ndarray, ring_f: np.ndarray, window: float,
-                wavelength: float):
+def _clip_curve(spectrum: np.ndarray, rings: np.ndarray, ring_f: np.ndarray,
+                window: float, wavelength: float):
     """Clipped power fraction as a function of distance, from one ring table.
 
-    The clip at f_limit removes the samples whose Chebyshev ring
-    max(ring_x, ring_y) has a frequency ``ring_f[r]`` above f_limit.  The
-    table holds the power on and beyond each ring, summed in reverse so a
-    small tail suffers no cancellation, with a trailing 0.
+    The clip at f_limit removes the samples whose Chebyshev ring (``rings``,
+    from :func:`_chebyshev_rings`) has a frequency ``ring_f[r]`` above
+    f_limit.  The table holds the power on and beyond each ring, summed in
+    reverse so a small tail suffers no cancellation, with a trailing 0.
     """
-    ring = _ring(spectrum.shape[0])
-    power = np.bincount(np.maximum(ring[None, :], ring[:, None]).ravel(),
-                        weights=(np.abs(spectrum) ** 2).ravel(), minlength=ring_f.size)
+    power = np.bincount(rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=ring_f.size)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
 
     def clipped(z):
@@ -106,9 +149,111 @@ def max_safe_distance(fld: ScalarField, ctx: WaveContext,
     Monotone in distance (the safe cone only shrinks), so a bisection on the
     clipped power fraction suffices.
     """
-    clipped = _clip_curve(np.fft.fft2(fld.samples), _half_freqs(fld.n, fld.pitch),
-                          fld.window, ctx.wavelength)
+    clipped = _clip_curve(np.fft.fft2(fld.samples), _chebyshev_rings(fld.n),
+                          _half_freqs(fld.n, fld.pitch), fld.window, ctx.wavelength)
     return _bisect_safe_distance(clipped, fld.window, max_clip_fraction)
+
+
+def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float) -> np.ndarray:
+    """Band-limited transfer function on the quadrant of half axes ``f``."""
+    fx, fy = f[None, :], f[:, None]
+    kx = 2.0 * np.pi * fx
+    ky = 2.0 * np.pi * fy
+    kz_sq = k**2 - kx**2 - ky**2
+    propagating = kz_sq > 0.0
+    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
+    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
+    # Carrier-referenced transfer: the plane-wave phase k z is dropped so
+    # composed short hops agree with one long hop to full precision (k z is
+    # ~1e7 rad over a meter, where float64 rounding alone would break the
+    # semigroup property at the 1e-10 level).  kz - k is evaluated in its
+    # cancellation-free form.
+    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
+    return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The working array and its in-place kernels
+# ---------------------------------------------------------------------------
+
+class _Workspace:
+    """One copy of a field, written in place by each element applied to it.
+
+    ``scratch`` (the mirrored transfer or lens phase) and ``rings`` (the
+    ring index of the clip table) are built on first use and reused by
+    every later element.
+    """
+
+    def __init__(self, fld: ScalarField, ctx: WaveContext):
+        self.samples = np.array(fld.samples)
+        self.pitch = fld.pitch
+        self.ctx = ctx
+        self._scratch = None
+        self._rings = None
+
+    @property
+    def n(self) -> int:
+        return self.samples.shape[0]
+
+    def scratch(self) -> np.ndarray:
+        if self._scratch is None:
+            self._scratch = np.empty_like(self.samples)
+        return self._scratch
+
+    def rings(self) -> np.ndarray:
+        if self._rings is None:
+            self._rings = _chebyshev_rings(self.n)
+        return self._rings
+
+    def hop(self, distance: float, max_clip_fraction: float) -> None:
+        if distance < 0:
+            raise ValidationError(f"propagation distance must be >= 0, got {distance}")
+        if distance == 0.0:
+            return
+        u, n = self.samples, self.n
+        window, wavelength = n * self.pitch, self.ctx.wavelength
+        f = _half_freqs(n, self.pitch)
+        np.fft.fft2(u, out=u)
+        clipped_at = _clip_curve(u, self.rings(), f, window, wavelength)
+        clipped = clipped_at(distance)
+        if clipped > max_clip_fraction:
+            z_max = _bisect_safe_distance(clipped_at, window, max_clip_fraction)
+            raise AliasingRiskError(
+                f"distance {distance:g} m would clip {clipped:.2%} of the power "
+                f"(budget {max_clip_fraction:.2%}); max safe distance for this "
+                f"field is {z_max:.4g} m",
+                max_safe_distance=z_max,
+            )
+        f_limit = safe_frequency_limit(window, wavelength, distance)
+        quadrant = _transfer_quadrant(f, self.ctx.wavenumber, f_limit, distance)
+        np.multiply(u, _mirror(quadrant, _fft_runs(n), self.scratch()), out=u)
+        np.fft.ifftn(u, axes=(-2, -1), out=u)
+
+    def lens(self, focal: float) -> None:
+        if focal == 0 or np.isnan(focal):
+            raise ValidationError(f"focal length must be nonzero, got {focal}")
+        if np.isinf(focal):
+            return
+        # rho^2 on the quadrant of distances |i - n//2| from the axis
+        x2 = (np.arange(self.n // 2 + 1) * self.pitch) ** 2
+        quadrant = np.exp(-1j * self.ctx.wavenumber * (x2[None, :] + x2[:, None])
+                          / (2.0 * focal))
+        u = self.samples
+        np.multiply(u, _mirror(quadrant, _centred_runs(self.n), self.scratch()), out=u)
+
+    def stop(self, radius: float) -> None:
+        """Zero the samples outside a centred disk: a bounded lens's aperture."""
+        self.samples[radius_squared(self.n, self.pitch) > radius**2] = 0.0
+
+    def mask(self, transmission: TransmissionMask) -> None:
+        transmission.multiply_into(self.samples, self.pitch)
+
+    def check_finite(self) -> None:
+        if not np.isfinite(self.samples).all():
+            raise ValidationError("field samples must all be finite")
+
+    def field(self) -> ScalarField:
+        return ScalarField(self.samples, self.pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -144,49 +289,9 @@ def propagate(fld: ScalarField, ctx: WaveContext, distance: float,
         If the requested distance lies beyond the band-limited range for
         this grid; the error names the maximum safe distance.
     """
-    if distance < 0:
-        raise ValidationError(f"propagation distance must be >= 0, got {distance}")
-    if distance == 0.0:
-        return fld.with_samples(fld.samples.copy())
-
-    k = ctx.wavenumber
-    n = fld.n
-    f = _half_freqs(n, fld.pitch)
-
-    spectrum = np.fft.fft2(fld.samples)
-    f_limit = safe_frequency_limit(fld.window, ctx.wavelength, distance)
-    clipped_at = _clip_curve(spectrum, f, fld.window, ctx.wavelength)
-    clipped = clipped_at(distance)
-    if clipped > max_clip_fraction:
-        z_max = _bisect_safe_distance(clipped_at, fld.window, max_clip_fraction)
-        raise AliasingRiskError(
-            f"distance {distance:g} m would clip {clipped:.2%} of the power "
-            f"(budget {max_clip_fraction:.2%}); max safe distance for this "
-            f"field is {z_max:.4g} m",
-            max_safe_distance=z_max,
-        )
-
-    # The transfer depends on |fx| and |fy| only: build it on one quadrant
-    # of the half axes and mirror it onto the FFT-ordered grid.
-    fx, fy = f[None, :], f[:, None]
-    kx = 2.0 * np.pi * fx
-    ky = 2.0 * np.pi * fy
-    kz_sq = k**2 - kx**2 - ky**2
-    propagating = kz_sq > 0.0
-    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
-    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
-    # Carrier-referenced transfer: the plane-wave phase k z is dropped so
-    # composed short hops agree with one long hop to full precision (k z is
-    # ~1e7 rad over a meter, where float64 rounding alone would break the
-    # semigroup property at the 1e-10 level).  kz - k is evaluated in its
-    # cancellation-free form.
-    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
-    transfer = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
-    ring = _ring(n)
-    # Bound to a name first: an inline indexed temporary lets numpy reuse it
-    # for the product, which rounds differently.
-    transfer = transfer[np.ix_(ring, ring)]
-    return fld.with_samples(np.fft.ifft2(spectrum * transfer))
+    ws = _Workspace(fld, ctx)
+    ws.hop(distance, max_clip_fraction)
+    return ws.field()
 
 
 def apply_thin_lens(fld: ScalarField, ctx: WaveContext, focal: float) -> ScalarField:
@@ -196,18 +301,9 @@ def apply_thin_lens(fld: ScalarField, ctx: WaveContext, focal: float) -> ScalarF
     identity.  Power is unchanged (the lens is unbounded; clip with a mask
     element if an aperture matters).
     """
-    if focal == 0 or np.isnan(focal):
-        raise ValidationError(f"focal length must be nonzero, got {focal}")
-    if np.isinf(focal):
-        return fld.with_samples(fld.samples.copy())
-    # rho^2 on the quadrant of distances |i - n//2| from the axis, then
-    # mirrored; named before the product for the reason given in propagate
-    n = fld.n
-    x2 = (np.arange(n // 2 + 1) * fld.pitch) ** 2
-    phase = np.exp(-1j * ctx.wavenumber * (x2[None, :] + x2[:, None]) / (2.0 * focal))
-    fold = np.abs(np.arange(n) - n // 2)
-    phase = phase[np.ix_(fold, fold)]
-    return fld.with_samples(fld.samples * phase)
+    ws = _Workspace(fld, ctx)
+    ws.lens(focal)
+    return ws.field()
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +361,36 @@ class OpticalTrain:
                 raise ValidationError(f"unsupported optical element {el!r}")
 
 
-def _apply_element(fld: ScalarField, ctx: WaveContext, el: OpticalElement,
-                   max_clip_fraction: float) -> ScalarField:
+def _apply_element(ws: _Workspace, el: OpticalElement, max_clip_fraction: float) -> None:
     if isinstance(el, FreeSpace):
-        return propagate(fld, ctx, el.distance, max_clip_fraction)
-    if isinstance(el, ThinLens):
-        out = apply_thin_lens(fld, ctx, el.focal)
+        ws.hop(el.distance, max_clip_fraction)
+    elif isinstance(el, ThinLens):
+        ws.lens(el.focal)
         if el.aperture_radius is not None:
-            inside = radius_squared(out.n, out.pitch) <= el.aperture_radius**2
-            out = out.with_samples(np.where(inside, out.samples, 0.0))
-        return out
-    return el.transmission.apply(fld)
+            ws.stop(el.aperture_radius)
+    else:
+        ws.mask(el.transmission)
+    ws.check_finite()
 
 
 def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
                     max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
-    """Apply every element of the train in order.
+    """Apply every element of the train in order, on one copy of the field.
 
     Element errors are re-raised with the element index prepended so a
     failing stage of a long train is identifiable.
     """
-    out = fld
+    ws = _Workspace(fld, ctx)
     for i, el in enumerate(train.elements):
         try:
-            out = _apply_element(out, ctx, el, max_clip_fraction)
+            _apply_element(ws, el, max_clip_fraction)
         except AliasingRiskError as exc:
             raise AliasingRiskError(
                 f"element {i} ({el.describe()}): {exc}", exc.max_safe_distance
             ) from exc
         except ValidationError as exc:
             raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
-    return out
+    return ws.field()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .counting import CountedProfile, sample_counts, snr
 from .errors import PhysicsError, ValidationError
 from .scenario import (
     Scenario,
+    calibration_source,
     contrast,
     emit_scenario,
     feature_width,
@@ -73,7 +74,7 @@ def resolve_kappa(scenario: Scenario) -> float:
     its configured pairs/s; 1.0 when no calibration is declared."""
     seen = set()
     while scenario.calibration.pairs_per_s is None:
-        reference = scenario.calibration.reference
+        reference = calibration_source(scenario)
         if reference is None:
             return 1.0
         if reference in seen:

@@ -160,6 +160,10 @@ class Scenario:
     calibration: CalibrationSpec = field(default_factory=CalibrationSpec)
     include_divergence_prefactor: bool = True
     assumptions: tuple = ()
+    # Directory of the file the scenario was loaded from, against which a
+    # relative calibration.reference resolves.  It is where the document
+    # came from, not part of it: emission, digests and equality leave it out.
+    source_dir: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pump_side_elements", tuple(self.pump_side_elements))
@@ -275,7 +279,18 @@ def load_scenario(source: str | Path) -> Scenario:
             f"scenario {source!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
             "nor an existing file"
         )
-    return parse_scenario(path.read_text())
+    return dataclasses.replace(parse_scenario(path.read_text()),
+                               source_dir=str(path.resolve().parent))
+
+
+def calibration_source(scenario: Scenario) -> str | None:
+    """Where ``calibration.reference`` points: a preset name, or a file path
+    resolved against the directory of the file that names it (the working
+    directory for a scenario not loaded from a file); None without one."""
+    reference = scenario.calibration.reference
+    if reference is None or reference in PRESET_NAMES or scenario.source_dir is None:
+        return reference
+    return str((Path(scenario.source_dir) / reference).resolve())
 
 
 def preset_text(name: str) -> str:

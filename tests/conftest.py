@@ -1,5 +1,7 @@
 """Shared builders and measurement helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from twinbeam.scenario import (
     TwinWavelengths,
 )
 
+pytest_plugins = ["pytester"]
+
 PUMP_WAVELENGTH = 425e-9
 
 
@@ -34,6 +38,16 @@ def random_band_limited_field(rng, n=256, pitch=20e-6, wavelength=PUMP_WAVELENGT
     inside = (np.abs(fx) <= f_cap) & (np.abs(fy) <= f_cap)
     spec = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * inside
     return ScalarField(np.fft.ifft2(spec), pitch)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_rms(a: np.ndarray, b: np.ndarray) -> float:

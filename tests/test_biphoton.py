@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario
+from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario, traced_peak
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -26,6 +26,7 @@ from twinbeam import (
 )
 from twinbeam import biphoton
 from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
+from twinbeam.field import radius_squared
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
@@ -266,6 +267,31 @@ class TestProfileInvariants:
         intensity = gaussian_beam(0.5e-3, 256, 20e-6).intensity()
         aperture_integrated_map(intensity, 20e-6, *radii)
         assert len(calls) == kernels
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
+    def test_aperture_map_matches_out_of_place_formula(self, n, radii):
+        # np.maximum(ifft2(K2 * (K1 * fft2(I))).real, 0), each product named
+        # so that numpy cannot elide it into a swapped in-place product
+        pitch = 20e-6
+        intensity = np.random.default_rng(n).uniform(size=(n, n))
+        k1, k2 = (np.fft.fft2(np.fft.ifftshift(
+            (radius_squared(n, pitch) <= r**2).astype(np.float64) * pitch**2)) for r in radii)
+        spec = np.fft.fft2(intensity)
+        once = k1 * spec
+        twice = k2 * once
+        ref = np.maximum(np.fft.ifft2(twice).real, 0.0)
+        out = aperture_integrated_map(intensity, pitch, *radii)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("radii, bound", [((1e-4, 1e-4), 3.0), ((1e-4, 2e-4), 4.0)])
+    def test_aperture_map_works_in_one_complex_array(self, radii, bound):
+        # in units of a complex field of the map's shape: one array for the
+        # map's spectrum, one per distinct disk kernel, the real result, and
+        # the kernel build; out of place it peaked one field higher
+        intensity = gaussian_beam(1e-3, 512, 20e-6).intensity()
+        peak = traced_peak(lambda: aperture_integrated_map(intensity, 20e-6, *radii))
+        assert peak / (2 * intensity.nbytes) < bound
 
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure lookup on one precomputed map, so sampling

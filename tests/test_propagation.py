@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import intensity_ncc, random_band_limited_field, rel_rms, second_moment_radius
+from conftest import (intensity_ncc, random_band_limited_field, rel_rms,
+                      second_moment_radius, traced_peak)
 from twinbeam import (
     AliasingRiskError,
     FreeSpace,
@@ -11,6 +12,7 @@ from twinbeam import (
     OpticalTrain,
     ScalarField,
     ThinLens,
+    TransmissionMask,
     ValidationError,
     WaveContext,
     apply_thin_lens,
@@ -171,6 +173,72 @@ class TestMirroredBuilds:
         ref = samples * phase
         assert out.samples.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_train_matches_out_of_place_chain(self, n):
+        # mask -> full-band hop -> bounded lens -> band-limited hop, on one
+        # working array, against the formulas chained by hand
+        pitch, focal, stop = 20e-6, 0.2, 0.8e-3
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        transmission = rng.uniform(size=(n, n))
+        train = OpticalTrain((Mask(TransmissionMask(transmission, pitch)), FreeSpace(0.05),
+                              ThinLens(focal, aperture_radius=stop), FreeSpace(1.5)))
+        out = propagate_train(ScalarField(samples, pitch), CTX, train, max_clip_fraction=1.0)
+        u = samples * transmission
+        u = _full_grid_propagate(u, pitch, CTX, 0.05)
+        rho2 = radius_squared(n, pitch)
+        phase = np.exp(-1j * CTX.wavenumber * rho2 / (2.0 * focal))
+        u = u * phase
+        u = np.where(rho2 <= stop**2, u, 0.0)
+        u = _full_grid_propagate(u, pitch, CTX, 1.5)
+        assert out.samples.tobytes() == u.tobytes()
+
+
+_WIRE_64 = Mask(wire_mask(0.2e-3, 64, 20e-6))
+_CALLS = {
+    "propagate": lambda f: propagate(f, CTX, 0.01),
+    "lens": lambda f: apply_thin_lens(f, CTX, 0.2),
+    "train": lambda f: propagate_train(f, CTX, OpticalTrain(
+        (_WIRE_64, FreeSpace(0.01), ThinLens(0.2, aperture_radius=0.3e-3), FreeSpace(0.01)))),
+}
+_REFUSED_CALLS = {
+    "propagate": lambda f: propagate(f, CTX, 2.0),
+    "train": lambda f: propagate_train(f, CTX, OpticalTrain((ThinLens(0.2), FreeSpace(2.0)))),
+}
+
+
+class TestCallerField:
+    """Every element works on one copy: the caller's field is never written."""
+
+    @pytest.mark.parametrize("call", _CALLS.values(), ids=_CALLS.keys())
+    def test_result_is_a_new_read_only_field(self, call):
+        f = gaussian_beam(60e-6, 64, 20e-6)
+        before = f.samples.tobytes()
+        out = call(f)
+        assert f.samples.tobytes() == before
+        assert not f.samples.flags.writeable
+        assert not out.samples.flags.writeable
+        assert not np.shares_memory(out.samples, f.samples)
+
+    @pytest.mark.parametrize("call", _REFUSED_CALLS.values(), ids=_REFUSED_CALLS.keys())
+    def test_refused_hop_leaves_the_field_unchanged(self, call):
+        f = gaussian_beam(60e-6, 64, 20e-6)
+        before = f.samples.tobytes()
+        with pytest.raises(AliasingRiskError):
+            call(f)
+        assert f.samples.tobytes() == before
+        assert not f.samples.flags.writeable
+
+
+def test_train_holds_one_working_array_and_one_scratch():
+    # the field's copy, the mirrored transfer or phase, the ring index and
+    # the quadrant build: about 3.4 fields; out of place, about 6.4
+    n, pitch = 512, 20e-6
+    f = gaussian_beam(1e-3, n, pitch)
+    train = OpticalTrain((Mask(wire_mask(0.2e-3, n, pitch)), FreeSpace(0.005), FreeSpace(0.05),
+                          ThinLens(0.15), FreeSpace(0.1)))
+    assert traced_peak(lambda: propagate_train(f, CTX, train)) / f.samples.nbytes < 4.0
+
 
 class TestSafeDistance:
     def test_ring_table_matches_mask_bisection(self, masked_beam):
@@ -246,6 +314,14 @@ class TestThinLens:
 
 
 class TestTrains:
+    def test_non_finite_element_output_names_the_element(self):
+        n = 64
+        f = ScalarField(np.full((n, n), 1.7e308 * (1 + 1j)), 20e-6)
+        train = OpticalTrain((Mask(wire_mask(0.2e-3, n, 20e-6)), ThinLens(0.2)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match=r"element 1 \(ThinLens.*finite"):
+            propagate_train(f, CTX, train)
+
     def test_empty_train_is_identity(self):
         f = gaussian_beam(0.15e-3, 64, 20e-6)
         out = propagate_train(f, CTX, OpticalTrain(()))

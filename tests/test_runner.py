@@ -9,7 +9,7 @@ import pytest
 from conftest import make_scenario
 from twinbeam import ValidationError, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
-from twinbeam.scenario import load_scenario
+from twinbeam.scenario import emit_scenario, load_scenario, parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,6 @@ def test_metrics_recomputable_from_emitted_csv(fig4a_report):
 
 def test_digest_stable_under_round_trip(fig4a_report):
     _, report = fig4a_report
-    from twinbeam.scenario import emit_scenario, parse_scenario
-
     again = parse_scenario(emit_scenario(load_scenario("fig4a")))
     assert scenario_digest(again) == report.scenario_digest
 
@@ -104,20 +102,25 @@ def test_run_propagates_the_train_once(tmp_path, monkeypatch):
     assert "rate_map.csv" in report.manifest
 
 
+def _write_scenario(path, calibration):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "name": path.stem,
+        "pump": {"wavelength_m": 425e-9, "waist_m": 0.5e-3},
+        "grid": {"n": 128, "pitch_m": 40e-6},
+        "detectors": {"distance_from_crystal_m": 0.3},
+        "scan": {"start_m": -1e-3, "stop_m": 1e-3, "step_m": 5e-5},
+        "calibration": calibration,
+    }))
+    return path
+
+
 def _write_chain(tmp_path, names, last_calibration):
     """Scenario files in which each one's calibration references the next."""
     paths = [tmp_path / f"{name}.json" for name in names]
     for i, path in enumerate(paths):
-        calibration = ({"reference": str(paths[i + 1])} if i + 1 < len(paths)
-                       else last_calibration)
-        path.write_text(json.dumps({
-            "name": names[i],
-            "pump": {"wavelength_m": 425e-9, "waist_m": 0.5e-3},
-            "grid": {"n": 128, "pitch_m": 40e-6},
-            "detectors": {"distance_from_crystal_m": 0.3},
-            "scan": {"start_m": -1e-3, "stop_m": 1e-3, "step_m": 5e-5},
-            "calibration": calibration,
-        }))
+        _write_scenario(path, {"reference": str(paths[i + 1])} if i + 1 < len(paths)
+                        else last_calibration)
     return paths
 
 
@@ -132,6 +135,35 @@ def test_kappa_reference_cycle_rejected(tmp_path):
     a, b = _write_chain(tmp_path, "ab", {"reference": str(tmp_path / "a.json")})
     with pytest.raises(ValidationError, match="cycle"):
         resolve_kappa(load_scenario(a))
+
+
+def test_relative_reference_resolves_beside_the_naming_file(tmp_path, monkeypatch):
+    _write_scenario(tmp_path / "refdir" / "a.json", {"reference": "b.json"})
+    b = _write_scenario(tmp_path / "refdir" / "b.json", {"pairs_per_s": 500.0})
+    monkeypatch.chdir(tmp_path)
+    kappa_b = resolve_kappa(load_scenario(b))
+    assert kappa_b != 1.0
+    assert resolve_kappa(load_scenario("refdir/a.json")) == kappa_b
+
+
+def test_relative_references_resolve_at_every_hop(tmp_path, monkeypatch):
+    a = _write_scenario(tmp_path / "x" / "a.json", {"reference": "../y/b.json"})
+    _write_scenario(tmp_path / "y" / "b.json", {"reference": "z/c.json"})
+    c = _write_scenario(tmp_path / "y" / "z" / "c.json", {"pairs_per_s": 500.0})
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert resolve_kappa(load_scenario(os.path.relpath(a))) == resolve_kappa(load_scenario(c))
+
+
+def test_source_directory_stays_out_of_the_document(tmp_path):
+    a = _write_scenario(tmp_path / "a.json", {"reference": "fig4b"})
+    loaded = load_scenario(a)
+    assert loaded.source_dir == str(tmp_path.resolve())
+    again = parse_scenario(emit_scenario(loaded))
+    assert again.source_dir is None
+    assert again == loaded
+    assert scenario_digest(again) == scenario_digest(loaded)
 
 
 def _small_scenario():
