@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SamplingError, UnsupportedAsymmetryError, ValidationError
-from .field import (ScalarField, WaveContext, bilinear_sample, gaussian_beam,
-                    radius_squared, wire_mask)
+from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -181,9 +180,18 @@ class CoincidenceProfile:
 
 
 def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
-    """FFT of a centered disk indicator times the pixel area (midpoint rule)."""
-    disk = (radius_squared(n, pitch) <= radius**2).astype(np.float64) * pitch**2
-    kernel = np.fft.ifftshift(disk).astype(np.complex128)
+    """FFT of a centered disk indicator times the pixel area (midpoint rule).
+
+    The disk is written straight into FFT order: offset d from the axis
+    lands at index d mod n.  Only the offsets within the radius, clipped
+    to the grid, are evaluated.
+    """
+    reach = int(np.ceil(radius / pitch)) + 1
+    d = np.arange(-min(reach, n // 2), min(reach, n - 1 - n // 2) + 1)
+    x2 = (d * pitch) ** 2
+    idx = d % n
+    kernel = np.zeros((n, n), np.complex128)
+    kernel[np.ix_(idx, idx)] = (x2[None, :] + x2[:, None] <= radius**2) * pitch**2
     return np.fft.fft2(kernel, out=kernel)
 
 

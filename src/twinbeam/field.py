@@ -49,6 +49,17 @@ def radius_squared(n: int, pitch: float) -> np.ndarray:
     return x2[None, :] + x2[:, None]
 
 
+def centred_runs(n: int) -> tuple:
+    """(axis slice, half-axis slice) pairs that mirror a half axis onto a centred axis.
+
+    Sample i of a centred axis lies |i - n//2| samples from the optical
+    axis, so it takes that entry of the half axis: a descending run, then
+    an ascending one.
+    """
+    c = n // 2
+    return ((slice(c, n), slice(0, n - c)), (slice(0, c), slice(c, 0, -1)))
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Complex transverse amplitude sampled on a centered square grid."""
@@ -161,7 +172,19 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
             f"window {n * pitch:g} m too small for waist {waist:g} m; "
             f"need N > {needed} at pitch {pitch:g} m"
         )
-    return ScalarField(np.exp(-radius_squared(n, pitch) / waist**2).astype(np.complex128), pitch)
+    # exp(-rho^2 / waist^2) on the quadrant of distances |i - n//2| from the
+    # axis, mirrored onto the grid
+    x2 = (np.arange(n // 2 + 1) * pitch) ** 2
+    quadrant = x2[None, :] + x2[:, None]
+    np.negative(quadrant, out=quadrant)
+    np.divide(quadrant, waist**2, out=quadrant)
+    np.exp(quadrant, out=quadrant)
+    samples = np.empty((n, n), np.complex128)
+    runs = centred_runs(n)
+    for rows, q_rows in runs:
+        for cols, q_cols in runs:
+            samples[rows, cols] = quadrant[q_rows, q_cols]
+    return ScalarField(samples, pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:

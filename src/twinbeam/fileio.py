@@ -30,11 +30,14 @@ def intensity_to_pgm(values: np.ndarray) -> bytes:
     if arr.size and arr.min() < 0:
         raise ValidationError("PGM intensity values must be non-negative")
     peak = arr.max() if arr.size else 0.0
-    scaled = np.zeros(arr.shape, dtype=np.uint16)
     if peak > 0:
-        scaled = np.round(arr / peak * 65535.0).astype(np.uint16)
+        scaled = np.divide(arr, peak)
+        np.multiply(scaled, 65535.0, out=scaled)
+        pixels = np.round(scaled, out=scaled).astype(">u2")
+    else:
+        pixels = np.zeros(arr.shape, dtype=">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
-    return header + scaled.astype(">u2").tobytes()
+    return header + pixels.tobytes()
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -83,11 +86,17 @@ def read_field_csv(path: str | Path) -> ScalarField:
 # Profile and table CSV
 # ---------------------------------------------------------------------------
 
+def _table_csv(header: str, columns: list) -> str:
+    """Header line, then one row of FLOAT_FMT values per sample, formatted by
+    one ``%`` call: the text ``np.savetxt`` writes row by row."""
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    row_fmt = ",".join([FLOAT_FMT] * cols) + "\n"
+    return header + "\n" + (row_fmt * rows) % tuple(table.ravel().tolist())
+
+
 def profile_to_csv(coordinates: np.ndarray, rates: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("scan_coordinate_m,rate_pairs_per_s\n")
-    np.savetxt(buf, np.column_stack([coordinates, rates]), fmt=FLOAT_FMT, delimiter=",")
-    return buf.getvalue()
+    return _table_csv("scan_coordinate_m,rate_pairs_per_s", [coordinates, rates])
 
 
 def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +126,4 @@ def sweep_to_csv(rows) -> str:
 def map_to_csv(x_coords: np.ndarray, y_coords: np.ndarray, values: np.ndarray) -> str:
     """2D map as (x_m, y_m, rate) rows, row-major."""
     xx, yy = np.meshgrid(x_coords, y_coords)
-    cols = np.column_stack([xx.ravel(), yy.ravel(), values.ravel()])
-    buf = io.StringIO()
-    buf.write("x_m,y_m,rate_pairs_per_s\n")
-    np.savetxt(buf, cols, fmt=FLOAT_FMT, delimiter=",")
-    return buf.getvalue()
+    return _table_csv("x_m,y_m,rate_pairs_per_s", [xx.ravel(), yy.ravel(), values.ravel()])

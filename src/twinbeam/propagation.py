@@ -10,11 +10,15 @@ reports the largest safe distance instead.
 Every train runs on one working array.  :func:`propagate_train` copies the
 input field once; each element then writes into the complex array it reads
 (forward FFT, spectral product, inverse FFT, lens phase, lens stop, mask),
-and the array is wrapped in a ScalarField only at the end.  A second array
-of the same shape receives each hop's transfer function and each lens's
-phase in turn: both depend on two half axes only, so they are built on one
-quadrant and mirrored into it by slice copies.  :func:`propagate` and
-:func:`apply_thin_lens` are one copy plus the same in-place kernels.
+and the array is wrapped in a ScalarField only at the end.  A hop's
+transfer function and a lens's phase depend on two half axes only, so each
+is built on one quadrant of the grid and the working array is multiplied
+by it block by block, four slice products reading the quadrant mirrored;
+no second full-size array is made.  The transfer is zero outside the
+band-limit cone, so it is evaluated only on the cone's block of the
+quadrant, and the clip table is built only for a hop whose cone leaves
+frequencies out.  :func:`propagate` and :func:`apply_thin_lens` are one
+copy plus the same in-place kernels.
 
 The results equal the out-of-place formulas ``ifft2(fft2(u) * transfer)``
 and ``u * phase`` byte for byte.  Three traps break that:
@@ -42,7 +46,8 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import ScalarField, TransmissionMask, WaveContext, radius_squared, resample_scaled
+from .field import (ScalarField, TransmissionMask, WaveContext, centred_runs, radius_squared,
+                    resample_scaled)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -83,19 +88,12 @@ def _fft_runs(n: int) -> tuple:
     return ((slice(0, h), slice(0, h)), (slice(h, n), slice(n - h, 0, -1)))
 
 
-def _centred_runs(n: int) -> tuple:
-    """The same pairs for a centred axis, whose sample i takes entry |i - n//2|."""
-    c = n // 2
-    return ((slice(c, n), slice(0, n - c)), (slice(0, c), slice(c, 0, -1)))
-
-
-def _mirror(quadrant: np.ndarray, runs: tuple, out: np.ndarray) -> np.ndarray:
-    """Write ``quadrant[m(i), m(j)]`` into ``out[i, j]`` by four slice copies,
+def _multiply_mirrored(u: np.ndarray, quadrant: np.ndarray, runs: tuple) -> None:
+    """Multiply ``u[i, j]`` by ``quadrant[m(i), m(j)]`` in place, block by block,
     for the index map ``m`` that ``runs`` spells out."""
     for rows, q_rows in runs:
         for cols, q_cols in runs:
-            out[rows, cols] = quadrant[q_rows, q_cols]
-    return out
+            np.multiply(u[rows, cols], quadrant[q_rows, q_cols], out=u[rows, cols])
 
 
 def _chebyshev_rings(n: int) -> np.ndarray:
@@ -155,21 +153,31 @@ def max_safe_distance(fld: ScalarField, ctx: WaveContext,
 
 
 def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float) -> np.ndarray:
-    """Band-limited transfer function on the quadrant of half axes ``f``."""
-    fx, fy = f[None, :], f[:, None]
-    kx = 2.0 * np.pi * fx
-    ky = 2.0 * np.pi * fy
-    kz_sq = k**2 - kx**2 - ky**2
-    propagating = kz_sq > 0.0
-    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
-    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
+    """Band-limited transfer function on the quadrant of half axes ``f``.
+
+    It is zero outside the cone ``f <= f_limit``, so only the leading m x m
+    block of the quadrant, m = searchsorted(f, f_limit, "right"), is
+    evaluated; within it the cone is the propagating samples.
+    """
+    quadrant = np.zeros((f.size, f.size), np.complex128)
+    m = np.searchsorted(f, f_limit, side="right")
+    k_sq = (2.0 * np.pi * f[:m]) ** 2
+    kx_sq, ky_sq = k_sq[None, :], k_sq[:, None]
+    kz = k**2 - kx_sq - ky_sq  # kz^2 until the square root
+    propagating = kz > 0.0
+    np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
     # Carrier-referenced transfer: the plane-wave phase k z is dropped so
     # composed short hops agree with one long hop to full precision (k z is
     # ~1e7 rad over a meter, where float64 rounding alone would break the
     # semigroup property at the 1e-10 level).  kz - k is evaluated in its
-    # cancellation-free form.
-    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
-    return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+    # cancellation-free form, -(kx^2 + ky^2) / (kz + k).
+    kz_rel = kx_sq + ky_sq
+    np.negative(kz_rel, out=kz_rel)
+    np.divide(kz_rel, np.add(kz, k, out=kz), out=kz_rel)
+    block = quadrant[:m, :m]
+    np.exp(np.multiply(1j * distance, kz_rel, out=block), out=block)
+    block[~propagating] = 0.0
+    return quadrant
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +187,19 @@ def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float)
 class _Workspace:
     """One copy of a field, written in place by each element applied to it.
 
-    ``scratch`` (the mirrored transfer or lens phase) and ``rings`` (the
-    ring index of the clip table) are built on first use and reused by
-    every later element.
+    ``rings`` (the ring index of the clip table) is built on the first hop
+    whose cone clips and reused by every later one.
     """
 
     def __init__(self, fld: ScalarField, ctx: WaveContext):
         self.samples = np.array(fld.samples)
         self.pitch = fld.pitch
         self.ctx = ctx
-        self._scratch = None
         self._rings = None
 
     @property
     def n(self) -> int:
         return self.samples.shape[0]
-
-    def scratch(self) -> np.ndarray:
-        if self._scratch is None:
-            self._scratch = np.empty_like(self.samples)
-        return self._scratch
 
     def rings(self) -> np.ndarray:
         if self._rings is None:
@@ -213,20 +214,22 @@ class _Workspace:
         u, n = self.samples, self.n
         window, wavelength = n * self.pitch, self.ctx.wavelength
         f = _half_freqs(n, self.pitch)
-        np.fft.fft2(u, out=u)
-        clipped_at = _clip_curve(u, self.rings(), f, window, wavelength)
-        clipped = clipped_at(distance)
-        if clipped > max_clip_fraction:
-            z_max = _bisect_safe_distance(clipped_at, window, max_clip_fraction)
-            raise AliasingRiskError(
-                f"distance {distance:g} m would clip {clipped:.2%} of the power "
-                f"(budget {max_clip_fraction:.2%}); max safe distance for this "
-                f"field is {z_max:.4g} m",
-                max_safe_distance=z_max,
-            )
         f_limit = safe_frequency_limit(window, wavelength, distance)
+        np.fft.fft2(u, out=u)
+        # A cone that holds every frequency clips nothing: no table to build.
+        if f_limit < f[-1]:
+            clipped_at = _clip_curve(u, self.rings(), f, window, wavelength)
+            clipped = clipped_at(distance)
+            if clipped > max_clip_fraction:
+                z_max = _bisect_safe_distance(clipped_at, window, max_clip_fraction)
+                raise AliasingRiskError(
+                    f"distance {distance:g} m would clip {clipped:.2%} of the power "
+                    f"(budget {max_clip_fraction:.2%}); max safe distance for this "
+                    f"field is {z_max:.4g} m",
+                    max_safe_distance=z_max,
+                )
         quadrant = _transfer_quadrant(f, self.ctx.wavenumber, f_limit, distance)
-        np.multiply(u, _mirror(quadrant, _fft_runs(n), self.scratch()), out=u)
+        _multiply_mirrored(u, quadrant, _fft_runs(n))
         np.fft.ifftn(u, axes=(-2, -1), out=u)
 
     def lens(self, focal: float) -> None:
@@ -234,12 +237,11 @@ class _Workspace:
             raise ValidationError(f"focal length must be nonzero, got {focal}")
         if np.isinf(focal):
             return
-        # rho^2 on the quadrant of distances |i - n//2| from the axis
+        # exp(-i k rho^2 / 2f) on the quadrant of distances |i - n//2| from the axis
         x2 = (np.arange(self.n // 2 + 1) * self.pitch) ** 2
-        quadrant = np.exp(-1j * self.ctx.wavenumber * (x2[None, :] + x2[:, None])
-                          / (2.0 * focal))
-        u = self.samples
-        np.multiply(u, _mirror(quadrant, _centred_runs(self.n), self.scratch()), out=u)
+        quadrant = np.multiply(-1j * self.ctx.wavenumber, x2[None, :] + x2[:, None])
+        np.divide(quadrant, 2.0 * focal, out=quadrant)
+        _multiply_mirrored(self.samples, np.exp(quadrant, out=quadrant), centred_runs(self.n))
 
     def stop(self, radius: float) -> None:
         """Zero the samples outside a centred disk: a bounded lens's aperture."""

@@ -81,7 +81,11 @@ def resolve_kappa(scenario: Scenario) -> float:
             raise ValidationError(f"calibration references form a cycle at {reference!r}")
         seen.add(reference)
         scenario = load_scenario(reference)
-    raw_peak = scan_detector(scenario, kappa=1.0).peak_rate
+    return _calibrated_kappa(scenario, scan_detector(scenario, kappa=1.0).peak_rate)
+
+
+def _calibrated_kappa(scenario: Scenario, raw_peak: float) -> float:
+    """Kappa that lifts a kappa = 1 peak to the scenario's configured pairs/s."""
     if raw_peak <= 0:
         raise PhysicsError("cannot calibrate: raw peak rate is zero")
     return scenario.calibration.pairs_per_s / raw_peak
@@ -127,11 +131,17 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if kappa is None:
+    if kappa is None and scenario.calibration.pairs_per_s is None:
         kappa = resolve_kappa(scenario)
 
     scan_coords, points, apertures = scan_points(scenario)
     w_eff = effective_detector_field(scenario)
+    if kappa is None:
+        # The scenario is its own calibration reference: calibrate on the
+        # field of this run, so the train propagates once.
+        raw_map, pitch = coincidence_rate_map(scenario, w_eff, apertures, 1.0)
+        raw_peak = read_profile(raw_map, pitch, scan_coords, points).peak_rate
+        kappa = _calibrated_kappa(scenario, raw_peak)
     rate_map, pitch = coincidence_rate_map(scenario, w_eff, apertures, kappa)
     profile = read_profile(rate_map, pitch, scan_coords, points)
     counted = sample_counts(profile, scenario.counting)

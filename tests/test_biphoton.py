@@ -293,6 +293,22 @@ class TestProfileInvariants:
         peak = traced_peak(lambda: aperture_integrated_map(intensity, 20e-6, *radii))
         assert peak / (2 * intensity.nbytes) < bound
 
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("radius", [1e-4, 0.37e-3, 1.5e-3])  # the last exceeds half the window
+    def test_disk_kernel_matches_shifted_full_grid_disk(self, n, radius):
+        pitch = 20e-6
+        disk = (radius_squared(n, pitch) <= radius**2).astype(np.float64) * pitch**2
+        ref = np.fft.fft2(np.fft.ifftshift(disk).astype(np.complex128))
+        out = biphoton._disk_kernel_spectrum(n, pitch, radius)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_disk_kernel_is_built_in_its_own_array(self):
+        # the kernel is written straight into FFT order and transformed in
+        # place: one field; through a full-grid disk and ifftshift, two
+        n, pitch = 512, 20e-6
+        peak = traced_peak(lambda: biphoton._disk_kernel_spectrum(n, pitch, 1e-4))
+        assert peak / (n * n * np.dtype(np.complex128).itemsize) < 1.5
+
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure lookup on one precomputed map, so sampling
         # the coordinates in reverse must reproduce the profile exactly

@@ -17,6 +17,7 @@ from twinbeam import (
     resample_scaled,
     wire_mask,
 )
+from twinbeam.field import radius_squared
 
 
 class TestWaveContext:
@@ -54,6 +55,13 @@ class TestGaussianBeam:
         for i, j in [(10, 40), (3, 50), (60, 21)]:
             assert s[n // 2 + i, n // 2 + j] == s[n // 2 + j, n // 2 + i]
             assert s[n // 2 + i, n // 2 + j] == s[n // 2 - i, n // 2 - j]
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
+    def test_mirrored_quadrant_matches_full_grid(self, n, waist):
+        pitch = 20e-6
+        ref = np.exp(-radius_squared(n, pitch) / waist**2).astype(complex)
+        assert gaussian_beam(waist, n, pitch).samples.tobytes() == ref.tobytes()
 
     def test_underresolved_waist_rejected(self):
         with pytest.raises(SamplingError):

@@ -26,6 +26,7 @@ from twinbeam import (
     safe_frequency_limit,
     wire_mask,
 )
+from twinbeam import propagation
 from twinbeam.field import radius_squared
 
 CTX = WaveContext.from_wavelength(425e-9)
@@ -163,6 +164,19 @@ class TestMirroredBuilds:
         assert out.samples.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [128, 129])
+    def test_propagate_matches_full_grid_transfer_in_a_narrow_cone(self, n):
+        # at 2 m the cone keeps only the first four frequencies of each half
+        # axis, so the transfer is evaluated on a 4 x 4 block
+        pitch, distance = 20e-6, 2.0
+        f_limit = safe_frequency_limit(n * pitch, CTX.wavelength, distance)
+        assert np.count_nonzero(np.abs(np.fft.fftfreq(n, d=pitch)[: n // 2 + 1]) <= f_limit) == 4
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out = propagate(ScalarField(samples, pitch), CTX, distance, max_clip_fraction=1.0)
+        ref = _full_grid_propagate(samples, pitch, CTX, distance)
+        assert out.samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("focal", [0.2, -0.2])
     def test_lens_matches_full_grid_phase(self, n, focal):
         pitch = 20e-6
@@ -230,14 +244,15 @@ class TestCallerField:
         assert not f.samples.flags.writeable
 
 
-def test_train_holds_one_working_array_and_one_scratch():
-    # the field's copy, the mirrored transfer or phase, the ring index and
-    # the quadrant build: about 3.4 fields; out of place, about 6.4
+def test_train_holds_one_working_array():
+    # the field's copy, the transfer quadrant (a quarter field) and its
+    # cone-sized temporaries: about 1.6 fields; with a mirrored scratch
+    # array and full-quadrant temporaries, about 3.4
     n, pitch = 512, 20e-6
     f = gaussian_beam(1e-3, n, pitch)
     train = OpticalTrain((Mask(wire_mask(0.2e-3, n, pitch)), FreeSpace(0.005), FreeSpace(0.05),
                           ThinLens(0.15), FreeSpace(0.1)))
-    assert traced_peak(lambda: propagate_train(f, CTX, train)) / f.samples.nbytes < 4.0
+    assert traced_peak(lambda: propagate_train(f, CTX, train)) / f.samples.nbytes < 2.5
 
 
 class TestSafeDistance:
@@ -251,6 +266,20 @@ class TestSafeDistance:
     def test_ring_table_matches_mask_bisection_on_gaussians(self, waist, budget, n):
         f = gaussian_beam(waist, n, 20e-6)
         assert max_safe_distance(f, CTX, budget) == _mask_safe_distance(f, CTX, budget)
+
+    def test_full_cone_hop_builds_no_clip_table(self, monkeypatch):
+        # every frequency of the grid lies in the 0.01 m cone, so nothing can
+        # be clipped and the ring table is never built
+        f = gaussian_beam(60e-6, 64, 20e-6)
+        assert safe_frequency_limit(f.window, CTX.wavelength, 0.01) >= 0.5 / f.pitch
+
+        def fail(*args, **kwargs):
+            raise AssertionError("clip table built for a hop that cannot clip")
+
+        monkeypatch.setattr(propagation, "_clip_curve", fail)
+        monkeypatch.setattr(propagation, "_chebyshev_rings", fail)
+        propagate(f, CTX, 0.01)
+        propagate_train(f, CTX, OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01))))
 
     def test_refusal_transforms_the_field_once(self, monkeypatch):
         f = gaussian_beam(60e-6, 64, 20e-6)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from twinbeam import ValidationError, fileio
+from twinbeam import PhysicsError, ValidationError, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
-from twinbeam.scenario import emit_scenario, load_scenario, parse_scenario
+from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -85,21 +85,48 @@ def test_nondegenerate_distance_scales():
     assert res["ncc"] > 0.98
 
 
-def test_run_propagates_the_train_once(tmp_path, monkeypatch):
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The trains ``biphoton.propagate_train`` is called with, in order."""
     from twinbeam import biphoton
 
     calls = []
+    propagate_train = biphoton.propagate_train
 
     def counting_train(*args, **kwargs):
         calls.append(args[2])
         return propagate_train(*args, **kwargs)
 
-    propagate_train = biphoton.propagate_train
     monkeypatch.setattr(biphoton, "propagate_train", counting_train)
+    return calls
+
+
+def test_run_propagates_the_train_once(tmp_path, train_calls):
     scenario = make_scenario(waist=0.5e-3, n=256, aperture=1e-4, scan=(-1e-3, 1e-3, 1e-4))
     report = run(scenario, tmp_path, kappa=1.0)
-    assert len(calls) == 1
+    assert len(train_calls) == 1
     assert "rate_map.csv" in report.manifest
+
+
+def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
+    # fig4b is its own calibration reference: the run takes kappa from its
+    # own detector field, with the value resolve_kappa computes
+    scenario = load_scenario("fig4b")
+    kappa = resolve_kappa(scenario)
+    train_calls.clear()
+    report = run(scenario, tmp_path)
+    assert len(train_calls) == 1
+    assert report.kappa == kappa
+
+
+def test_self_calibrating_run_rejects_a_zero_peak(tmp_path):
+    # a wire as wide as the window blocks the whole pump
+    scenario = make_scenario(waist=0.5e-3, wire=256 * 20e-6, n=256, scan=(-1e-3, 1e-3, 1e-4))
+    scenario = dataclasses.replace(scenario, calibration=CalibrationSpec(pairs_per_s=1000.0))
+    with pytest.raises(PhysicsError, match="raw peak rate is zero"):
+        run(scenario, tmp_path)
+    with pytest.raises(PhysicsError, match="raw peak rate is zero"):
+        resolve_kappa(scenario)
 
 
 def _write_scenario(path, calibration):
