@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import SamplingError, UnsupportedAsymmetryError, ValidationError
 from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
-from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
+from .propagation import (FreeSpace, Mask, OpticalTrain, ThinLens, _fft2_inplace,
+                          propagate_train)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -192,7 +193,7 @@ def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
     idx = d % n
     kernel = np.zeros((n, n), np.complex128)
     kernel[np.ix_(idx, idx)] = (x2[None, :] + x2[:, None] <= radius**2) * pitch**2
-    return np.fft.fft2(kernel, out=kernel)
+    return _fft2_inplace(kernel)
 
 
 def aperture_integrated_map(intensity: np.ndarray, pitch: float,
@@ -215,14 +216,18 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
     kernels = {r: _disk_kernel_spectrum(intensity.shape[0], pitch, r) for r in set(radii)}
     # One complex array holds the map, its transform, both products
     # (kernel * spec, the order that rounds as the formula does) and the
-    # inverse; np.fft.ifft2 ignores out=, ifftn does not.  Assigning the real
-    # map first spares the full-size cast a real-input transform makes.
+    # inverse, each transform written in place by the propagation module's
+    # split FFT.  Assigning the real map first spares the full-size cast a
+    # real-input transform makes.
     spec = np.empty(intensity.shape, np.complex128)
     spec[...] = intensity
-    np.fft.fft2(spec, out=spec)
+    _fft2_inplace(spec)
     for radius in radii:
         np.multiply(kernels[radius], spec, out=spec)
-    np.fft.ifftn(spec, axes=(-2, -1), out=spec)
+    # Freed before the real map is allocated, the kernels (one complex field
+    # each) are not part of the run's peak memory.
+    del kernels
+    _fft2_inplace(spec, inverse=True)
     return np.maximum(spec.real, 0.0)
 
 

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,6 +357,30 @@ class TestTrains:
                 pytest.raises(ValidationError, match=r"element 1 \(ThinLens.*finite"):
             propagate_train(f, CTX, train)
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [complex(0.0, np.nan)]])
+    def test_each_non_finite_sample_names_the_element(self, monkeypatch, bad):
+        lens = propagation._Workspace.lens
+
+        def spoiling_lens(ws, focal):
+            lens(ws, focal)
+            ws.samples.flat[[5, 700][:len(bad)]] = bad
+
+        monkeypatch.setattr(propagation._Workspace, "lens", spoiling_lens)
+        f = gaussian_beam(0.15e-3, 64, 20e-6)
+        train = OpticalTrain((FreeSpace(0.01), ThinLens(0.2), FreeSpace(0.01)))
+        with pytest.raises(ValidationError, match=r"element 1 \(ThinLens.*finite"):
+            propagate_train(f, CTX, train)
+
+    def test_overflowing_sum_of_finite_samples_passes(self):
+        n = 64
+        f = ScalarField(np.full((n, n), 1e308 * (1 + 1j)), 20e-6)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(f.samples.sum())
+        mask = wire_mask(0.2e-3, n, 20e-6)
+        out = propagate_train(f, CTX, OpticalTrain((Mask(mask),)))
+        assert np.array_equal(out.samples, f.samples * mask.samples)
+
     def test_empty_train_is_identity(self):
         f = gaussian_beam(0.15e-3, 64, 20e-6)
         out = propagate_train(f, CTX, OpticalTrain(()))
@@ -391,6 +421,55 @@ class TestTrains:
             f, CTX, OpticalTrain((ThinLens(0.5, aperture_radius=0.3e-3),))
         )
         assert power(clipped) < power(f)
+
+
+def _propagate_in_child(f):
+    return propagate(f, CTX, 0.5).samples
+
+
+class TestSplitTransform:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    def test_equals_the_numpy_transform(self, monkeypatch, n, workers):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        forward, inverse = np.fft.fft2(a), np.fft.ifftn(a, axes=(-2, -1))
+        monkeypatch.setattr(propagation, "_SPLIT_MIN_SIZE", 0)
+        monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
+        if workers > 1:  # the transform must really be split
+            for name in ("fft2", "ifftn"):
+                monkeypatch.setattr(np.fft, name, None)
+        u = a.copy()
+        assert propagation._fft2_inplace(u) is u
+        assert np.array_equal(u, forward)
+        u = a.copy()
+        assert propagation._fft2_inplace(u, inverse=True) is u
+        assert np.array_equal(u, inverse)
+
+    def test_pool_starts_on_the_first_split_transform(self):
+        code = ("import sys, numpy as np, twinbeam\n"
+                "from twinbeam import propagation\n"
+                "assert 'concurrent.futures' not in sys.modules\n"
+                "propagation._fft2_inplace(np.zeros((64, 64), complex))\n"
+                "assert 'concurrent.futures' not in sys.modules and propagation._pool is None\n")
+        src = str(Path(propagation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=path))
+
+    # Python 3.12+ warns that forking a process that runs threads may deadlock
+    # the child: that hazard is what this test checks the program avoids.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_worker_count", lambda: 2)
+        f = gaussian_beam(1e-3, 512, 20e-6)
+        want = propagate(f, CTX, 0.5).samples  # the parent's pool is running
+        assert propagation._pool is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_propagate_in_child, (f,)).get(timeout=60)
+        assert np.array_equal(got, want)
 
 
 class TestOracle:

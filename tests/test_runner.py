@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from twinbeam import PhysicsError, ValidationError, fileio
+from twinbeam import PhysicsError, ValidationError, fileio, propagation
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
@@ -51,6 +51,14 @@ def test_digest_stable_under_round_trip(fig4a_report):
     _, report = fig4a_report
     again = parse_scenario(emit_scenario(load_scenario("fig4a")))
     assert scenario_digest(again) == report.scenario_digest
+
+
+def test_one_core_run_writes_the_same_artifacts(fig4a_report, tmp_path, monkeypatch):
+    # every 2-D transform of the run is split across the cores, or not split
+    # at all on one, and the artifacts are the same byte for byte
+    monkeypatch.setattr(propagation, "_worker_count", lambda: 1)
+    _, report = fig4a_report
+    assert run(load_scenario("fig4a"), tmp_path).manifest == report.manifest
 
 
 def test_seed_override_changes_counts_only(tmp_path):
