@@ -9,12 +9,10 @@ over long distances without losing it to beam divergence.
 from .biphoton import (
     CoincidenceProfile,
     DetectorSpec,
-    coincidence_imaged,
     coincidence_rate_map,
     divergence_loss_distance,
     divergence_prefactor,
     effective_detector_field,
-    rate_from_intensity,
     scan_detector,
     unfolded_pump_train,
 )
@@ -33,7 +31,6 @@ from .errors import (
     PhysicsError,
     SamplingError,
     TwinbeamError,
-    UnsupportedAsymmetryError,
     ValidationError,
 )
 from .field import (
@@ -41,10 +38,8 @@ from .field import (
     TransmissionMask,
     WaveContext,
     bilinear_sample,
-    circular_mask,
     gaussian_beam,
     power,
-    resample_scaled,
     wire_mask,
 )
 from .paraxial import (
@@ -61,9 +56,7 @@ from .propagation import (
     OpticalTrain,
     ThinLens,
     apply_thin_lens,
-    find_image_plane,
     max_safe_distance,
-    oracle_fresnel_direct,
     propagate,
     propagate_train,
     safe_frequency_limit,

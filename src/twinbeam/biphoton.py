@@ -13,12 +13,13 @@ detector coordinates only through their sum:
 
 For full layouts the engine unfolds the two-arm system into a single
 equivalent train acting on the pump: pump-side elements first, then one
-twin arm's elements, all free-space distances kept as declared.  Both twin
-arms must be identical for this picture to hold.  Twin-side legs propagate
-at the pump wavenumber: for identical arms the sum-coordinate amplitude
-composes the two arm kernels into exactly the pump-wavenumber kernel over
-the plain geometry, which is what makes O = (mask-to-crystal) +
-(crystal-to-lens) behave as one object distance.
+twin arm's elements, all free-space distances kept as declared.  This
+picture needs identical arms, so a scenario holds one twin-side train that
+both arms share.  Twin-side legs propagate at the pump wavenumber: for
+identical arms the sum-coordinate amplitude composes the two arm kernels
+into exactly the pump-wavenumber kernel over the plain geometry, which is
+what makes O = (mask-to-crystal) + (crystal-to-lens) behave as one object
+distance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SamplingError, UnsupportedAsymmetryError, ValidationError
+from .errors import SamplingError, ValidationError
 from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
 from .propagation import (FreeSpace, Mask, OpticalTrain, ThinLens, _fft2_inplace,
                           propagate_train)
@@ -62,34 +63,6 @@ def divergence_prefactor(pump_wavenumber: float, distance: float) -> float:
     return (pump_wavenumber / distance) ** 2
 
 
-def rate_from_intensity(intensity: np.ndarray, pitch: float,
-                        sum_coordinate: tuple[float, float],
-                        kappa: float = 1.0, prefactor: float = 1.0) -> float:
-    """Point coincidence rate from a precomputed |W|^2 map.
-
-    The map is sampled at the detector sum coordinate by bilinear
-    interpolation; coordinates outside the window raise OutOfWindowError.
-    """
-    ux, uy = sum_coordinate
-    return kappa * prefactor * bilinear_sample(intensity, pitch, ux, uy)
-
-
-def coincidence_imaged(w_at_mask: ScalarField,
-                       object_distance: float, image_distance: float,
-                       rho_s: tuple[float, float], rho_i: tuple[float, float],
-                       kappa: float = 1.0) -> float:
-    """Closed-form imaged coincidence rate |W_mask[(O/I)(rho_s + rho_i)]|^2.
-
-    O is the mask-to-lens distance (pump plus twin legs) and I the
-    lens-to-detector distance.
-    """
-    if object_distance <= 0 or image_distance <= 0:
-        raise ValidationError("object and image distances must be positive")
-    scale = object_distance / image_distance
-    u = (scale * (rho_s[0] + rho_i[0]), scale * (rho_s[1] + rho_i[1]))
-    return rate_from_intensity(w_at_mask.intensity(), w_at_mask.pitch, u, kappa)
-
-
 # ---------------------------------------------------------------------------
 # Scenario unfolding
 # ---------------------------------------------------------------------------
@@ -118,17 +91,12 @@ def unfolded_pump_train(scenario: "Scenario") -> OpticalTrain:
 
     All distances are kept exactly as declared.
     """
-    if scenario.twin_side_signal != scenario.twin_side_idler:
-        raise UnsupportedAsymmetryError(
-            "signal and idler twin-side trains differ; the unfolded "
-            "equivalent train requires identical arms"
-        )
     elements = []
     if scenario.mask.type == "wire":
         elements.append(Mask(wire_mask(scenario.mask.width_m,
                                        scenario.grid.n, scenario.grid.pitch_m)))
     elements += _leg(scenario.pump_side_elements, scenario.mask.distance_to_crystal_m)
-    elements += _leg(scenario.twin_side_signal, scenario.detectors.distance_from_crystal_m)
+    elements += _leg(scenario.twin_side_elements, scenario.detectors.distance_from_crystal_m)
     return OpticalTrain(tuple(elements))
 
 
@@ -139,8 +107,8 @@ def divergence_loss_distance(scenario: "Scenario") -> float:
     lens; without twin-side lenses it runs the full crystal-to-detector
     distance.
     """
-    if scenario.twin_side_signal:
-        return scenario.twin_side_signal[0].position_m
+    if scenario.twin_side_elements:
+        return scenario.twin_side_elements[0].position_m
     return scenario.detectors.distance_from_crystal_m
 
 
@@ -240,6 +208,8 @@ def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
     ``apertures`` are the moving and the fixed detector radii, in that
     order.  Returns the 2D rate map and its pitch.
     """
+    if not (kappa > 0 and np.isfinite(kappa)):
+        raise ValidationError(f"kappa must be positive and finite, got {kappa}")
     prefactor = 1.0
     if scenario.include_divergence_prefactor:
         k_p = 2.0 * np.pi / scenario.pump.wavelength_m

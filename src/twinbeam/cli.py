@@ -39,12 +39,19 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("TWINBEAM_OUT_DIR", "out"))
 
 
+def _floats(text: str, flag: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _load(args):
     scenario = load_scenario(args.scenario)
     overrides = {}
-    if getattr(args, "grid_n", None):
+    if args.grid_n is not None:
         overrides["n"] = args.grid_n
-    if getattr(args, "pitch_um", None):
+    if args.pitch_um is not None:
         overrides["pitch_m"] = args.pitch_um * 1e-6
     if overrides:
         scenario = dataclasses.replace(
@@ -56,8 +63,7 @@ def _load(args):
 def _cmd_run(args) -> int:
     scenario = _load(args)
     report = run(scenario, _out_dir(args) / scenario.name,
-                 kappa=args.kappa, seed=args.seed,
-                 write_field_csv=args.field_csv)
+                 kappa=args.kappa, seed=args.seed)
     print(f"scenario {report.scenario_name} (digest {report.scenario_digest[:12]})")
     for key, value in report.metrics.items():
         print(f"  {key}: {value}")
@@ -82,7 +88,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load(args)
-    distances = [float(v) for v in args.distances.split(",")]
+    distances = _floats(args.distances, "--distances")
     kappa = args.kappa if args.kappa is not None else resolve_kappa(scenario)
     rows = sweep_distance(scenario, distances, collimated=args.collimated,
                           kappa=kappa)
@@ -100,7 +106,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    catalog = [float(v) for v in args.catalog.split(",")]
+    catalog = _floats(args.catalog, "--catalog")
     plan = design_telescope(args.total, args.magnification, catalog)
     fragment = telescope_scenario_fragment(plan)
     text = json.dumps(fragment, indent=2)
@@ -112,9 +118,13 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    xa, ra = fileio.read_profile_csv(args.profile_a)
-    xb, rb = fileio.read_profile_csv(args.profile_b)
-    result = compare_profiles(xa, ra, xb, rb)
+    profiles = []
+    for path in (args.profile_a, args.profile_b):
+        try:
+            profiles += fileio.read_profile_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read profile {path}: {exc}") from None
+    result = compare_profiles(*profiles)
     print(f"ncc: {result['ncc']:.6f}")
     print(f"width_ratio: {result['width_ratio']:.6f}")
     return 0
@@ -138,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full pipeline: profile, counts, metrics, artifacts")
     add_common(p_run)
     p_run.add_argument("--seed", type=int, default=None, help="override counting seed")
-    p_run.add_argument("--field-csv", action="store_true",
-                       help="also write the detector-plane field as CSV")
     p_run.set_defaults(func=_cmd_run)
 
     p_scan = sub.add_parser("scan", help="deterministic coincidence profile only")

@@ -30,10 +30,6 @@ class AliasingRiskError(PhysicsError):
         self.max_safe_distance = max_safe_distance
 
 
-class UnsupportedAsymmetryError(PhysicsError):
-    """Signal and idler twin-side trains differ; the unfolded picture needs identical arms."""
-
-
 class OutOfWindowError(PhysicsError):
     """A sampled coordinate fell outside the field window."""
 

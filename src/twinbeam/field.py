@@ -205,45 +205,6 @@ def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
     return TransmissionMask(mask, pitch)
 
 
-def circular_mask(radius: float, n: int, pitch: float) -> TransmissionMask:
-    """Circular aperture: 1 inside the radius, 0 outside (center-in rule)."""
-    if radius < 2.5 * pitch:
-        raise SamplingError(
-            f"aperture radius {radius:g} m under-resolved at pitch {pitch:g} m"
-        )
-    return TransmissionMask((radius_squared(n, pitch) <= radius**2).astype(np.float64), pitch)
-
-
-def _bilinear(values: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Bilinear blend at fractional column/row indices, cell corner clamped to [0, N-2]."""
-    n = values.shape[0]
-    i0 = np.clip(fi.astype(int), 0, n - 2)
-    j0 = np.clip(fj.astype(int), 0, n - 2)
-    tx = fi - i0
-    ty = fj - j0
-    return (values[j0, i0] * (1 - tx) * (1 - ty)
-            + values[j0, i0 + 1] * tx * (1 - ty)
-            + values[j0 + 1, i0] * (1 - tx) * ty
-            + values[j0 + 1, i0 + 1] * tx * ty)
-
-
-def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
-    """Field resampled at coordinates scaled by a magnification.
-
-    Output sample at position r takes the input value at r / magnification
-    (bilinear; zero outside the window).  Negative magnifications invert
-    the image, as a real imaging system does.
-    """
-    if magnification == 0:
-        raise ValidationError("magnification must be nonzero")
-    n = fld.n
-    x = fld.coords / magnification
-    fi = x / fld.pitch + n // 2
-    fi_x, fi_y = fi[None, :], fi[:, None]
-    inside = (fi_x >= 0) & (fi_x <= n - 1) & (fi_y >= 0) & (fi_y <= n - 1)
-    return fld.with_samples(np.where(inside, _bilinear(fld.samples, fi_x, fi_y), 0.0))
-
-
 def bilinear_sample(values: np.ndarray, pitch: float, x, y):
     """Bilinearly interpolate a centered grid of real values at (x, y) meters.
 
@@ -264,5 +225,13 @@ def bilinear_sample(values: np.ndarray, pitch: float, x, y):
             f"sample point ({x.flat[k]:g}, {y.flat[k]:g}) m outside grid window "
             f"[{-half:g}, {(n - 1 - n // 2) * pitch:g}] m"
         )
-    out = _bilinear(values, fi, fj)
+    # bilinear blend in the cell whose lower corner is clamped to [0, N-2]
+    i0 = np.clip(fi.astype(int), 0, n - 2)
+    j0 = np.clip(fj.astype(int), 0, n - 2)
+    tx = fi - i0
+    ty = fj - j0
+    out = (values[j0, i0] * (1 - tx) * (1 - ty)
+           + values[j0, i0 + 1] * tx * (1 - ty)
+           + values[j0 + 1, i0] * (1 - tx) * ty
+           + values[j0 + 1, i0 + 1] * tx * ty)
     return float(out) if out.ndim == 0 else out

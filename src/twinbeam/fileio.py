@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .field import ScalarField
 
 FLOAT_FMT = "%.17g"
 
@@ -38,48 +37,6 @@ def intensity_to_pgm(values: np.ndarray) -> bytes:
         pixels = np.zeros(arr.shape, dtype=">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
     return header + pixels.tobytes()
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary 16-bit P5 file back into a uint16 array."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P5" or len(parts) < 4:
-        raise ValidationError(f"{path} is not a binary PGM file")
-    width, height = (int(v) for v in parts[1].split())
-    if parts[2] != b"65535":
-        raise ValidationError("only 16-bit PGM is supported")
-    return np.frombuffer(parts[3], dtype=">u2").reshape(height, width).astype(np.uint16)
-
-
-# ---------------------------------------------------------------------------
-# ScalarField CSV round-trip
-# ---------------------------------------------------------------------------
-
-def field_to_csv(fld: ScalarField) -> str:
-    x = fld.coords
-    xx, yy = np.meshgrid(x, x)
-    cols = np.column_stack(
-        [xx.ravel(), yy.ravel(), fld.samples.real.ravel(), fld.samples.imag.ravel()]
-    )
-    buf = io.StringIO()
-    buf.write("x_m,y_m,re,im\n")
-    np.savetxt(buf, cols, fmt=FLOAT_FMT, delimiter=",")
-    return buf.getvalue()
-
-
-def read_field_csv(path: str | Path) -> ScalarField:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    n = int(round(np.sqrt(raw.shape[0])))
-    if n * n != raw.shape[0]:
-        raise ValidationError(f"{path} does not hold a square field grid")
-    x = raw[:, 0].reshape(n, n)
-    # the sample one step right of center sits exactly at x = pitch, so this
-    # recovers the pitch bit-exactly (differences of other coordinates would
-    # round)
-    pitch = float(x[0, n // 2 + 1])
-    samples = (raw[:, 2] + 1j * raw[:, 3]).reshape(n, n)
-    return ScalarField(samples, pitch)
 
 
 # ---------------------------------------------------------------------------

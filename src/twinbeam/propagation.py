@@ -45,9 +45,6 @@ routine, in the same axis order, with the same 1/n scaling per axis, and
 no line depends on another, so the split result equals the single call
 byte for byte, whatever the number of blocks.  Smaller arrays, and a
 process allowed one core, make the single call.
-
-A slow direct-quadrature Fresnel propagator is provided purely as an
-independent cross-check for the FFT path.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import (ScalarField, TransmissionMask, WaveContext, centred_runs, radius_squared,
-                    resample_scaled)
+from .field import ScalarField, TransmissionMask, WaveContext, centred_runs, radius_squared
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -479,82 +475,3 @@ def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
             raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
     return ws.field()
 
-
-# ---------------------------------------------------------------------------
-# Image-plane search
-# ---------------------------------------------------------------------------
-
-def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
-                     magnification: float, curvature: float,
-                     predicted: float, halfwidth: float,
-                     step: float | None = None) -> tuple[float, float]:
-    """Locate the plane where the field best matches the scaled object.
-
-    The metric is the normalized complex inner product between the
-    propagated field and the object resampled by the magnification, with
-    the image-plane curvature phase exp(i k C rho^2 / (2 A)) of the
-    composed system applied.  Phase matching decorrelates much faster with
-    defocus than intensity sharpness does, so the maximum localizes the
-    image plane to grid-pitch precision.
-
-    Returns (best distance, correlation at the best distance).
-    """
-    if step is None:
-        step = fld.pitch
-    ref = resample_scaled(obj, magnification).samples
-    if abs(curvature) > 1e-12:
-        ref = ref * np.exp(1j * ctx.wavenumber * curvature * radius_squared(fld.n, fld.pitch)
-                           / (2.0 * magnification))
-    ref_norm = np.sqrt(np.sum(np.abs(ref) ** 2))
-    steps = int(round(halfwidth / step))
-    best = (-1.0, predicted)
-    for i in range(-steps, steps + 1):
-        dz = predicted + i * step
-        if dz < 0:
-            continue
-        u = propagate(fld, ctx, dz).samples
-        c = abs(np.sum(np.conj(ref) * u)) / (ref_norm * np.sqrt(np.sum(np.abs(u) ** 2)))
-        if c > best[0]:
-            best = (c, dz)
-    return best[1], best[0]
-
-
-# ---------------------------------------------------------------------------
-# Direct-quadrature Fresnel oracle
-# ---------------------------------------------------------------------------
-
-ORACLE_MAX_GRID = 128
-
-
-def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -> ScalarField:
-    """Fresnel diffraction integral evaluated by direct double summation.
-
-    Deliberately independent of the FFT path: the paraxial convolution
-    kernel exp(i k (r2 - r1)^2 / (2 z)) is summed over every source sample
-    for every output sample (organized as two separable matrix products,
-    which computes the identical double sum).  Cost grows fast with N, so
-    grids are capped at 128.  Like :func:`propagate`, the result is
-    carrier-referenced (no overall exp(i k z) factor).
-
-    Intended for validation only; agrees with :func:`propagate` to better
-    than 1e-6 relative RMS in the paraxial regime.
-    """
-    if fld.n > ORACLE_MAX_GRID:
-        raise ValidationError(
-            f"oracle grid capped at {ORACLE_MAX_GRID}, got {fld.n}; "
-            "the direct quadrature is O(N^4)"
-        )
-    wavelength = ctx.wavelength
-    if distance <= 10 * wavelength:
-        raise ValidationError(
-            f"oracle needs distance > 10 wavelengths ({10 * wavelength:g} m), "
-            f"got {distance:g} m"
-        )
-    k = ctx.wavenumber
-    x = fld.coords
-    # Separable 1D chirp factors: kernel(x2-x1) * kernel(y2-y1).
-    diff = x[:, None] - x[None, :]
-    chirp = np.exp(1j * k * diff**2 / (2.0 * distance))
-    prefac = fld.pitch**2 / (1j * wavelength * distance)
-    out = chirp @ fld.samples @ chirp.T * prefac
-    return fld.with_samples(out)

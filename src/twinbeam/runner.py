@@ -122,15 +122,12 @@ def profile_metrics(profile: CoincidenceProfile, counted: CountedProfile) -> dic
 
 
 def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
-        seed: int | None = None, write_field_csv: bool = False) -> RunReport:
+        seed: int | None = None) -> RunReport:
     """Execute a scenario end to end and write artifacts into ``out_dir``."""
     if seed is not None:
         scenario = dataclasses.replace(
             scenario, counting=dataclasses.replace(scenario.counting, seed=seed)
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if kappa is None and scenario.calibration.pairs_per_s is None:
         kappa = resolve_kappa(scenario)
 
@@ -157,6 +154,10 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
     cropped = rate_map[np.ix_(keep, keep)]
 
+    # The output directory is made only once every number is computed, so a
+    # run refused on the way writes nothing.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     artifacts = {}
 
     def emit(name: str, data: bytes | str):
@@ -171,8 +172,6 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     emit("detector_field.pgm", fileio.intensity_to_pgm(w_eff.intensity()))
     emit("rate_map.pgm", fileio.intensity_to_pgm(rate_map))
     emit("rate_map.csv", fileio.map_to_csv(coords[keep], coords[keep], cropped))
-    if write_field_csv:
-        emit("detector_field.csv", fileio.field_to_csv(w_eff))
 
     report = RunReport(
         scenario_name=scenario.name,

@@ -153,8 +153,7 @@ class Scenario:
     twin_wavelengths: TwinWavelengths
     grid: GridSpec = field(default_factory=GridSpec)
     pump_side_elements: tuple = ()
-    twin_side_signal: tuple = ()
-    twin_side_idler: tuple = ()
+    twin_side_elements: tuple = ()  # one train, which both twin arms share
     scan: ScanSpec = field(default_factory=ScanSpec)
     counting: CountingConfig = field(default_factory=CountingConfig)
     calibration: CalibrationSpec = field(default_factory=CalibrationSpec)
@@ -167,14 +166,12 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "pump_side_elements", tuple(self.pump_side_elements))
-        object.__setattr__(self, "twin_side_signal", tuple(self.twin_side_signal))
-        object.__setattr__(self, "twin_side_idler", tuple(self.twin_side_idler))
+        object.__setattr__(self, "twin_side_elements", tuple(self.twin_side_elements))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         _check_leg("pump_side_elements", self.pump_side_elements,
                    "mask.distance_to_crystal_m", self.mask.distance_to_crystal_m)
-        for lenses in (self.twin_side_signal, self.twin_side_idler):
-            _check_leg("twin_side_elements", lenses,
-                       "detectors.distance_from_crystal_m", self.detectors.distance_from_crystal_m)
+        _check_leg("twin_side_elements", self.twin_side_elements,
+                   "detectors.distance_from_crystal_m", self.detectors.distance_from_crystal_m)
         window = self.grid.n * self.grid.pitch_m
         if 6 * self.pump.waist_m >= window:
             raise ValidationError(
@@ -231,14 +228,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         idler=DetectorSpec(role="idler", **det_doc.get("idler", {})),
     )
 
-    twin_doc = doc.get("twin_side_elements", [])
-    if isinstance(twin_doc, dict):
-        twin_signal = _lens_list(twin_doc["signal"], "distance_from_crystal_m")
-        twin_idler = _lens_list(twin_doc["idler"], "distance_from_crystal_m")
-    else:
-        twin_signal = _lens_list(twin_doc, "distance_from_crystal_m")
-        twin_idler = twin_signal
-
     return Scenario(
         name=doc["name"],
         pump=pump,
@@ -246,8 +235,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         grid=grid,
         mask=mask,
         pump_side_elements=_lens_list(doc.get("pump_side_elements", []), "distance_from_mask_m"),
-        twin_side_signal=twin_signal,
-        twin_side_idler=twin_idler,
+        twin_side_elements=_lens_list(doc.get("twin_side_elements", []),
+                                      "distance_from_crystal_m"),
         detectors=detectors,
         scan=ScanSpec(**doc.get("scan", {})),
         counting=CountingConfig(**doc.get("counting", {})),
@@ -351,17 +340,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         },
         "include_divergence_prefactor": scenario.include_divergence_prefactor,
         "assumptions": list(scenario.assumptions),
+        "twin_side_elements": [lens_entry(l, "distance_from_crystal_m")
+                               for l in scenario.twin_side_elements],
     }
-    if scenario.twin_side_signal == scenario.twin_side_idler:
-        doc["twin_side_elements"] = [lens_entry(l, "distance_from_crystal_m")
-                                     for l in scenario.twin_side_signal]
-    else:
-        doc["twin_side_elements"] = {
-            "signal": [lens_entry(l, "distance_from_crystal_m")
-                       for l in scenario.twin_side_signal],
-            "idler": [lens_entry(l, "distance_from_crystal_m")
-                      for l in scenario.twin_side_idler],
-        }
     calib = _prune({"pairs_per_s": scenario.calibration.pairs_per_s,
                     "reference": scenario.calibration.reference})
     if calib:
@@ -381,9 +362,7 @@ def with_free_twin_side(scenario: Scenario, detector_distance_m: float,
                         aperture_radius_m: float | None = None) -> Scenario:
     """Strip twin-side optics and move the detector plane."""
     detectors = _detectors_at(scenario, detector_distance_m, aperture_radius_m)
-    return dataclasses.replace(
-        scenario, twin_side_signal=(), twin_side_idler=(), detectors=detectors
-    )
+    return dataclasses.replace(scenario, twin_side_elements=(), detectors=detectors)
 
 
 def with_telescope(scenario: Scenario, plan: TelescopePlan,
@@ -394,9 +373,7 @@ def with_telescope(scenario: Scenario, plan: TelescopePlan,
         LensElement(focal_m=plan.second_focal, position_m=plan.station_positions[1]),
     )
     detectors = _detectors_at(scenario, plan.total_distance, aperture_radius_m)
-    return dataclasses.replace(
-        scenario, twin_side_signal=lenses, twin_side_idler=lenses, detectors=detectors
-    )
+    return dataclasses.replace(scenario, twin_side_elements=lenses, detectors=detectors)
 
 
 def telescope_scenario_fragment(plan: TelescopePlan) -> dict:

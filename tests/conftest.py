@@ -81,8 +81,7 @@ def make_scenario(name="test", waist=1e-3, wire=0.2e-3, z_m1=0.05,
         mask=MaskSpec(type=mask_type, width_m=wire if mask_type == "wire" else None,
                       distance_to_crystal_m=z_m1),
         pump_side_elements=tuple(pump_lenses),
-        twin_side_signal=tuple(twin_lenses),
-        twin_side_idler=tuple(twin_lenses),
+        twin_side_elements=tuple(twin_lenses),
         detectors=DetectorsSpec(
             distance_from_crystal_m=z_det,
             signal=DetectorSpec("signal", aperture_radius_m=aperture),

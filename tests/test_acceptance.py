@@ -16,6 +16,8 @@ from conftest import (
     rel_rms,
     second_moment_radius,
 )
+from oracles import (coincidence_imaged, find_image_plane, oracle_fresnel_direct,
+                     rate_from_intensity)
 from twinbeam import (
     WaveContext,
     bilinear_sample,
@@ -27,17 +29,14 @@ from twinbeam import (
     divergence_prefactor,
     effective_detector_field,
     feature_width,
-    find_image_plane,
     gaussian_beam,
-    oracle_fresnel_direct,
     power,
     propagate,
     propagate_train,
-    rate_from_intensity,
     scan_detector,
     wire_mask,
 )
-from twinbeam.biphoton import CoincidenceProfile, coincidence_imaged, pump_input_field
+from twinbeam.biphoton import CoincidenceProfile, pump_input_field
 from twinbeam.counting import CountingConfig, sample_counts, snr
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement, load_scenario

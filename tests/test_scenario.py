@@ -86,11 +86,8 @@ class TestParsing:
         with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
             parse_scenario(json.dumps(doc))
         sc = load_scenario("fig5")
-        unordered = sc.twin_side_signal[::-1]
         with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
-            dataclasses.replace(sc, twin_side_signal=unordered, twin_side_idler=unordered)
-        with pytest.raises(ValidationError, match="twin_side_elements.*ordered"):
-            dataclasses.replace(sc, twin_side_idler=unordered)
+            dataclasses.replace(sc, twin_side_elements=sc.twin_side_elements[::-1])
 
     @pytest.mark.parametrize("bad", [{"start_m": 1e-3, "stop_m": -1e-3},
                                      {"start_m": 1e-3, "stop_m": 1e-3},
@@ -102,15 +99,6 @@ class TestParsing:
         sc = load_scenario("fig4b")
         with pytest.raises(ValidationError, match=r"scan\.(stop|step)_m"):
             dataclasses.replace(sc, scan=dataclasses.replace(sc.scan, **bad))
-
-    def test_asymmetric_twin_sides_parse(self):
-        doc = dict(MINIMAL)
-        doc["twin_side_elements"] = {
-            "signal": [{"focal_m": 0.1, "distance_from_crystal_m": 0.2}],
-            "idler": [{"focal_m": 0.2, "distance_from_crystal_m": 0.2}],
-        }
-        sc = parse_scenario(json.dumps(doc))
-        assert sc.twin_side_signal != sc.twin_side_idler
 
 
 class TestPresets:
@@ -130,19 +118,19 @@ class TestPresets:
     def test_fig4a_has_pump_lens_and_070_plane(self):
         sc = load_scenario("fig4a")
         assert len(sc.pump_side_elements) == 1
-        assert not sc.twin_side_signal
+        assert not sc.twin_side_elements
         assert sc.detectors.distance_from_crystal_m == pytest.approx(0.70)
 
     def test_fig4b_has_twin_lens_and_no_pump_lens(self):
         sc = load_scenario("fig4b")
         assert not sc.pump_side_elements
-        assert len(sc.twin_side_signal) == 1
+        assert len(sc.twin_side_elements) == 1
         assert sc.calibration.pairs_per_s == 1000.0
 
     def test_fig5_detector_at_three_meters(self):
         sc = load_scenario("fig5")
         assert sc.detectors.distance_from_crystal_m == pytest.approx(3.0)
-        assert len(sc.twin_side_signal) == 2
+        assert len(sc.twin_side_elements) == 2
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
@@ -157,7 +145,7 @@ class TestDerivedScenarios:
     def test_with_free_twin_side(self):
         sc = load_scenario("fig4b")
         free = with_free_twin_side(sc, 2.5, 4e-4)
-        assert free.twin_side_signal == ()
+        assert free.twin_side_elements == ()
         assert free.detectors.distance_from_crystal_m == 2.5
         assert free.detectors.signal.aperture_radius_m == 4e-4
 
@@ -165,8 +153,7 @@ class TestDerivedScenarios:
         sc = load_scenario("fig4b")
         plan = design_telescope(3.0, -2.0, [0.1, 0.15, 0.25, 0.5])
         derived = with_telescope(sc, plan)
-        assert len(derived.twin_side_signal) == 2
-        assert derived.twin_side_signal == derived.twin_side_idler
+        assert len(derived.twin_side_elements) == 2
         assert derived.detectors.distance_from_crystal_m == 3.0
 
     def test_plan_fragment_merges_into_scenario(self):
