@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SamplingError, ValidationError
-from .field import ScalarField, WaveContext, bilinear_sample, gaussian_beam, wire_mask
+from .field import (ScalarField, WaveContext, _each_block, bilinear_sample, gaussian_beam,
+                    wire_mask)
 from .propagation import (FreeSpace, Mask, OpticalTrain, ThinLens, _fft2_inplace,
                           propagate_train)
 
@@ -172,6 +173,19 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
     double aperture integral is a convolution of the sum-coordinate map
     with the two disk indicators.  Equal radii share one kernel.
     """
+    return _aperture_map(intensity, 1.0, pitch, radius_signal, radius_idler)
+
+
+def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
+                  radius_signal: float, radius_idler: float) -> np.ndarray:
+    """:func:`aperture_integrated_map` of ``scale * intensity``.
+
+    One complex array holds the scaled map, its transform, both products
+    (kernel * spec, the order that rounds as the formula does) and the
+    inverse, each transform written in place by the propagation module's
+    split FFT.  The scaled map is written into it block by block, so it
+    makes no full-size float copy, and no real-input transform casts one.
+    """
     radii = [r for r in (radius_signal, radius_idler) if r > 0]
     for radius in radii:
         if 2.0 * radius / pitch < MIN_APERTURE_SAMPLES:
@@ -180,23 +194,22 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
                 f"{MIN_APERTURE_SAMPLES} samples across the diameter at pitch {pitch:g} m"
             )
     if not radii:
-        return intensity
-    kernels = {r: _disk_kernel_spectrum(intensity.shape[0], pitch, r) for r in set(radii)}
-    # One complex array holds the map, its transform, both products
-    # (kernel * spec, the order that rounds as the formula does) and the
-    # inverse, each transform written in place by the propagation module's
-    # split FFT.  Assigning the real map first spares the full-size cast a
-    # real-input transform makes.
+        return intensity if scale == 1.0 else scale * intensity
+    n = intensity.shape[0]
+    kernels = {r: _disk_kernel_spectrum(n, pitch, r) for r in set(radii)}
     spec = np.empty(intensity.shape, np.complex128)
-    spec[...] = intensity
+    _each_block(lambda r: np.multiply(scale, intensity[r], out=spec[r]), n, spec.size)
     _fft2_inplace(spec)
     for radius in radii:
-        np.multiply(kernels[radius], spec, out=spec)
+        _each_block(lambda r, kernel=kernels[radius]: np.multiply(kernel[r], spec[r], out=spec[r]),
+                    n, spec.size)
     # Freed before the real map is allocated, the kernels (one complex field
     # each) are not part of the run's peak memory.
     del kernels
     _fft2_inplace(spec, inverse=True)
-    return np.maximum(spec.real, 0.0)
+    rates = np.empty(intensity.shape)
+    _each_block(lambda r: np.maximum(spec[r].real, 0.0, out=rates[r]), n, rates.size)
+    return rates
 
 
 def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
@@ -214,9 +227,8 @@ def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
     if scenario.include_divergence_prefactor:
         k_p = 2.0 * np.pi / scenario.pump.wavelength_m
         prefactor = divergence_prefactor(k_p, divergence_loss_distance(scenario))
-    point_map = kappa * prefactor * detector_field.intensity()
     pitch = detector_field.pitch
-    return aperture_integrated_map(point_map, pitch, *apertures), pitch
+    return _aperture_map(detector_field.intensity(), kappa * prefactor, pitch, *apertures), pitch
 
 
 def scan_points(scenario: "Scenario"):

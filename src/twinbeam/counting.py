@@ -138,9 +138,10 @@ def sweep_distance(scenario, distances: Sequence[float], collimated: bool,
     from .scenario import with_free_twin_side, with_telescope
 
     distances = list(distances)
-    if not distances or any(d <= 0 for d in distances):
-        raise ValidationError("sweep distances must be positive")
-    if any(b <= a for a, b in zip(distances, distances[1:])):
+    bad = [d for d in distances if not (d > 0 and np.isfinite(d))]
+    if not distances or bad:
+        raise ValidationError(f"sweep distances must be positive and finite, got {bad}")
+    if any(not b > a for a, b in zip(distances, distances[1:])):
         raise ValidationError("sweep distances must be strictly ascending")
 
     rows = []

@@ -57,7 +57,10 @@ def profile_to_csv(coordinates: np.ndarray, rates: np.ndarray) -> str:
 
 
 def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = [line for line in Path(path).read_text().splitlines()[1:] if line.strip()]
+    raw = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 0))
+    if raw.shape[0] == 0 or raw.shape[1] != 2:
+        raise ValidationError(f"profile {path} needs rows of two columns, got shape {raw.shape}")
     return raw[:, 0], raw[:, 1]
 
 

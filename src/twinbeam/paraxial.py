@@ -28,9 +28,10 @@ class RayMatrix:
     d: float
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > DET_TOL:
-            raise ValidationError(f"ray matrix determinant {det!r} != 1")
+        # A*D and B*C keep float64 precision relative to their own size only
+        ad, bc = self.a * self.d, self.b * self.c
+        if not abs(ad - bc - 1.0) <= DET_TOL * max(1.0, abs(ad), abs(bc)):
+            raise ValidationError(f"ray matrix determinant {ad - bc!r} != 1")
 
     def __matmul__(self, other: "RayMatrix") -> "RayMatrix":
         return RayMatrix(

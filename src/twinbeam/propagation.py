@@ -34,29 +34,34 @@ and ``u * phase`` byte for byte.  Three traps break that:
 
 ``out=`` on the ``numpy.fft`` functions needs numpy 2.0.
 
-Every 2-D transform of a train, and of the aperture convolution in
-:mod:`twinbeam.biphoton`, is :func:`_fft2_inplace`.  From 512 x 512 samples
-up it splits the transform across the cores in the process's affinity
-mask: numpy's 1-D ``fft`` (or ``ifft``) runs over blocks of rows
-(``axis=-1``), then over blocks of columns (``axis=-2``), on a small
-persistent thread pool; pocketfft releases the GIL.  That is what
-``fft2`` and ``ifftn`` do themselves: each line goes through the same 1-D
-routine, in the same axis order, with the same 1/n scaling per axis, and
-no line depends on another, so the split result equals the single call
-byte for byte, whatever the number of blocks.  Smaller arrays, and a
-process allowed one core, make the single call.
+From 512 x 512 samples up, every full-grid pass of a train, and of the
+aperture convolution in :mod:`twinbeam.biphoton`, is split across the cores
+in the process's affinity mask by :func:`twinbeam.field._each_block`, on
+one persistent thread pool (numpy's ufuncs and pocketfft release the GIL).
+Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
+``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
+and ``ifftn`` do themselves, line by line with the same routine, axis
+order and 1/n scaling.  Every other pass (the input copy, the transfer and
+lens builds, the mirrored and mask products, the clip table's ``|u|^2``
+and rings, the finiteness check) is elementwise: a worker evaluates the
+expression, operands in the same order, on a block of rows and writes it
+with ``out=`` into an array the caller allocated.  The only reduction
+split is the finiteness check's sum, which is never kept; ``bincount``
+stays serial.  So the result equals the one call byte for byte, whatever
+the number of blocks; smaller arrays, and a process allowed one core, make
+that call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import ScalarField, TransmissionMask, WaveContext, centred_runs, radius_squared
+from .field import (ScalarField, TransmissionMask, WaveContext, _abs_square, _all_finite,
+                    _each_block, _each_mirrored_block, _splits, centred_runs, radius_squared)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -68,55 +73,17 @@ DEFAULT_MAX_CLIP_FRACTION = 0.05
 # The 2-D transform, split across the process's cores
 # ---------------------------------------------------------------------------
 
-# Arrays with fewer samples make one numpy call.  On a 2-core host the split
-# saved nothing at 256 x 256 (about 1.0 ms either way) and a third of the
-# time from 512 x 512 up.
-_SPLIT_MIN_SIZE = 512 * 512
-_pool = None  # (pid, workers, executor), started by the first split transform
-
-
-def _worker_count() -> int:
-    """Cores this process may run on; the affinity mask (``taskset``) limits them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _executor(workers: int):
-    """The pool the split transforms share.
-
-    It is started again in a forked child, which inherits the pool object
-    but none of its threads.  Two threads that start it at once may each
-    build one; each uses its own, and the one not kept is dropped, which
-    ends its threads.
-    """
-    global _pool
-    key = (os.getpid(), workers)
-    pool = _pool
-    if pool is None or pool[:2] != key:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _pool = (*key, ThreadPoolExecutor(workers, thread_name_prefix="twinbeam-fft"))
-    return pool[2]
-
-
-def _blocks(n: int, parts: int) -> list:
-    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
-
-
 def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``np.fft.fft2(u)`` (or ``ifftn`` over both axes), written into ``u``.
 
     The row pass, then the column pass, each split into one block per core
     (see the module docstring for why this is byte-identical).
     """
-    workers = _worker_count()
-    if u.size < _SPLIT_MIN_SIZE or workers == 1:
+    if not _splits(u.size):
         if inverse:
             return np.fft.ifftn(u, axes=(-2, -1), out=u)
         return np.fft.fft2(u, out=u)
     fft = np.fft.ifft if inverse else np.fft.fft
-    pool = _executor(workers)
 
     def rows(block):
         fft(u[block], axis=-1, out=u[block])
@@ -124,8 +91,8 @@ def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     def cols(block):
         fft(u[:, block], axis=-2, out=u[:, block])
 
-    list(pool.map(rows, _blocks(u.shape[0], workers)))
-    list(pool.map(cols, _blocks(u.shape[1], workers)))
+    _each_block(rows, u.shape[0], u.size)
+    _each_block(cols, u.shape[1], u.size)
     return u
 
 
@@ -165,16 +132,16 @@ def _fft_runs(n: int) -> tuple:
 def _multiply_mirrored(u: np.ndarray, quadrant: np.ndarray, runs: tuple) -> None:
     """Multiply ``u[i, j]`` by ``quadrant[m(i), m(j)]`` in place, block by block,
     for the index map ``m`` that ``runs`` spells out."""
-    for rows, q_rows in runs:
-        for cols, q_cols in runs:
-            np.multiply(u[rows, cols], quadrant[q_rows, q_cols], out=u[rows, cols])
+    _each_mirrored_block(lambda ub, qb: np.multiply(ub, qb, out=ub), u, quadrant, runs)
 
 
 def _chebyshev_rings(n: int) -> np.ndarray:
     """Flattened ring max(min(i, n - i), min(j, n - j)) of each FFT-ordered sample."""
     i = np.arange(n)
     ring = np.minimum(i, n - i)
-    return np.maximum(ring[None, :], ring[:, None]).ravel()
+    rings = np.empty((n, n), ring.dtype)
+    _each_block(lambda r: np.maximum(ring[None, :], ring[r, None], out=rings[r]), n, rings.size)
+    return rings.ravel()
 
 
 def _clip_curve(spectrum: np.ndarray, rings: np.ndarray, ring_f: np.ndarray,
@@ -186,8 +153,7 @@ def _clip_curve(spectrum: np.ndarray, rings: np.ndarray, ring_f: np.ndarray,
     f_limit.  The table holds the power on and beyond each ring, summed in
     reverse so a small tail suffers no cancellation, with a trailing 0.
     """
-    sample_power = np.abs(spectrum, out=np.empty(spectrum.shape))  # one float array
-    np.square(sample_power, out=sample_power)
+    sample_power = _abs_square(spectrum)  # one float array
     power = np.bincount(rings, weights=sample_power.ravel(), minlength=ring_f.size)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
 
@@ -238,21 +204,25 @@ def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float)
     quadrant = np.zeros((f.size, f.size), np.complex128)
     m = np.searchsorted(f, f_limit, side="right")
     k_sq = (2.0 * np.pi * f[:m]) ** 2
-    kx_sq, ky_sq = k_sq[None, :], k_sq[:, None]
-    kz = k**2 - kx_sq - ky_sq  # kz^2 until the square root
-    propagating = kz > 0.0
-    np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
-    # Carrier-referenced transfer: the plane-wave phase k z is dropped so
-    # composed short hops agree with one long hop to full precision (k z is
-    # ~1e7 rad over a meter, where float64 rounding alone would break the
-    # semigroup property at the 1e-10 level).  kz - k is evaluated in its
-    # cancellation-free form, -(kx^2 + ky^2) / (kz + k).
-    kz_rel = kx_sq + ky_sq
-    np.negative(kz_rel, out=kz_rel)
-    np.divide(kz_rel, np.add(kz, k, out=kz), out=kz_rel)
-    block = quadrant[:m, :m]
-    np.exp(np.multiply(1j * distance, kz_rel, out=block), out=block)
-    block[~propagating] = 0.0
+
+    def build(r):
+        kx_sq, ky_sq = k_sq[None, :], k_sq[r, None]
+        kz = k**2 - kx_sq - ky_sq  # kz^2 until the square root
+        propagating = kz > 0.0
+        np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
+        # Carrier-referenced transfer: the plane-wave phase k z is dropped so
+        # composed short hops agree with one long hop to full precision (k z
+        # is ~1e7 rad over a meter, where float64 rounding alone would break
+        # the semigroup property at the 1e-10 level).  kz - k is evaluated in
+        # its cancellation-free form, -(kx^2 + ky^2) / (kz + k).
+        kz_rel = kx_sq + ky_sq
+        np.negative(kz_rel, out=kz_rel)
+        np.divide(kz_rel, np.add(kz, k, out=kz), out=kz_rel)
+        block = quadrant[r, :m]
+        np.exp(np.multiply(1j * distance, kz_rel, out=block), out=block)
+        block[~propagating] = 0.0
+
+    _each_block(build, m, m * m)
     return quadrant
 
 
@@ -268,7 +238,8 @@ class _Workspace:
     """
 
     def __init__(self, fld: ScalarField, ctx: WaveContext):
-        self.samples = np.array(fld.samples)
+        self.samples = np.empty_like(fld.samples)
+        _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n, fld.samples.size)
         self.pitch = fld.pitch
         self.ctx = ctx
         self._rings = None
@@ -314,10 +285,17 @@ class _Workspace:
         if np.isinf(focal):
             return
         # exp(-i k rho^2 / 2f) on the quadrant of distances |i - n//2| from the axis
-        x2 = (np.arange(self.n // 2 + 1) * self.pitch) ** 2
-        quadrant = np.multiply(-1j * self.ctx.wavenumber, x2[None, :] + x2[:, None])
-        np.divide(quadrant, 2.0 * focal, out=quadrant)
-        _multiply_mirrored(self.samples, np.exp(quadrant, out=quadrant), centred_runs(self.n))
+        h = self.n // 2 + 1
+        x2 = (np.arange(h) * self.pitch) ** 2
+        quadrant = np.empty((h, h), np.complex128)
+
+        def build(r):
+            q = np.multiply(-1j * self.ctx.wavenumber, x2[None, :] + x2[r, None], out=quadrant[r])
+            np.divide(q, 2.0 * focal, out=q)
+            np.exp(q, out=q)
+
+        _each_block(build, h, quadrant.size)
+        _multiply_mirrored(self.samples, quadrant, centred_runs(self.n))
 
     def stop(self, radius: float) -> None:
         """Zero the samples outside a centred disk: a bounded lens's aperture."""
@@ -327,13 +305,8 @@ class _Workspace:
         transmission.multiply_into(self.samples, self.pitch)
 
     def check_finite(self) -> None:
-        # A NaN or an infinity makes the sum non-finite, so a finite sum
-        # clears every sample without an n x n mask; a sum that merely
-        # overflowed is cleared by the full scan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self.samples.sum()) or np.isfinite(self.samples).all():
-                return
-        raise ValidationError("field samples must all be finite")
+        if not _all_finite(self.samples):
+            raise ValidationError("field samples must all be finite")
 
     def field(self) -> ScalarField:
         return ScalarField(self.samples, self.pitch)

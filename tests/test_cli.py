@@ -108,16 +108,21 @@ _PER_ARM = {"signal": [{"focal_m": 0.1, "distance_from_crystal_m": 0.2}],
     (["run", "{fast}", "--kappa", "-1"], "kappa"),
     (["scan", "{fast}", "--kappa", "nan"], "kappa"),
     (["sweep", "{fast}", "--free", "--distances", "0.3", "--kappa", "-1"], "kappa"),
+    (["sweep", "{fast}", "--free", "--distances", "0.3,nan", "--kappa", "1"], "got [nan]"),
+    (["compare", "{header_only}", "{header_only}"], "header_only.csv"),
 ], ids=["grid-n-0", "pitch-um-0", "distances", "catalog", "compare-missing",
         "per-arm-twin-sides", "run-kappa-0", "run-kappa-negative", "scan-kappa-nan",
-        "sweep-kappa-negative"])
+        "sweep-kappa-negative", "sweep-distance-nan", "compare-header-only"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, fast_scenario_path, tmp_path,
                                                capsys):
     per_arm = tmp_path / "per_arm.json"
     doc = json.loads(fast_scenario_path.read_text())
     per_arm.write_text(json.dumps(dict(doc, twin_side_elements=_PER_ARM)))
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("scan_coordinate_m,rate_pairs_per_s\n")
     out = tmp_path / "out"
-    argv = [a.format(tmp=tmp_path, fast=fast_scenario_path, per_arm=per_arm) for a in argv]
+    argv = [a.format(tmp=tmp_path, fast=fast_scenario_path, per_arm=per_arm,
+                     header_only=header_only) for a in argv]
     if argv[0] in ("run", "scan", "sweep"):
         argv += ["--out-dir", str(out)]
     assert main(argv) == 2

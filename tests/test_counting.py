@@ -118,6 +118,13 @@ class TestSweepDistance:
         with pytest.raises(ValidationError):
             sweep_distance(sweep_scenario, [2.0, 1.0], collimated=False)
 
+    @pytest.mark.parametrize("distances", [[0.5, float("nan")], [float("nan"), 0.5],
+                                           [0.5, float("inf")], [float("-inf")]])
+    def test_rejects_non_finite_distances(self, sweep_scenario, distances):
+        # NaN fails every comparison, so "d <= 0" and "b <= a" let it through
+        with pytest.raises(ValidationError, match=r"positive and finite, got \[-?(nan|inf)\]"):
+            sweep_distance(sweep_scenario, distances, collimated=False)
+
     def test_free_sweep_follows_inverse_square(self, sweep_scenario):
         rows = sweep_distance(sweep_scenario, [1.0, 2.0], collimated=False, kappa=10.0)
         ratio = rows[0].peak_rate / rows[1].peak_rate

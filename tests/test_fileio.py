@@ -37,6 +37,15 @@ def test_profile_csv_roundtrip(tmp_path):
     assert header == "scan_coordinate_m,rate_pairs_per_s"
 
 
+@pytest.mark.parametrize("body", ["", "\n", "1.0\n2.0\n"], ids=["header-only", "blank", "one-column"])
+def test_profile_csv_without_two_column_rows_is_refused(tmp_path, body):
+    # numpy's loadtxt returns no second column here (and warns on no data)
+    path = tmp_path / "empty.csv"
+    path.write_text("scan_coordinate_m,rate_pairs_per_s\n" + body)
+    with pytest.raises(ValidationError, match="empty.csv"):
+        fileio.read_profile_csv(path)
+
+
 def test_counted_csv_columns():
     text = fileio.counted_to_csv([0.0, 1e-5], [1.5, 2.5], [3, 4], [0.1, 0.1])
     lines = text.splitlines()

@@ -1,0 +1,222 @@
+"""Every full-grid pass split across the core pool equals today's one-call
+expression byte for byte, whatever the number of row blocks.
+
+``_SPLIT_MIN_SIZE`` is forced to 0, so even these small grids are split,
+into one row block per worker; 129 and 257 rows do not divide evenly.  The
+grids are at least 128 wide so that their complex arrays reach numpy's
+256 KiB temporary-elision threshold (see the propagation module docstring).
+"""
+
+import numpy as np
+import pytest
+
+from conftest import PUMP_WAVELENGTH, make_scenario, traced_peak
+from twinbeam import (ScalarField, TransmissionMask, ValidationError, WaveContext,
+                      apply_thin_lens, biphoton, field, gaussian_beam, propagation,
+                      safe_frequency_limit)
+from twinbeam.field import radius_squared
+
+CTX = WaveContext.from_wavelength(PUMP_WAVELENGTH)
+PITCH = 20e-6
+
+
+class _Pool:
+    def __init__(self, workers):
+        self.workers, self.split_calls = workers, []
+
+    def check(self):
+        """The passes went through the pool exactly when it has more than one worker."""
+        assert bool(self.split_calls) == (self.workers > 1)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}w")
+def pool(request, monkeypatch):
+    spy = _Pool(request.param)
+    executor = field._executor
+    monkeypatch.setattr(field, "_SPLIT_MIN_SIZE", 0)
+    monkeypatch.setattr(field, "_worker_count", lambda: spy.workers)
+    monkeypatch.setattr(field, "_executor",
+                        lambda workers: spy.split_calls.append(workers) or executor(workers))
+    return spy
+
+
+@pytest.fixture(params=[128, 129, 257])
+def n(request):
+    return request.param
+
+
+def _random_field(n):
+    rng = np.random.default_rng(n)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+# ---------------------------------------------------------------------------
+# propagation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("distance", [0.05, 1.5])  # full band; band-limited
+def test_transfer_quadrant(n, pool, distance):
+    f = propagation._half_freqs(n, PITCH)
+    k = CTX.wavenumber
+    f_limit = safe_frequency_limit(n * PITCH, CTX.wavelength, distance)
+    out = propagation._transfer_quadrant(f, k, f_limit, distance)
+    k_sq = (2.0 * np.pi * f) ** 2
+    kx_sq, ky_sq = k_sq[None, :], k_sq[:, None]
+    kz = k**2 - kx_sq - ky_sq
+    in_cone = (kz > 0.0) & (f[None, :] <= f_limit) & (f[:, None] <= f_limit)
+    kz_rel = -(kx_sq + ky_sq) / (np.sqrt(np.maximum(kz, 0.0)) + k)
+    ref = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+    assert out.tobytes() == ref.tobytes()
+    pool.check()
+
+
+@pytest.mark.parametrize("focal", [0.2, -0.2])
+def test_lens_phase(n, pool, focal):
+    samples = _random_field(n)
+    out = apply_thin_lens(ScalarField(samples, PITCH), CTX, focal)
+    phase = np.exp(-1j * CTX.wavenumber * radius_squared(n, PITCH) / (2.0 * focal))
+    ref = samples * phase
+    assert out.samples.tobytes() == ref.tobytes()
+    pool.check()
+
+
+@pytest.mark.parametrize("runs, index", [
+    (propagation._fft_runs, lambda n: np.minimum(np.arange(n), n - np.arange(n))),
+    (field.centred_runs, lambda n: np.abs(np.arange(n) - n // 2)),
+], ids=["fft-order", "centred"])
+def test_mirrored_products(n, pool, runs, index):
+    a = _random_field(n)
+    quadrant = _random_field(n // 2 + 1)
+    u = a.copy()
+    propagation._multiply_mirrored(u, quadrant, runs(n))
+    gathered = quadrant[np.ix_(index(n), index(n))]
+    ref = a * gathered
+    assert u.tobytes() == ref.tobytes()
+    pool.check()
+
+
+def test_workspace_copies_the_input(n, pool):
+    fld = ScalarField(_random_field(n), PITCH)
+    ws = propagation._Workspace(fld, CTX)
+    assert ws.samples.tobytes() == fld.samples.tobytes()
+    assert ws.samples.flags.writeable and not np.shares_memory(ws.samples, fld.samples)
+    pool.check()
+
+
+def test_mask_product(n, pool):
+    samples = _random_field(n)
+    transmission = np.random.default_rng(n + 1).uniform(size=(n, n))
+    out = TransmissionMask(transmission, PITCH).apply(ScalarField(samples, PITCH))
+    ref = samples * transmission
+    assert out.samples.tobytes() == ref.tobytes()
+    pool.check()
+
+
+def test_clip_table(n, pool):
+    spectrum = np.fft.fft2(_random_field(n))
+    f = propagation._half_freqs(n, PITCH)
+    i = np.arange(n)
+    ring = np.minimum(i, n - i)
+    ref_rings = np.maximum(ring[None, :], ring[:, None]).ravel()
+    rings = propagation._chebyshev_rings(n)
+    assert rings.tobytes() == ref_rings.tobytes()
+    clipped = propagation._clip_curve(spectrum, rings, f, n * PITCH, CTX.wavelength)
+    power = np.bincount(ref_rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=f.size)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    for z in (0.05, 0.5, 1.5, 3.0):
+        f_limit = safe_frequency_limit(n * PITCH, CTX.wavelength, z)
+        assert clipped(z) == tail[np.searchsorted(f, f_limit, side="right")] / tail[0]
+    pool.check()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("row", [0, -1])  # the first and the last row block
+def test_finiteness_checks(n, pool, bad, row):
+    samples = _random_field(n)
+    ws = propagation._Workspace(ScalarField(samples, PITCH), CTX)
+    ws.check_finite()
+    ws.samples[row, n // 3] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        ws.check_finite()
+    with pytest.raises(ValidationError, match="finite"):
+        ScalarField(ws.samples, PITCH)
+    pool.check()
+
+
+def test_finiteness_checks_pass_an_overflowing_sum(n, pool):
+    samples = np.full((n, n), 1e308 * (1 + 1j))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(samples.sum())
+    fld = ScalarField(samples, PITCH)
+    propagation._Workspace(fld, CTX).check_finite()
+    pool.check()
+
+
+# ---------------------------------------------------------------------------
+# field
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
+def test_gaussian_beam(n, pool, waist):
+    ref = np.exp(-radius_squared(n, PITCH) / waist**2).astype(complex)
+    assert gaussian_beam(waist, n, PITCH).samples.tobytes() == ref.tobytes()
+    pool.check()
+
+
+def test_intensity(n, pool):
+    samples = _random_field(n)
+    ref = np.abs(samples) ** 2
+    assert ScalarField(samples, PITCH).intensity().tobytes() == ref.tobytes()
+    pool.check()
+
+
+# ---------------------------------------------------------------------------
+# biphoton
+# ---------------------------------------------------------------------------
+
+def _out_of_place_aperture_map(point_map, radii):
+    # each product named so that numpy cannot elide it into a swapped
+    # in-place product
+    n = point_map.shape[0]
+    k1, k2 = (np.fft.fft2(np.fft.ifftshift(
+        (radius_squared(n, PITCH) <= r**2).astype(np.float64) * PITCH**2)) for r in radii)
+    spec = np.fft.fft2(point_map)
+    once = k1 * spec
+    twice = k2 * once
+    return np.maximum(np.fft.ifft2(twice).real, 0.0)
+
+
+@pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
+def test_aperture_map(n, pool, radii):
+    intensity = np.random.default_rng(n).uniform(size=(n, n))
+    out = biphoton.aperture_integrated_map(intensity, PITCH, *radii)
+    assert out.tobytes() == _out_of_place_aperture_map(intensity, radii).tobytes()
+    pool.check()
+
+
+def test_rate_map_scales_into_the_convolution(n, pool):
+    scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
+                             scan=(-1e-3, 1e-3, 1e-4))
+    detector_field = ScalarField(_random_field(n), PITCH)
+    kappa = 1359.4635691545443
+    k_p = 2.0 * np.pi / scenario.pump.wavelength_m
+    prefactor = biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
+    rate_map, _ = biphoton.coincidence_rate_map(scenario, detector_field, (1e-4, 1e-4), kappa)
+    point_map = kappa * prefactor * (np.abs(detector_field.samples) ** 2)
+    ref = _out_of_place_aperture_map(point_map, (1e-4, 1e-4))
+    assert rate_map.tobytes() == ref.tobytes()
+    pool.check()
+
+
+def test_rate_map_makes_no_scaled_copy(pool):
+    # in units of a complex field: the map's spectrum, the shared disk
+    # kernel and the real result; the scaled point map, a float copy of the
+    # cached intensity, lifted it by half a field to 2.5
+    n = 512
+    scenario = make_scenario(n=n, pitch=PITCH, aperture=1e-4)
+    detector_field = gaussian_beam(1e-3, n, PITCH)
+    detector_field.intensity()
+    peak = traced_peak(lambda: biphoton.coincidence_rate_map(
+        scenario, detector_field, (1e-4, 1e-4), kappa=3.0))
+    assert peak / detector_field.samples.nbytes < 2.25
+    pool.check()

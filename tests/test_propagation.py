@@ -31,7 +31,7 @@ from twinbeam import (
     safe_frequency_limit,
     wire_mask,
 )
-from twinbeam import propagation
+from twinbeam import field, propagation
 from twinbeam.field import radius_squared
 
 CTX = WaveContext.from_wavelength(425e-9)
@@ -433,8 +433,8 @@ class TestSplitTransform:
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         forward, inverse = np.fft.fft2(a), np.fft.ifftn(a, axes=(-2, -1))
-        monkeypatch.setattr(propagation, "_SPLIT_MIN_SIZE", 0)
-        monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
+        monkeypatch.setattr(field, "_SPLIT_MIN_SIZE", 0)
+        monkeypatch.setattr(field, "_worker_count", lambda: workers)
         if workers > 1:  # the transform must really be split
             for name in ("fft2", "ifftn"):
                 monkeypatch.setattr(np.fft, name, None)
@@ -447,10 +447,10 @@ class TestSplitTransform:
 
     def test_pool_starts_on_the_first_split_transform(self):
         code = ("import sys, numpy as np, twinbeam\n"
-                "from twinbeam import propagation\n"
+                "from twinbeam import field, propagation\n"
                 "assert 'concurrent.futures' not in sys.modules\n"
                 "propagation._fft2_inplace(np.zeros((64, 64), complex))\n"
-                "assert 'concurrent.futures' not in sys.modules and propagation._pool is None\n")
+                "assert 'concurrent.futures' not in sys.modules and field._pool is None\n")
         src = str(Path(propagation.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
@@ -462,10 +462,10 @@ class TestSplitTransform:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the platform cannot fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        monkeypatch.setattr(propagation, "_worker_count", lambda: 2)
+        monkeypatch.setattr(field, "_worker_count", lambda: 2)
         f = gaussian_beam(1e-3, 512, 20e-6)
         want = propagate(f, CTX, 0.5).samples  # the parent's pool is running
-        assert propagation._pool is not None
+        assert field._pool is not None
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_propagate_in_child, (f,)).get(timeout=60)
         assert np.array_equal(got, want)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from twinbeam import PhysicsError, ValidationError, fileio, propagation
+from twinbeam import PhysicsError, ValidationError, field, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
@@ -54,9 +54,9 @@ def test_digest_stable_under_round_trip(fig4a_report):
 
 
 def test_one_core_run_writes_the_same_artifacts(fig4a_report, tmp_path, monkeypatch):
-    # every 2-D transform of the run is split across the cores, or not split
+    # every full-grid pass of the run is split across the cores, or not split
     # at all on one, and the artifacts are the same byte for byte
-    monkeypatch.setattr(propagation, "_worker_count", lambda: 1)
+    monkeypatch.setattr(field, "_worker_count", lambda: 1)
     _, report = fig4a_report
     assert run(load_scenario("fig4a"), tmp_path).manifest == report.manifest
 
