@@ -32,8 +32,7 @@ import numpy as np
 from .errors import SamplingError, ValidationError
 from .field import (ScalarField, WaveContext, _each_block, bilinear_sample, gaussian_beam,
                     wire_mask)
-from .propagation import (FreeSpace, Mask, OpticalTrain, ThinLens, _fft2_inplace,
-                          propagate_train)
+from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _column_pass, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -150,19 +149,27 @@ class CoincidenceProfile:
 
 
 def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
-    """FFT of a centered disk indicator times the pixel area (midpoint rule).
+    """Real-input FFT (``rfft2``) of a centered disk indicator times the pixel
+    area (midpoint rule), n x (n//2 + 1).
 
     The disk is written straight into FFT order: offset d from the axis
     lands at index d mod n.  Only the offsets within the radius, clipped
-    to the grid, are evaluated.
+    to the grid, are evaluated, and only their rows are transformed.  Every
+    other row is a copy of the transform of a zero row, which is not all
+    +0.0: pocketfft gives some of its parts as -0.0.
     """
     reach = int(np.ceil(radius / pitch)) + 1
     d = np.arange(-min(reach, n // 2), min(reach, n - 1 - n // 2) + 1)
     x2 = (d * pitch) ** 2
     idx = d % n
-    kernel = np.zeros((n, n), np.complex128)
-    kernel[np.ix_(idx, idx)] = (x2[None, :] + x2[:, None] <= radius**2) * pitch**2
-    return _fft2_inplace(kernel)
+    rows = np.zeros((d.size, n))
+    rows[:, idx] = (x2[None, :] + x2[:, None] <= radius**2) * pitch**2
+    kernel = np.empty((n, n // 2 + 1), np.complex128)
+    zero_row = np.fft.rfft(np.zeros(n))
+    _each_block(lambda r: np.copyto(kernel[r], zero_row), n, n * n)
+    kernel[idx] = np.fft.rfft(rows, axis=-1)
+    _column_pass(np.fft.fft, kernel, n * n)
+    return kernel
 
 
 def aperture_integrated_map(intensity: np.ndarray, pitch: float,
@@ -180,11 +187,14 @@ def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
                   radius_signal: float, radius_idler: float) -> np.ndarray:
     """:func:`aperture_integrated_map` of ``scale * intensity``.
 
-    One complex array holds the scaled map, its transform, both products
-    (kernel * spec, the order that rounds as the formula does) and the
-    inverse, each transform written in place by the propagation module's
-    split FFT.  The scaled map is written into it block by block, so it
-    makes no full-size float copy, and no real-input transform casts one.
+    The map is real, so it is convolved with real-input transforms:
+    ``np.maximum(irfft2(k2 * (k1 * (scale * rfft2(I))), s), 0)``, the scale
+    applied to the spectrum.  One n x (n//2 + 1) complex array holds the
+    half spectrum, read by the row ``rfft`` straight from ``intensity``,
+    and all its products (kernel * spec, the order that rounds as the
+    formula does).  After the column ``ifft`` the row ``irfft`` writes into
+    the real result, which the clamp then updates in place.  Each pass is
+    split across the cores, so no full-size copy of the map is made.
     """
     radii = [r for r in (radius_signal, radius_idler) if r > 0]
     for radius in radii:
@@ -197,18 +207,28 @@ def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
         return intensity if scale == 1.0 else scale * intensity
     n = intensity.shape[0]
     kernels = {r: _disk_kernel_spectrum(n, pitch, r) for r in set(radii)}
-    spec = np.empty(intensity.shape, np.complex128)
-    _each_block(lambda r: np.multiply(scale, intensity[r], out=spec[r]), n, spec.size)
-    _fft2_inplace(spec)
-    for radius in radii:
-        _each_block(lambda r, kernel=kernels[radius]: np.multiply(kernel[r], spec[r], out=spec[r]),
-                    n, spec.size)
-    # Freed before the real map is allocated, the kernels (one complex field
-    # each) are not part of the run's peak memory.
+    spec = np.empty((n, n // 2 + 1), np.complex128)
+    _each_block(lambda r: np.fft.rfft(intensity[r], axis=-1, out=spec[r]), n, intensity.size)
+    _column_pass(np.fft.fft, spec, intensity.size)
+
+    def products(r):
+        if scale != 1.0:
+            np.multiply(scale, spec[r], out=spec[r])
+        for radius in radii:
+            np.multiply(kernels[radius][r], spec[r], out=spec[r])
+
+    _each_block(products, n, intensity.size)
+    # Freed before the real map is allocated, the kernels (half a complex
+    # field each) are not part of the run's peak memory.
     del kernels
-    _fft2_inplace(spec, inverse=True)
+    _column_pass(np.fft.ifft, spec, intensity.size)
     rates = np.empty(intensity.shape)
-    _each_block(lambda r: np.maximum(spec[r].real, 0.0, out=rates[r]), n, rates.size)
+
+    def inverse_rows(r):
+        np.fft.irfft(spec[r], n, axis=-1, out=rates[r])
+        np.maximum(rates[r], 0.0, out=rates[r])
+
+    _each_block(inverse_rows, n, rates.size)
     return rates
 
 

@@ -128,12 +128,6 @@ def axis_coords(n: int, pitch: float) -> np.ndarray:
     return (np.arange(n) - n // 2) * pitch
 
 
-def radius_squared(n: int, pitch: float) -> np.ndarray:
-    """Squared distance x^2 + y^2 from the optical axis at every grid sample."""
-    x2 = axis_coords(n, pitch) ** 2
-    return x2[None, :] + x2[:, None]
-
-
 def centred_runs(n: int) -> tuple:
     """(axis slice, half-axis slice) pairs that mirror a half axis onto a centred axis.
 
@@ -205,9 +199,12 @@ class TransmissionMask:
             raise ValidationError(f"mask must be square 2D, got shape {arr.shape}")
         if not (self.pitch > 0 and np.isfinite(self.pitch)):
             raise ValidationError(f"pitch must be positive, got {self.pitch}")
-        if not _all_finite(arr):
+        # Rows that all repeat one profile (a broadcast view, as wire_mask
+        # makes) hold no value that the first row does not.
+        values = arr[0] if arr.strides[0] == 0 else arr
+        if not _all_finite(values):
             raise ValidationError("mask values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if values.min() < 0.0 or values.max() > 1.0:
             raise ValidationError("mask values must lie in [0, 1]")
 
     @property
@@ -289,10 +286,8 @@ def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
             f"wire width {width:g} m is below 2 pitches ({2 * pitch:g} m)"
         )
     x = axis_coords(n, pitch)
-    blocked = (x >= -width / 2) & (x < width / 2)
-    mask = np.ones((n, n), dtype=np.float64)
-    mask[:, blocked] = 0.0
-    return TransmissionMask(mask, pitch)
+    profile = np.where((x >= -width / 2) & (x < width / 2), 0.0, 1.0)
+    return TransmissionMask(np.broadcast_to(profile, (n, n)), pitch)
 
 
 def bilinear_sample(values: np.ndarray, pitch: float, x, y):

@@ -7,21 +7,35 @@ paths free of wraparound ghosts; if that clipping would remove more than a
 small configurable fraction of the field power, propagation refuses and
 reports the largest safe distance instead.
 
-Every train runs on one working array.  :func:`propagate_train` copies the
-input field once; each element then writes into the complex array it reads
-(forward FFT, spectral product, inverse FFT, lens phase, lens stop, mask),
-and the array is wrapped in a ScalarField only at the end.  A hop's
-transfer function and a lens's phase depend on two half axes only, so each
-is built on one quadrant of the grid and the working array is multiplied
-by it block by block, four slice products reading the quadrant mirrored;
-no second full-size array is made.  The transfer is zero outside the
-band-limit cone, so it is evaluated only on the cone's block of the
-quadrant, and the clip table is built only for a hop whose cone leaves
-frequencies out.  :func:`propagate` and :func:`apply_thin_lens` are one
-copy plus the same in-place kernels.
+Every train runs on one working array, held either as samples or as their
+angular spectrum.  Free propagation is diagonal in the spectrum, so a hop
+transforms the array forward only if it holds samples, multiplies it by the
+transfer function and leaves it a spectrum; the next hop starts from that
+spectrum.  A lens, a lens stop, a mask and the end of the train transform
+it back first, and only if it is a spectrum.  So each stretch of
+consecutive hops costs one forward and one inverse FFT: fig5's train (mask,
+0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m) makes 6 transforms and fig4b's
+makes 4, and a lone :func:`propagate` makes 2.  Each hop still has its own
+band-limit cone, its own clip check and refusal distance, and its own
+finiteness check (on the spectrum).  This is the standard composition of
+angular-spectrum steps (Schmidt, *Numerical Simulation of Optical Wave
+Propagation*, SPIE 2010, ch. 7); the hops are not merged into one.
 
-The results equal the out-of-place formulas ``ifft2(fft2(u) * transfer)``
-and ``u * phase`` byte for byte.  Three traps break that:
+:func:`propagate_train` copies the input field once; each element then
+writes into the complex array it reads, and the array is wrapped in a
+ScalarField only at the end.  A hop's transfer function and a lens's phase
+depend on two half axes only, so each is built on one quadrant of the grid
+and the working array is multiplied by it block by block, four slice
+products reading the quadrant mirrored; no second full-size array is made.
+The transfer is zero outside the band-limit cone, so it is evaluated only
+on the cone's block of the quadrant, and the clip table is built only for
+a hop whose cone leaves frequencies out.  :func:`propagate` and
+:func:`apply_thin_lens` are one copy plus the same in-place kernels.
+
+The results equal the out-of-place formulas byte for byte:
+``ifft2(fft2(u) * transfer)`` for a hop,
+``ifft2((fft2(u) * transfer_1) * transfer_2)`` for two hops in a row, and
+``u * phase`` for a lens.  Three traps break that:
 
 * operand order.  Each product is ``np.multiply(u, factor, out=u)`` in the
   order of the formula: under FMA, a complex product with swapped operands
@@ -42,10 +56,10 @@ Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
 ``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
 and ``ifftn`` do themselves, line by line with the same routine, axis
 order and 1/n scaling.  Every other pass (the input copy, the transfer and
-lens builds, the mirrored and mask products, the clip table's ``|u|^2``
-and rings, the finiteness check) is elementwise: a worker evaluates the
-expression, operands in the same order, on a block of rows and writes it
-with ``out=`` into an array the caller allocated.  The only reduction
+lens builds, the mirrored and mask products, the lens stop, the clip
+table's ``|u|^2`` and rings, the finiteness check) is elementwise: a
+worker evaluates the expression, operands in the same order, on a block of
+rows and writes it into an array the caller allocated.  The only reduction
 split is the finiteness check's sum, which is never kept; ``bincount``
 stays serial.  So the result equals the one call byte for byte, whatever
 the number of blocks; smaller arrays, and a process allowed one core, make
@@ -61,7 +75,7 @@ import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
 from .field import (ScalarField, TransmissionMask, WaveContext, _abs_square, _all_finite,
-                    _each_block, _each_mirrored_block, _splits, centred_runs, radius_squared)
+                    _each_block, _each_mirrored_block, _splits, axis_coords, centred_runs)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -72,6 +86,13 @@ DEFAULT_MAX_CLIP_FRACTION = 0.05
 # ---------------------------------------------------------------------------
 # The 2-D transform, split across the process's cores
 # ---------------------------------------------------------------------------
+
+def _column_pass(fft, u: np.ndarray, size: int) -> None:
+    """``fft`` (numpy's 1-D ``fft`` or ``ifft``) down every column of ``u``, in
+    place, on column blocks split across the cores for a pass over ``size``
+    samples."""
+    _each_block(lambda c: fft(u[:, c], axis=-2, out=u[:, c]), u.shape[1], size)
+
 
 def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``np.fft.fft2(u)`` (or ``ifftn`` over both axes), written into ``u``.
@@ -84,15 +105,8 @@ def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
             return np.fft.ifftn(u, axes=(-2, -1), out=u)
         return np.fft.fft2(u, out=u)
     fft = np.fft.ifft if inverse else np.fft.fft
-
-    def rows(block):
-        fft(u[block], axis=-1, out=u[block])
-
-    def cols(block):
-        fft(u[:, block], axis=-2, out=u[:, block])
-
-    _each_block(rows, u.shape[0], u.size)
-    _each_block(cols, u.shape[1], u.size)
+    _each_block(lambda r: fft(u[r], axis=-1, out=u[r]), u.shape[0], u.size)
+    _column_pass(fft, u, u.size)
     return u
 
 
@@ -233,8 +247,12 @@ def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float)
 class _Workspace:
     """One copy of a field, written in place by each element applied to it.
 
-    ``rings`` (the ring index of the clip table) is built on the first hop
-    whose cone clips and reused by every later one.
+    The copy is held either as samples or as their spectrum (``spectral``).
+    A hop transforms it forward only if it holds samples and leaves it a
+    spectrum, so consecutive hops share one transform; every other element,
+    and :meth:`field`, transforms it back first.  ``rings`` (the ring index
+    of the clip table) is built on the first hop whose cone clips and reused
+    by every later one.
     """
 
     def __init__(self, fld: ScalarField, ctx: WaveContext):
@@ -242,6 +260,7 @@ class _Workspace:
         _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n, fld.samples.size)
         self.pitch = fld.pitch
         self.ctx = ctx
+        self.spectral = False
         self._rings = None
 
     @property
@@ -253,6 +272,12 @@ class _Workspace:
             self._rings = _chebyshev_rings(self.n)
         return self._rings
 
+    def _to_samples(self) -> np.ndarray:
+        if self.spectral:
+            _fft2_inplace(self.samples, inverse=True)
+            self.spectral = False
+        return self.samples
+
     def hop(self, distance: float, max_clip_fraction: float) -> None:
         if distance < 0:
             raise ValidationError(f"propagation distance must be >= 0, got {distance}")
@@ -262,7 +287,9 @@ class _Workspace:
         window, wavelength = n * self.pitch, self.ctx.wavelength
         f = _half_freqs(n, self.pitch)
         f_limit = safe_frequency_limit(window, wavelength, distance)
-        _fft2_inplace(u)
+        if not self.spectral:
+            _fft2_inplace(u)
+            self.spectral = True
         # A cone that holds every frequency clips nothing: no table to build.
         if f_limit < f[-1]:
             clipped_at = _clip_curve(u, self.rings(), f, window, wavelength)
@@ -277,7 +304,6 @@ class _Workspace:
                 )
         quadrant = _transfer_quadrant(f, self.ctx.wavenumber, f_limit, distance)
         _multiply_mirrored(u, quadrant, _fft_runs(n))
-        _fft2_inplace(u, inverse=True)
 
     def lens(self, focal: float) -> None:
         if focal == 0 or np.isnan(focal):
@@ -295,21 +321,28 @@ class _Workspace:
             np.exp(q, out=q)
 
         _each_block(build, h, quadrant.size)
-        _multiply_mirrored(self.samples, quadrant, centred_runs(self.n))
+        _multiply_mirrored(self._to_samples(), quadrant, centred_runs(self.n))
 
     def stop(self, radius: float) -> None:
         """Zero the samples outside a centred disk: a bounded lens's aperture."""
-        self.samples[radius_squared(self.n, self.pitch) > radius**2] = 0.0
+        u = self._to_samples()
+        x2 = axis_coords(self.n, self.pitch) ** 2
+
+        def clear(r):
+            u[r][x2[None, :] + x2[r, None] > radius**2] = 0.0
+
+        _each_block(clear, self.n, u.size)
 
     def mask(self, transmission: TransmissionMask) -> None:
-        transmission.multiply_into(self.samples, self.pitch)
+        transmission.multiply_into(self._to_samples(), self.pitch)
 
     def check_finite(self) -> None:
+        # On a spectrum too: a non-finite sample spreads to every frequency.
         if not _all_finite(self.samples):
             raise ValidationError("field samples must all be finite")
 
     def field(self) -> ScalarField:
-        return ScalarField(self.samples, self.pitch)
+        return ScalarField(self._to_samples(), self.pitch)
 
 
 # ---------------------------------------------------------------------------

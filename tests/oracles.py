@@ -12,7 +12,11 @@ it checks:
   straight off the field at the mask, with no propagation;
 * :func:`find_image_plane` locates the image plane by wave optics, which
   checks the ABCD design of a relay;
-* :func:`read_pgm` decodes the PGM files the writer encodes.
+* :func:`read_pgm` decodes the PGM files the writer encodes;
+* :func:`full_grid_transfer`, :func:`disk_kernel` and
+  :func:`aperture_map_formula` build the transfer function, the disk and
+  the aperture convolution on the whole grid in one numpy call each, where
+  the model builds them on quadrants and blocks, in place.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from twinbeam import OutOfWindowError, ScalarField, ValidationError, WaveContext, propagate
+from twinbeam import (OutOfWindowError, ScalarField, ValidationError, WaveContext, propagate,
+                      safe_frequency_limit)
+from twinbeam.field import axis_coords
+
+
+def radius_squared(n: int, pitch: float) -> np.ndarray:
+    """Squared distance x^2 + y^2 from the optical axis at every grid sample."""
+    x2 = axis_coords(n, pitch) ** 2
+    return x2[None, :] + x2[:, None]
 
 # ---------------------------------------------------------------------------
 # Direct-quadrature Fresnel propagation
@@ -60,6 +72,57 @@ def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -
     prefac = fld.pitch**2 / (1j * wavelength * distance)
     out = chirp @ fld.samples @ chirp.T * prefac
     return fld.with_samples(out)
+
+
+# ---------------------------------------------------------------------------
+# Full-grid formulas
+# ---------------------------------------------------------------------------
+
+def full_grid_transfer(n: int, pitch: float, ctx: WaveContext, distance: float) -> np.ndarray:
+    """Band-limited angular-spectrum transfer function on every FFT-ordered sample."""
+    k = ctx.wavenumber
+    f = np.fft.fftfreq(n, d=pitch)
+    fx, fy = f[None, :], f[:, None]
+    kx = 2.0 * np.pi * fx
+    ky = 2.0 * np.pi * fy
+    f_limit = safe_frequency_limit(n * pitch, ctx.wavelength, distance)
+    kz_sq = k**2 - kx**2 - ky**2
+    propagating = kz_sq > 0.0
+    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
+    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
+    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
+    return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+
+
+def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:
+    """Centred disk indicator times the pixel area, shifted into FFT order."""
+    return np.fft.ifftshift((radius_squared(n, pitch) <= radius**2).astype(np.float64)
+                            * pitch**2)
+
+
+def aperture_map_formula(point_map: np.ndarray, pitch: float, radii: tuple,
+                         scale: float = 1.0, real_input: bool = True) -> np.ndarray:
+    """``np.maximum(irfft2(k2 * (k1 * (scale * rfft2(I))), s), 0)``, out of place.
+
+    Each product is named, so that numpy cannot elide it into a swapped
+    in-place product; a ``scale`` of 1 is not applied.  With
+    ``real_input=False`` it is the complex-transform formula
+    ``np.maximum(ifft2(k2 * (k1 * fft2(scale * I))).real, 0)``.
+    """
+    n = point_map.shape[0]
+    if real_input:
+        k1, k2 = (np.fft.rfft2(disk_kernel(n, pitch, r)) for r in radii)
+        spec = np.fft.rfft2(point_map)
+        if scale != 1.0:
+            spec = scale * spec
+    else:
+        k1, k2 = (np.fft.fft2(disk_kernel(n, pitch, r)) for r in radii)
+        spec = np.fft.fft2(scale * point_map)
+    once = k1 * spec
+    twice = k2 * once
+    if real_input:
+        return np.maximum(np.fft.irfft2(twice, s=point_map.shape), 0.0)
+    return np.maximum(np.fft.ifft2(twice).real, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario, traced_peak
-from oracles import coincidence_imaged, rate_from_intensity
+from oracles import (aperture_map_formula, coincidence_imaged, disk_kernel,
+                     rate_from_intensity)
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -24,7 +25,6 @@ from twinbeam import (
 )
 from twinbeam import biphoton
 from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
-from twinbeam.field import radius_squared
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
@@ -268,24 +268,32 @@ class TestProfileInvariants:
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_matches_out_of_place_formula(self, n, radii):
-        # np.maximum(ifft2(K2 * (K1 * fft2(I))).real, 0), each product named
-        # so that numpy cannot elide it into a swapped in-place product
+        # np.maximum(irfft2(K2 * (K1 * rfft2(I)), s), 0) with real-input
+        # transforms; the dark left half rounds to negatives the clamp zeroes
         pitch = 20e-6
         intensity = np.random.default_rng(n).uniform(size=(n, n))
-        k1, k2 = (np.fft.fft2(np.fft.ifftshift(
-            (radius_squared(n, pitch) <= r**2).astype(np.float64) * pitch**2)) for r in radii)
-        spec = np.fft.fft2(intensity)
-        once = k1 * spec
-        twice = k2 * once
-        ref = np.maximum(np.fft.ifft2(twice).real, 0.0)
+        intensity[:, : n // 2] = 0.0
+        ref = aperture_map_formula(intensity, pitch, radii)
         out = aperture_integrated_map(intensity, pitch, *radii)
         assert out.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("radii, bound", [((1e-4, 1e-4), 3.0), ((1e-4, 2e-4), 4.0)])
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
+    def test_aperture_map_is_the_complex_formula_up_to_round_off(self, n, radii):
+        # real-input transforms round differently from complex ones; the
+        # deviation measured here is at most 2.3e-15 of the peak
+        pitch = 20e-6
+        intensity = np.random.default_rng(n).uniform(size=(n, n))
+        ref = aperture_map_formula(intensity, pitch, radii, real_input=False)
+        out = aperture_integrated_map(intensity, pitch, *radii)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * ref.max()
+
+    @pytest.mark.parametrize("radii, bound", [((1e-4, 1e-4), 1.25), ((1e-4, 2e-4), 1.75)])
     def test_aperture_map_works_in_one_complex_array(self, radii, bound):
-        # in units of a complex field of the map's shape: one array for the
-        # map's spectrum, one per distinct disk kernel, the real result, and
-        # the kernel build; out of place it peaked one field higher
+        # in units of a complex field of the map's shape: half a field for
+        # the map's half spectrum and half for each distinct disk kernel,
+        # which are freed before the real result (half a field) is made;
+        # measured 1.04 and 1.51.  Full-size complex arrays would double it
         intensity = gaussian_beam(1e-3, 512, 20e-6).intensity()
         peak = traced_peak(lambda: aperture_integrated_map(intensity, 20e-6, *radii))
         assert peak / (2 * intensity.nbytes) < bound
@@ -294,17 +302,17 @@ class TestProfileInvariants:
     @pytest.mark.parametrize("radius", [1e-4, 0.37e-3, 1.5e-3])  # the last exceeds half the window
     def test_disk_kernel_matches_shifted_full_grid_disk(self, n, radius):
         pitch = 20e-6
-        disk = (radius_squared(n, pitch) <= radius**2).astype(np.float64) * pitch**2
-        ref = np.fft.fft2(np.fft.ifftshift(disk).astype(np.complex128))
+        ref = np.fft.rfft2(disk_kernel(n, pitch, radius))
         out = biphoton._disk_kernel_spectrum(n, pitch, radius)
         assert out.tobytes() == ref.tobytes()
 
     def test_disk_kernel_is_built_in_its_own_array(self):
-        # the kernel is written straight into FFT order and transformed in
-        # place: one field; through a full-grid disk and ifftshift, two
+        # the half spectrum, n x (n//2 + 1), is written straight into FFT
+        # order and only the disk's rows are transformed: half a field
+        # (measured 0.53); through a full-grid disk and ifftshift, 1.5 more
         n, pitch = 512, 20e-6
         peak = traced_peak(lambda: biphoton._disk_kernel_spectrum(n, pitch, 1e-4))
-        assert peak / (n * n * np.dtype(np.complex128).itemsize) < 1.5
+        assert peak / (n * n * np.dtype(np.complex128).itemsize) < 0.75
 
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure lookup on one precomputed map, so sampling

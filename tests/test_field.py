@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import resample_scaled
+from oracles import radius_squared, resample_scaled
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -16,7 +16,7 @@ from twinbeam import (
     power,
     wire_mask,
 )
-from twinbeam.field import radius_squared
+from twinbeam import field
 
 
 class TestWaveContext:
@@ -102,6 +102,27 @@ class TestWireMask:
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError):
             TransmissionMask(np.full((16, 16), 1.5), 1e-5)
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                              (-0.25, r"\[0, 1\]"), (1.5, r"\[0, 1\]")])
+    def test_outside_input_is_checked_at_every_sample(self, bad, message):
+        samples = np.ones((16, 16))
+        samples[11, 5] = bad  # not in the first row
+        with pytest.raises(ValidationError, match=message):
+            TransmissionMask(samples, 1e-5)
+        profile = np.ones(16)
+        profile[5] = bad
+        with pytest.raises(ValidationError, match=message):
+            TransmissionMask(np.broadcast_to(profile, (16, 16)), 1e-5)
+
+    def test_checked_on_its_profile(self, monkeypatch):
+        checked = []
+        all_finite = field._all_finite
+        monkeypatch.setattr(field, "_all_finite",
+                            lambda a: checked.append(a.shape) or all_finite(a))
+        m = wire_mask(0.2e-3, 512, 20e-6)
+        assert checked == [(512,)]
+        assert m.samples.shape == (512, 512) and not m.samples.flags.writeable
 
 
 class TestPower:

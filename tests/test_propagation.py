@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (intensity_ncc, random_band_limited_field, rel_rms,
                       second_moment_radius, traced_peak)
-from oracles import oracle_fresnel_direct, resample_scaled
+from oracles import (full_grid_transfer, oracle_fresnel_direct, radius_squared,
+                     resample_scaled)
 from twinbeam import (
     AliasingRiskError,
     FreeSpace,
@@ -31,8 +32,7 @@ from twinbeam import (
     safe_frequency_limit,
     wire_mask,
 )
-from twinbeam import field, propagation
-from twinbeam.field import radius_squared
+from twinbeam import effective_detector_field, field, load_scenario, propagation
 
 CTX = WaveContext.from_wavelength(425e-9)
 
@@ -100,19 +100,7 @@ class TestPropagate:
 
 def _full_grid_propagate(samples, pitch, ctx, distance):
     """Angular-spectrum hop with the transfer built on every FFT-ordered sample."""
-    n = samples.shape[0]
-    k = ctx.wavenumber
-    f = np.fft.fftfreq(n, d=pitch)
-    fx, fy = f[None, :], f[:, None]
-    kx = 2.0 * np.pi * fx
-    ky = 2.0 * np.pi * fy
-    f_limit = safe_frequency_limit(n * pitch, ctx.wavelength, distance)
-    kz_sq = k**2 - kx**2 - ky**2
-    propagating = kz_sq > 0.0
-    in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
-    kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
-    kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
-    transfer = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+    transfer = full_grid_transfer(samples.shape[0], pitch, ctx, distance)
     spectrum = np.fft.fft2(samples)
     return np.fft.ifft2(spectrum * transfer)
 
@@ -420,6 +408,64 @@ class TestTrains:
             f, CTX, OpticalTrain((ThinLens(0.5, aperture_radius=0.3e-3),))
         )
         assert power(clipped) < power(f)
+
+
+class TestSpectralDomain:
+    """A train transforms only where the domain changes: a hop leaves the
+    working array a spectrum, and the next hop starts from it."""
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        calls = []
+        fft2_inplace = propagation._fft2_inplace
+
+        def counting(u, inverse=False):
+            calls.append(inverse)
+            return fft2_inplace(u, inverse)
+
+        monkeypatch.setattr(propagation, "_fft2_inplace", counting)
+        return calls
+
+    @pytest.mark.parametrize("preset, pairs", [("fig5", 3), ("fig4b", 2)])
+    def test_preset_trains_transform_once_per_stretch_of_hops(self, monkeypatch, preset, pairs):
+        # fig5: mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m;
+        # fig4b: mask, 0.005 m, 0.22 m, lens, 0.45 m
+        calls = self._count_transforms(monkeypatch)
+        effective_detector_field(load_scenario(preset))
+        assert calls == [False, True] * pairs
+
+    def test_non_finite_spectrum_names_the_hop(self, monkeypatch):
+        # the hop leaves a spectrum, checked before the next hop runs on it
+        hop = propagation._Workspace.hop
+
+        def spoiling_hop(ws, distance, max_clip_fraction):
+            hop(ws, distance, max_clip_fraction)
+            if distance == 0.01:
+                ws.samples[0, 0] = np.nan
+
+        monkeypatch.setattr(propagation._Workspace, "hop", spoiling_hop)
+        train = OpticalTrain((FreeSpace(0.01), FreeSpace(0.02), ThinLens(0.2)))
+        with pytest.raises(ValidationError, match=r"element 0 \(FreeSpace\(0.01 m\).*finite"):
+            propagate_train(gaussian_beam(0.15e-3, 64, 20e-6), CTX, train)
+
+    def test_lone_hop_transforms_twice(self, monkeypatch):
+        calls = self._count_transforms(monkeypatch)
+        propagate(gaussian_beam(60e-6, 64, 20e-6), CTX, 0.01)
+        assert calls == [False, True]
+
+    def test_refusal_on_the_second_of_two_hops_matches_hop_by_hop(self, masked_beam):
+        # the first hop's cone clips, so the second hop's clip table is built
+        # from a clipped spectrum that was never transformed back; the clip
+        # moves the safe distance from 5.36 m to 6.49 m
+        f_limit = safe_frequency_limit(masked_beam.window, CTX.wavelength, 2.0)
+        assert f_limit < 0.5 / masked_beam.pitch
+        with pytest.raises(AliasingRiskError) as hop_by_hop:
+            propagate(propagate(masked_beam, CTX, 2.0), CTX, 20.0)
+        assert hop_by_hop.value.max_safe_distance > max_safe_distance(masked_beam, CTX)
+        train = OpticalTrain((FreeSpace(2.0), FreeSpace(20.0)))
+        with pytest.raises(AliasingRiskError, match=r"^element 1 \(FreeSpace\(20 m\)\)") as err:
+            propagate_train(masked_beam, CTX, train)
+        assert err.value.max_safe_distance == hop_by_hop.value.max_safe_distance
 
 
 def _propagate_in_child(f):
