@@ -9,7 +9,6 @@ over long distances without losing it to beam divergence.
 from .biphoton import (
     CoincidenceProfile,
     DetectorSpec,
-    coincidence_rate_map,
     divergence_loss_distance,
     divergence_prefactor,
     effective_detector_field,

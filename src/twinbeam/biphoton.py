@@ -20,6 +20,13 @@ identical arms the sum-coordinate amplitude composes the two arm kernels
 into exactly the pump-wavenumber kernel over the plain geometry, which is
 what makes O = (mask-to-crystal) + (crystal-to-lens) behave as one object
 distance.
+
+kappa and P are scalars, so the aperture-integrated rate map carries
+neither: it is |W|^2 convolved with the two aperture disks.  kappa * P is
+applied to what is read from the map, the scan's rates (and, in
+:mod:`twinbeam.runner`, the map excerpt written as CSV), by one function
+that also validates kappa.  A run that calibrates on its own scan takes
+kappa from the same map, so the map is made once per run.
 """
 
 from __future__ import annotations
@@ -178,23 +185,17 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
 
     Because the rate depends only on the detector coordinate sum, the
     double aperture integral is a convolution of the sum-coordinate map
-    with the two disk indicators.  Equal radii share one kernel.
-    """
-    return _aperture_map(intensity, 1.0, pitch, radius_signal, radius_idler)
-
-
-def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
-                  radius_signal: float, radius_idler: float) -> np.ndarray:
-    """:func:`aperture_integrated_map` of ``scale * intensity``.
+    with the two disk indicators.  Equal radii share one kernel; with two
+    point detectors the map is ``intensity`` itself.
 
     The map is real, so it is convolved with real-input transforms:
-    ``np.maximum(irfft2(k2 * (k1 * (scale * rfft2(I))), s), 0)``, the scale
-    applied to the spectrum.  One n x (n//2 + 1) complex array holds the
-    half spectrum, read by the row ``rfft`` straight from ``intensity``,
-    and all its products (kernel * spec, the order that rounds as the
-    formula does).  After the column ``ifft`` the row ``irfft`` writes into
-    the real result, which the clamp then updates in place.  Each pass is
-    split across the cores, so no full-size copy of the map is made.
+    ``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``.  One n x (n//2 + 1)
+    complex array holds the half spectrum, read by the row ``rfft`` straight
+    from ``intensity``, and all its products (kernel * spec, the order that
+    rounds as the formula does).  After the column ``ifft`` the row
+    ``irfft`` writes into the real result, which the clamp then updates in
+    place.  Each pass is split across the cores, so no full-size copy of
+    the map is made.
     """
     radii = [r for r in (radius_signal, radius_idler) if r > 0]
     for radius in radii:
@@ -204,7 +205,7 @@ def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
                 f"{MIN_APERTURE_SAMPLES} samples across the diameter at pitch {pitch:g} m"
             )
     if not radii:
-        return intensity if scale == 1.0 else scale * intensity
+        return intensity
     n = intensity.shape[0]
     kernels = {r: _disk_kernel_spectrum(n, pitch, r) for r in set(radii)}
     spec = np.empty((n, n // 2 + 1), np.complex128)
@@ -212,8 +213,6 @@ def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
     _column_pass(np.fft.fft, spec, intensity.size)
 
     def products(r):
-        if scale != 1.0:
-            np.multiply(scale, spec[r], out=spec[r])
         for radius in radii:
             np.multiply(kernels[radius][r], spec[r], out=spec[r])
 
@@ -232,23 +231,14 @@ def _aperture_map(intensity: np.ndarray, scale: float, pitch: float,
     return rates
 
 
-def coincidence_rate_map(scenario: "Scenario", detector_field: ScalarField,
-                         apertures: tuple[float, float],
-                         kappa: float = 1.0) -> tuple[np.ndarray, float]:
-    """Aperture-integrated coincidence rate over the sum-coordinate grid.
-
-    ``detector_field`` comes from :func:`effective_detector_field`;
-    ``apertures`` are the moving and the fixed detector radii, in that
-    order.  Returns the 2D rate map and its pitch.
-    """
+def _rate_scale(scenario: "Scenario", kappa: float) -> float:
+    """kappa * P, the factor from the kappa-free rate map to pairs/s."""
     if not (kappa > 0 and np.isfinite(kappa)):
         raise ValidationError(f"kappa must be positive and finite, got {kappa}")
-    prefactor = 1.0
-    if scenario.include_divergence_prefactor:
-        k_p = 2.0 * np.pi / scenario.pump.wavelength_m
-        prefactor = divergence_prefactor(k_p, divergence_loss_distance(scenario))
-    pitch = detector_field.pitch
-    return _aperture_map(detector_field.intensity(), kappa * prefactor, pitch, *apertures), pitch
+    if not scenario.include_divergence_prefactor:
+        return kappa
+    k_p = 2.0 * np.pi / scenario.pump.wavelength_m
+    return kappa * divergence_prefactor(k_p, divergence_loss_distance(scenario))
 
 
 def scan_points(scenario: "Scenario"):
@@ -270,10 +260,14 @@ def scan_points(scenario: "Scenario"):
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
 
 
-def read_profile(rate_map: np.ndarray, pitch: float, coords: np.ndarray,
-                 points: tuple) -> CoincidenceProfile:
-    """Profile of one scan: the rate map read at every scan point at once."""
-    return CoincidenceProfile(coords, np.maximum(bilinear_sample(rate_map, pitch, *points), 0.0))
+def _scan_stage(scenario: "Scenario"):
+    """The one path from a scenario to its scan, before kappa and P: the scanned
+    coordinates, the detector field, its rate map and that map read at every
+    scan point at once."""
+    coords, points, apertures = scan_points(scenario)
+    w = effective_detector_field(scenario)
+    rate_map = aperture_integrated_map(w.intensity(), w.pitch, *apertures)
+    return coords, w, rate_map, bilinear_sample(rate_map, w.pitch, *points)
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:
@@ -284,7 +278,6 @@ def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfil
     computed once; every scan point is a pure read of that map, so
     evaluation order cannot change the result.
     """
-    coords, points, apertures = scan_points(scenario)
-    w = effective_detector_field(scenario)
-    rate_map, pitch = coincidence_rate_map(scenario, w, apertures, kappa)
-    return read_profile(rate_map, pitch, coords, points)
+    scale = _rate_scale(scenario, kappa)
+    coords, _, _, raw = _scan_stage(scenario)
+    return CoincidenceProfile(coords, scale * raw)

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import fileio
 from .biphoton import scan_detector
 from .counting import sweep_distance
-from .errors import PhysicsError, TwinbeamError, ValidationError
+from .errors import TwinbeamError, ValidationError
 from .paraxial import design_telescope
 from .runner import resolve_kappa, run
 from .scenario import compare_profiles, load_scenario, telescope_scenario_fragment
@@ -191,10 +191,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except PhysicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except TwinbeamError as exc:  # pragma: no cover
+    except TwinbeamError as exc:  # every other package error is a PhysicsError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

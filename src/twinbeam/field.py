@@ -147,7 +147,8 @@ class ScalarField:
     pitch: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        # A read-only view: the caller's own array stays writable.
+        arr = np.asarray(self.samples, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -192,7 +193,7 @@ class TransmissionMask:
     pitch: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.asarray(self.samples, dtype=np.float64).view()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

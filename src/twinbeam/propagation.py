@@ -17,7 +17,8 @@ consecutive hops costs one forward and one inverse FFT: fig5's train (mask,
 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m) makes 6 transforms and fig4b's
 makes 4, and a lone :func:`propagate` makes 2.  Each hop still has its own
 band-limit cone, its own clip check and refusal distance, and its own
-finiteness check (on the spectrum).  This is the standard composition of
+finiteness check (on the spectrum; the train's last element is checked
+once, on the samples it ends with).  This is the standard composition of
 angular-spectrum steps (Schmidt, *Numerical Simulation of Optical Wave
 Propagation*, SPIE 2010, ch. 7); the hops are not merged into one.
 
@@ -44,7 +45,7 @@ The results equal the out-of-place formulas byte for byte:
   enters a commutative operation is overwritten in place with the operands
   swapped, so ``u * quadrant[np.ix_(i, j)]`` computes ``gathered * u``;
 * ``np.fft.ifft2`` ignores ``out=`` (numpy 2.4 passes ``out=None`` on), so
-  the inverse is ``np.fft.ifftn(u, axes=(-2, -1), out=u)``.
+  the inverse runs numpy's 1-D ``ifft``, which writes into ``out=``.
 
 ``out=`` on the ``numpy.fft`` functions needs numpy 2.0.
 
@@ -61,9 +62,10 @@ table's ``|u|^2`` and rings, the finiteness check) is elementwise: a
 worker evaluates the expression, operands in the same order, on a block of
 rows and writes it into an array the caller allocated.  The only reduction
 split is the finiteness check's sum, which is never kept; ``bincount``
-stays serial.  So the result equals the one call byte for byte, whatever
-the number of blocks; smaller arrays, and a process allowed one core, make
-that call.
+stays serial.  So the result equals the one-call expression byte for byte,
+whatever the number of blocks; smaller arrays, and a process allowed one
+core, run each pass as one call over the whole array (a transform as one
+row call and one column call), on the same code path.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
 from .field import (ScalarField, TransmissionMask, WaveContext, _abs_square, _all_finite,
-                    _each_block, _each_mirrored_block, _splits, axis_coords, centred_runs)
+                    _each_block, _each_mirrored_block, axis_coords, centred_runs)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -98,12 +100,9 @@ def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``np.fft.fft2(u)`` (or ``ifftn`` over both axes), written into ``u``.
 
     The row pass, then the column pass, each split into one block per core
-    (see the module docstring for why this is byte-identical).
+    when :func:`twinbeam.field._splits` says so, else one call (see the
+    module docstring for why this is byte-identical either way).
     """
-    if not _splits(u.size):
-        if inverse:
-            return np.fft.ifftn(u, axes=(-2, -1), out=u)
-        return np.fft.fft2(u, out=u)
     fft = np.fft.ifft if inverse else np.fft.fft
     _each_block(lambda r: fft(u[r], axis=-1, out=u[r]), u.shape[0], u.size)
     _column_pass(fft, u, u.size)
@@ -459,7 +458,6 @@ def _apply_element(ws: _Workspace, el: OpticalElement, max_clip_fraction: float)
             ws.stop(el.aperture_radius)
     else:
         ws.mask(el.transmission)
-    ws.check_finite()
 
 
 def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
@@ -467,12 +465,17 @@ def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
     """Apply every element of the train in order, on one copy of the field.
 
     Element errors are re-raised with the element index prepended so a
-    failing stage of a long train is identifiable.
+    failing stage of a long train is identifiable.  Each element's output is
+    checked for finiteness once: the last one's by the ScalarField it becomes.
     """
     ws = _Workspace(fld, ctx)
+    last = len(train.elements) - 1
     for i, el in enumerate(train.elements):
         try:
             _apply_element(ws, el, max_clip_fraction)
+            if i == last:
+                return ws.field()
+            ws.check_finite()
         except AliasingRiskError as exc:
             raise AliasingRiskError(
                 f"element {i} ({el.describe()}): {exc}", exc.max_safe_distance

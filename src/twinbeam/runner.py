@@ -1,7 +1,8 @@
 """Config-driven experiment runs: profile, counts, metrics, artifacts.
 
 A run propagates the unfolded train once and builds one aperture-integrated
-rate map; the profile, Poisson counts, dip/peak metrics and CSV/PGM
+rate map, which carries no kappa, also when the run calibrates kappa on its
+own scan; the profile, Poisson counts, dip/peak metrics and CSV/PGM
 artifacts all come from that field and map, plus a JSON report.  Identical
 scenario and seed give byte-identical artifacts.
 """
@@ -20,12 +21,10 @@ import numpy as np
 from . import fileio
 from .biphoton import (
     CoincidenceProfile,
-    coincidence_rate_map,
+    _rate_scale,
+    _scan_stage,
     divergence_loss_distance,
-    effective_detector_field,
-    read_profile,
     scan_detector,
-    scan_points,
 )
 from .field import axis_coords
 from .counting import CountedProfile, sample_counts, snr
@@ -131,28 +130,27 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     if kappa is None and scenario.calibration.pairs_per_s is None:
         kappa = resolve_kappa(scenario)
 
-    scan_coords, points, apertures = scan_points(scenario)
-    w_eff = effective_detector_field(scenario)
-    if kappa is None:
-        # The scenario is its own calibration reference: calibrate on the
-        # field of this run, so the train propagates once.
-        raw_map, pitch = coincidence_rate_map(scenario, w_eff, apertures, 1.0)
-        raw_peak = read_profile(raw_map, pitch, scan_coords, points).peak_rate
-        kappa = _calibrated_kappa(scenario, raw_peak)
-    rate_map, pitch = coincidence_rate_map(scenario, w_eff, apertures, kappa)
-    profile = read_profile(rate_map, pitch, scan_coords, points)
+    scale = None if kappa is None else _rate_scale(scenario, kappa)
+    scan_coords, w_eff, rate_map, raw = _scan_stage(scenario)
+    if scale is None:
+        # The scenario is its own calibration reference: its scan at
+        # kappa = 1 calibrates it, so the train and the map are made once.
+        kappa = _calibrated_kappa(scenario, _rate_scale(scenario, 1.0) * raw.max())
+        scale = _rate_scale(scenario, kappa)
+    profile = CoincidenceProfile(scan_coords, scale * raw)
     counted = sample_counts(profile, scenario.counting)
     metrics = profile_metrics(profile, counted)
     metrics["divergence_loss_distance_m"] = divergence_loss_distance(scenario)
 
-    # 2D coincidence map: full resolution as PGM, cropped to the scan region
-    # and thinned to at most ~256 points per axis for the CSV
-    coords = axis_coords(rate_map.shape[0], pitch)
+    # 2D coincidence map: full resolution as PGM, normalised to its own peak,
+    # and cropped to the scan region, thinned to at most ~256 points per axis
+    # and scaled to pairs/s for the CSV
+    coords = axis_coords(rate_map.shape[0], w_eff.pitch)
     margin = 1e-3
     keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)
                           & (coords <= scenario.scan.stop_m + margin))
     keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
-    cropped = rate_map[np.ix_(keep, keep)]
+    cropped = scale * rate_map[np.ix_(keep, keep)]
 
     # The output directory is made only once every number is computed, so a
     # run refused on the way writes nothing.

@@ -101,23 +101,20 @@ def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:
 
 
 def aperture_map_formula(point_map: np.ndarray, pitch: float, radii: tuple,
-                         scale: float = 1.0, real_input: bool = True) -> np.ndarray:
-    """``np.maximum(irfft2(k2 * (k1 * (scale * rfft2(I))), s), 0)``, out of place.
+                         real_input: bool = True) -> np.ndarray:
+    """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``, out of place.
 
     Each product is named, so that numpy cannot elide it into a swapped
-    in-place product; a ``scale`` of 1 is not applied.  With
-    ``real_input=False`` it is the complex-transform formula
-    ``np.maximum(ifft2(k2 * (k1 * fft2(scale * I))).real, 0)``.
+    in-place product.  With ``real_input=False`` it is the complex-transform
+    formula ``np.maximum(ifft2(k2 * (k1 * fft2(I))).real, 0)``.
     """
     n = point_map.shape[0]
     if real_input:
         k1, k2 = (np.fft.rfft2(disk_kernel(n, pitch, r)) for r in radii)
         spec = np.fft.rfft2(point_map)
-        if scale != 1.0:
-            spec = scale * spec
     else:
         k1, k2 = (np.fft.fft2(disk_kernel(n, pitch, r)) for r in radii)
-        spec = np.fft.fft2(scale * point_map)
+        spec = np.fft.fft2(point_map)
     once = k1 * spec
     twice = k2 * once
     if real_input:

@@ -12,7 +12,6 @@ from twinbeam import (
     ValidationError,
     WaveContext,
     bilinear_sample,
-    coincidence_rate_map,
     divergence_loss_distance,
     divergence_prefactor,
     effective_detector_field,
@@ -87,13 +86,12 @@ class TestCoincidenceFree:
             rate_from_intensity(free_field.intensity(), free_field.pitch, (1e-2, 0.0))
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
-    def test_kappa_must_be_positive_and_finite(self, free_field, kappa):
+    def test_kappa_must_be_positive_and_finite(self, kappa):
         with pytest.raises(ValidationError, match="kappa must be positive and finite"):
-            coincidence_rate_map(free_scenario(), free_field, (0.0, 0.0), kappa)
+            scan_detector(free_scenario(), kappa=kappa)
 
-    def test_kappa_scales_linearly(self, free_field):
-        r1, r7 = (coincidence_rate_map(free_scenario(), free_field, (0.0, 0.0), kappa)[0]
-                  for kappa in (1.0, 7.0))
+    def test_kappa_scales_linearly(self):
+        r1, r7 = (scan_detector(free_scenario(), kappa=kappa).rates for kappa in (1.0, 7.0))
         assert np.allclose(r7, 7.0 * r1, rtol=1e-12, atol=0.0)
 
 
@@ -231,9 +229,11 @@ class TestScanDetector:
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         w = effective_detector_field(scenario)
-        rate_map, pitch = coincidence_rate_map(scenario, w, (1e-4, 1e-4), kappa=2.0)
+        # the map carries no kappa and no P: they scale what is read from it
+        rate_map = aperture_integrated_map(w.intensity(), w.pitch, 1e-4, 1e-4)
+        scale = 2.0 * divergence_prefactor(K_P, divergence_loss_distance(scenario))
         profile = scan_detector(scenario, kappa=2.0)
-        mid = [bilinear_sample(rate_map, pitch, x, 0.0) for x in profile.coordinates]
+        mid = [scale * bilinear_sample(rate_map, w.pitch, x, 0.0) for x in profile.coordinates]
         assert np.allclose(profile.rates, mid, rtol=1e-12)
 
 
@@ -321,7 +321,8 @@ class TestProfileInvariants:
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
-        rate_map, pitch = coincidence_rate_map(scenario, w, (1e-4, 1e-4), kappa=1.0)
-        reversed_rates = [bilinear_sample(rate_map, pitch, x, 0.0)
+        rate_map = aperture_integrated_map(w.intensity(), w.pitch, 1e-4, 1e-4)
+        reversed_rates = [bilinear_sample(rate_map, w.pitch, x, 0.0)
                           for x in profile.coordinates[::-1]]
-        assert np.array_equal(np.array(reversed_rates)[::-1], profile.rates)
+        scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
+        assert np.array_equal(scale * np.array(reversed_rates)[::-1], profile.rates)

@@ -124,6 +124,12 @@ class TestWireMask:
         assert checked == [(512,)]
         assert m.samples.shape == (512, 512) and not m.samples.flags.writeable
 
+    def test_leaves_the_callers_array_writable(self):
+        samples = np.ones((16, 16))
+        m = TransmissionMask(samples, 1e-5)
+        samples[0, 0] = 0.0
+        assert not m.samples.flags.writeable and np.shares_memory(m.samples, samples)
+
 
 class TestPower:
     def test_zero_field(self):
@@ -165,6 +171,12 @@ class TestScalarFieldValidation:
         f = gaussian_beam(0.15e-3, 64, 20e-6)
         with pytest.raises(ValueError):
             f.samples[0, 0] = 5.0
+
+    def test_leaves_the_callers_array_writable(self):
+        samples = np.ones((16, 16), complex)
+        f = ScalarField(samples, 1e-5)
+        samples[0, 0] = 0.0
+        assert not f.samples.flags.writeable and np.shares_memory(f.samples, samples)
 
 
 class TestBilinearSample:

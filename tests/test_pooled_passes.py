@@ -10,11 +10,11 @@ grids are at least 128 wide so that their complex arrays reach numpy's
 import numpy as np
 import pytest
 
-from conftest import PUMP_WAVELENGTH, make_scenario, traced_peak
+from conftest import PUMP_WAVELENGTH, make_scenario
 from oracles import aperture_map_formula, full_grid_transfer, radius_squared
 from twinbeam import (ScalarField, TransmissionMask, ValidationError, WaveContext,
-                      apply_thin_lens, biphoton, field, gaussian_beam, propagation,
-                      safe_frequency_limit)
+                      apply_thin_lens, bilinear_sample, biphoton, field, gaussian_beam,
+                      propagation, safe_frequency_limit)
 
 CTX = WaveContext.from_wavelength(PUMP_WAVELENGTH)
 PITCH = 20e-6
@@ -216,30 +216,18 @@ def test_aperture_map(n, pool, radii):
     pool.check()
 
 
-def test_rate_map_scales_into_the_convolution(n, pool):
+def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
+    # the map carries no kappa and no P: kappa * P multiplies the reads
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
     detector_field = ScalarField(_random_field(n), PITCH)
+    monkeypatch.setattr(biphoton, "effective_detector_field", lambda scenario: detector_field)
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
-    prefactor = biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
-    rate_map, _ = biphoton.coincidence_rate_map(scenario, detector_field, (1e-4, 1e-4), kappa)
-    ref = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4),
-                               scale=kappa * prefactor)
-    assert rate_map.tobytes() == ref.tobytes()
+    scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
+    profile = biphoton.scan_detector(scenario, kappa=kappa)
+    rate_map = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4))
+    ref = scale * bilinear_sample(rate_map, PITCH, profile.coordinates, 0.0)
+    assert profile.rates.tobytes() == ref.tobytes()
     pool.check()
 
-
-def test_rate_map_makes_no_scaled_copy(pool):
-    # in units of a complex field: the map's half spectrum and the shared
-    # disk kernel, half a field each, then the real result in the kernel's
-    # place; measured 1.01.  A scaled copy of the cached intensity would
-    # add half a field
-    n = 512
-    scenario = make_scenario(n=n, pitch=PITCH, aperture=1e-4)
-    detector_field = gaussian_beam(1e-3, n, PITCH)
-    detector_field.intensity()
-    peak = traced_peak(lambda: biphoton.coincidence_rate_map(
-        scenario, detector_field, (1e-4, 1e-4), kappa=3.0))
-    assert peak / detector_field.samples.nbytes < 1.25
-    pool.check()

@@ -275,15 +275,15 @@ class TestSafeDistance:
         propagate_train(f, CTX, OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01))))
 
     def test_refusal_transforms_the_field_once(self, monkeypatch):
+        # a hop's own transform, or max_safe_distance's out-of-place one
         f = gaussian_beam(60e-6, 64, 20e-6)
         calls = []
-        fft2 = np.fft.fft2
+        for module, name in ((propagation, "_fft2_inplace"), (np.fft, "fft2")):
+            def counting(u, *args, transform=getattr(module, name), **kwargs):
+                calls.append(u.shape)
+                return transform(u, *args, **kwargs)
 
-        def counting_fft2(*args, **kwargs):
-            calls.append(args[0].shape)
-            return fft2(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+            monkeypatch.setattr(module, name, counting)
         with pytest.raises(AliasingRiskError) as err:
             propagate(f, CTX, 2.0)
         assert calls == [(64, 64)]
@@ -481,9 +481,8 @@ class TestSplitTransform:
         forward, inverse = np.fft.fft2(a), np.fft.ifftn(a, axes=(-2, -1))
         monkeypatch.setattr(field, "_SPLIT_MIN_SIZE", 0)
         monkeypatch.setattr(field, "_worker_count", lambda: workers)
-        if workers > 1:  # the transform must really be split
-            for name in ("fft2", "ifftn"):
-                monkeypatch.setattr(np.fft, name, None)
+        for name in ("fft2", "ifftn"):  # one worker too runs the row and column passes
+            monkeypatch.setattr(np.fft, name, None)
         u = a.copy()
         assert propagation._fft2_inplace(u) is u
         assert np.array_equal(u, forward)

@@ -126,6 +126,43 @@ def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
     assert report.kappa == kappa
 
 
+@pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 2)])
+def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
+    # fig4b calibrates on its own scan, fig5 on fig4b's; both radii are
+    # equal, so each rate map builds one disk kernel
+    from twinbeam import biphoton
+
+    builds = []
+    build = biphoton._disk_kernel_spectrum
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(biphoton, "_disk_kernel_spectrum", counting_build)
+    run(load_scenario(preset), tmp_path)
+    assert len(builds) == maps
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
+def test_run_kappa_must_be_positive_and_finite(tmp_path, train_calls, kappa):
+    with pytest.raises(ValidationError, match="kappa must be positive and finite"):
+        run(_small_scenario(), tmp_path, kappa=kappa)
+    assert train_calls == [] and not any(tmp_path.iterdir())  # refused before the train
+
+
+def test_kappa_scales_what_is_read_from_the_map(tmp_path):
+    one = run(_small_scenario(), tmp_path / "one", kappa=1.0)
+    seven = run(_small_scenario(), tmp_path / "seven", kappa=7.0)
+    assert np.allclose(seven.profile.rates, 7.0 * one.profile.rates, rtol=1e-12, atol=0.0)
+    maps = [np.loadtxt(tmp_path / d / "rate_map.csv", delimiter=",", skiprows=1)[:, 2]
+            for d in ("one", "seven")]
+    assert maps[0].max() > 0 and np.allclose(maps[1], 7.0 * maps[0], rtol=1e-12, atol=0.0)
+    # the PGMs are normalised to their own peak
+    for name in ("rate_map.pgm", "detector_field.pgm"):
+        assert seven.manifest[name] == one.manifest[name]
+
+
 def test_self_calibrating_run_rejects_a_zero_peak(tmp_path):
     # a wire as wide as the window blocks the whole pump
     scenario = make_scenario(waist=0.5e-3, wire=256 * 20e-6, n=256, scan=(-1e-3, 1e-3, 1e-4))
