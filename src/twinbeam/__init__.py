@@ -34,6 +34,7 @@ from .errors import (
 )
 from .field import (
     ScalarField,
+    SeparableField,
     TransmissionMask,
     WaveContext,
     bilinear_sample,

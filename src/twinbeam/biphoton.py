@@ -21,6 +21,13 @@ into exactly the pump-wavenumber kernel over the plain geometry, which is
 what makes O = (mask-to-crystal) + (crystal-to-lens) behave as one object
 distance.
 
+The pump enters that train as the two 1-D factors of its Gaussian
+(:func:`pump_input_field`), and the train's first element, the wire mask,
+multiplies only the row factor.  The first hop then writes the spectrum
+from the factors' 1-D transforms, so no 2-D pump is built and the first
+stretch of hops makes no forward 2-D transform: fig5's train makes 5 2-D
+transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
+
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks.  kappa * P is
 applied to what is read from the map, the scan's rates (and, in
@@ -37,8 +44,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SamplingError, ValidationError
-from .field import (ScalarField, WaveContext, _each_block, bilinear_sample, gaussian_beam,
-                    wire_mask)
+from .field import (ScalarField, SeparableField, WaveContext, _each_block, bilinear_sample,
+                    separable_gaussian, wire_mask)
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _column_pass, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,9 +81,9 @@ def divergence_prefactor(pump_wavenumber: float, distance: float) -> float:
 # Scenario unfolding
 # ---------------------------------------------------------------------------
 
-def pump_input_field(scenario: "Scenario") -> ScalarField:
-    """Pump Gaussian at the input (mask) plane."""
-    return gaussian_beam(scenario.pump.waist_m, scenario.grid.n, scenario.grid.pitch_m)
+def pump_input_field(scenario: "Scenario") -> SeparableField:
+    """Pump Gaussian at the input (mask) plane, as its two 1-D factors."""
+    return separable_gaussian(scenario.pump.waist_m, scenario.grid.n, scenario.grid.pitch_m)
 
 
 def _leg(lenses: tuple, length: float) -> list:
@@ -120,7 +127,8 @@ def divergence_loss_distance(scenario: "Scenario") -> float:
 
 
 def effective_detector_field(scenario: "Scenario") -> ScalarField:
-    """Pump field propagated through the unfolded train to the detectors."""
+    """Pump field propagated through the unfolded train to the detectors;
+    it equals the train of :func:`~twinbeam.field.gaussian_beam` to rounding."""
     ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
     return propagate_train(pump_input_field(scenario), ctx, unfolded_pump_train(scenario))
 

@@ -186,6 +186,40 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
+class SeparableField:
+    """A field whose samples are ``outer(column, row)``: sample (j, i) is
+    ``column[j] * row[i]``, on the centred square grid of a ScalarField.
+    The factors are held as read-only complex views, as ScalarField holds
+    its samples, so no train that starts from them writes the caller's arrays.
+    """
+
+    column: np.ndarray
+    row: np.ndarray
+    pitch: float
+
+    def __post_init__(self):
+        for name in ("column", "row"):
+            arr = np.asarray(getattr(self, name), dtype=np.complex128).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+            if arr.ndim != 1:
+                raise ValidationError(f"{name} factor must be 1D, got shape {arr.shape}")
+            if not _all_finite(arr):
+                raise ValidationError(f"{name} factor samples must all be finite")
+        if self.column.size != self.row.size:
+            raise ValidationError(f"factors must have one length, got {self.column.size} "
+                                  f"and {self.row.size}")
+        if self.n < MIN_GRID:
+            raise ValidationError(f"grid must be at least {MIN_GRID}x{MIN_GRID}, got {self.n}")
+        if not (self.pitch > 0 and np.isfinite(self.pitch)):
+            raise ValidationError(f"pitch must be positive, got {self.pitch}")
+
+    @property
+    def n(self) -> int:
+        return self.row.size
+
+
+@dataclass(frozen=True)
 class TransmissionMask:
     """Real amplitude transmission in [0, 1] on the ScalarField grid."""
 
@@ -212,10 +246,14 @@ class TransmissionMask:
     def n(self) -> int:
         return self.samples.shape[0]
 
+    def check_grid(self, shape: tuple, pitch: float) -> None:
+        """Refuse a field grid of another shape or pitch than this mask's."""
+        if shape != self.samples.shape or pitch != self.pitch:
+            raise ValidationError("mask grid does not match field grid")
+
     def multiply_into(self, samples: np.ndarray, pitch: float) -> np.ndarray:
         """Multiply a writable field array on this mask's grid in place."""
-        if samples.shape != self.samples.shape or pitch != self.pitch:
-            raise ValidationError("mask grid does not match field grid")
+        self.check_grid(samples.shape, pitch)
         _each_block(lambda r: np.multiply(samples[r], self.samples[r], out=samples[r]),
                     self.n, samples.size)
         return samples
@@ -227,6 +265,20 @@ class TransmissionMask:
 def power(fld: ScalarField) -> float:
     """Total power proxy: sum of |samples|^2 times the pixel area."""
     return float(np.sum(fld.intensity()) * fld.pitch**2)
+
+
+def _check_gaussian_sampling(waist: float, n: int, pitch: float) -> None:
+    """Refuse an under-resolved waist, and a window without a 6-waist guard band."""
+    if waist <= 2 * pitch:
+        raise SamplingError(
+            f"waist {waist:g} m must exceed 2 pitches ({2 * pitch:g} m)"
+        )
+    if n * pitch <= 6 * waist:
+        needed = int(np.ceil(6 * waist / pitch)) + 1
+        raise SamplingError(
+            f"window {n * pitch:g} m too small for waist {waist:g} m; "
+            f"need N > {needed} at pitch {pitch:g} m"
+        )
 
 
 def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
@@ -247,16 +299,7 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
         If the waist is under-resolved, or the window does not leave a
         guard band of at least 6 waists.
     """
-    if waist <= 2 * pitch:
-        raise SamplingError(
-            f"waist {waist:g} m must exceed 2 pitches ({2 * pitch:g} m)"
-        )
-    if n * pitch <= 6 * waist:
-        needed = int(np.ceil(6 * waist / pitch)) + 1
-        raise SamplingError(
-            f"window {n * pitch:g} m too small for waist {waist:g} m; "
-            f"need N > {needed} at pitch {pitch:g} m"
-        )
+    _check_gaussian_sampling(waist, n, pitch)
     # exp(-rho^2 / waist^2) on the quadrant of distances |i - n//2| from the
     # axis, mirrored onto the grid
     h = n // 2 + 1
@@ -273,6 +316,15 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
     samples = np.empty((n, n), np.complex128)
     _each_mirrored_block(np.copyto, samples, quadrant, centred_runs(n))
     return ScalarField(samples, pitch)
+
+
+def separable_gaussian(waist: float, n: int, pitch: float) -> SeparableField:
+    """The beam of :func:`gaussian_beam` as its two equal 1-D factors,
+    exp(-rho^2 / waist^2) = exp(-y^2 / waist^2) * exp(-x^2 / waist^2), with
+    the same checks.  Its samples agree with that beam's to rounding."""
+    _check_gaussian_sampling(waist, n, pitch)
+    profile = np.exp(-axis_coords(n, pitch) ** 2 / waist**2)
+    return SeparableField(profile, profile, pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:

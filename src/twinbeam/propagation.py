@@ -13,25 +13,39 @@ transforms the array forward only if it holds samples, multiplies it by the
 transfer function and leaves it a spectrum; the next hop starts from that
 spectrum.  A lens, a lens stop, a mask and the end of the train transform
 it back first, and only if it is a spectrum.  So each stretch of
-consecutive hops costs one forward and one inverse FFT: fig5's train (mask,
-0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m) makes 6 transforms and fig4b's
-makes 4, and a lone :func:`propagate` makes 2.  Each hop still has its own
-band-limit cone, its own clip check and refusal distance, and its own
-finiteness check (on the spectrum; the train's last element is checked
-once, on the samples it ends with).  This is the standard composition of
-angular-spectrum steps (Schmidt, *Numerical Simulation of Optical Wave
-Propagation*, SPIE 2010, ch. 7); the hops are not merged into one.
+consecutive hops costs one forward and one inverse FFT, and a lone
+:func:`propagate` makes 2.  Each hop still has its own band-limit cone, its
+own clip check and refusal distance, and its own finiteness check (on the
+spectrum; the train's last element is checked once, on the samples it ends
+with).  This is the standard composition of angular-spectrum steps
+(Schmidt, *Numerical Simulation of Optical Wave Propagation*, SPIE 2010,
+ch. 7); the hops are not merged into one.
 
-:func:`propagate_train` copies the input field once; each element then
-writes into the complex array it reads, and the array is wrapped in a
-ScalarField only at the end.  A hop's transfer function and a lens's phase
-depend on two half axes only, so each is built on one quadrant of the grid
-and the working array is multiplied by it block by block, four slice
-products reading the quadrant mirrored; no second full-size array is made.
-The transfer is zero outside the band-limit cone, so it is evaluated only
-on the cone's block of the quadrant, and the clip table is built only for
-a hop whose cone leaves frequencies out.  :func:`propagate` and
-:func:`apply_thin_lens` are one copy plus the same in-place kernels.
+A train may also start from a :class:`~twinbeam.field.SeparableField`, the
+form the pump takes: a Gaussian, wire-masked or not, is ``outer(column,
+row)``, and so is its spectrum, ``outer(fft(column), fft(row))``.  The
+working array then holds the two factors until an element needs the grid.
+A mask whose rows all repeat one profile (a ``wire_mask``) multiplies the
+row factor; a hop writes the spectrum from the factors' 1-D transforms, in
+one pass with no 2-D transform; any other element, and the end of the
+train, writes the samples.  Held as factors, the array is checked for
+finiteness on both.  So fig5's train (mask, 0.005 m, 0.25 m, lens, 2.25 m,
+lens, 0.5 m) makes 5 2-D transforms, fig4b's makes 3 and a free sweep row
+1: the first stretch of hops costs only its inverse.
+
+:func:`propagate_train` copies a ScalarField input once (a SeparableField
+is not copied); each element then writes into the complex array it reads,
+and the array is wrapped in a ScalarField only at the end.  A hop's
+transfer function and a lens's phase depend on two half axes only, so each
+is built on one quadrant of the grid and the working array is multiplied by
+it block by block, four slice products reading the quadrant mirrored; no
+second full-size array is made.  The transfer is zero outside the
+band-limit cone, so it is evaluated only on the cone's block of the
+quadrant.  A hop whose cone leaves frequencies out sums the power outside
+the cone's square in one pass; only a hop that refuses builds the table of
+power per ring, which gives its clip fraction and safe distance.
+:func:`propagate` and :func:`apply_thin_lens` are one copy plus the same
+in-place kernels.
 
 The results equal the out-of-place formulas byte for byte:
 ``ifft2(fft2(u) * transfer)`` for a hop,
@@ -56,16 +70,18 @@ one persistent thread pool (numpy's ufuncs and pocketfft release the GIL).
 Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
 ``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
 and ``ifftn`` do themselves, line by line with the same routine, axis
-order and 1/n scaling.  Every other pass (the input copy, the transfer and
-lens builds, the mirrored and mask products, the lens stop, the clip
-table's ``|u|^2`` and rings, the finiteness check) is elementwise: a
-worker evaluates the expression, operands in the same order, on a block of
-rows and writes it into an array the caller allocated.  The only reduction
-split is the finiteness check's sum, which is never kept; ``bincount``
-stays serial.  So the result equals the one-call expression byte for byte,
-whatever the number of blocks; smaller arrays, and a process allowed one
-core, run each pass as one call over the whole array (a transform as one
-row call and one column call), on the same code path.
+order and 1/n scaling.  Every other pass (the input copy, the outer
+product of the factors, the transfer and lens builds, the mirrored and mask
+products, the lens stop, the clip table's ``|u|^2`` and rings, the
+finiteness check) is elementwise: a worker evaluates the expression,
+operands in the same order, on a block of rows and writes it into an array
+the caller allocated.  The reductions split are the finiteness check's
+sum, which is never kept, and the clipped power's row sums, each row
+summed whole by one worker; ``bincount`` stays serial.  So the result
+equals the one-call expression byte for byte, whatever the number of
+blocks; smaller arrays, and a process allowed one core, run each pass as
+one call over the whole array (a transform as one row call and one column
+call), on the same code path.
 """
 
 from __future__ import annotations
@@ -76,13 +92,16 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
-from .field import (ScalarField, TransmissionMask, WaveContext, _abs_square, _all_finite,
-                    _each_block, _each_mirrored_block, axis_coords, centred_runs)
+from .field import (ScalarField, SeparableField, TransmissionMask, WaveContext, _abs_square,
+                    _all_finite, _each_block, _each_mirrored_block, axis_coords, centred_runs)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
 # grossly under-sampled propagation still errors out.
 DEFAULT_MAX_CLIP_FRACTION = 0.05
+
+# Samples per |u|^2 temporary of _clipped_fraction: 512 KiB of floats.
+_CLIP_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +198,35 @@ def _clip_curve(spectrum: np.ndarray, rings: np.ndarray, ring_f: np.ndarray,
     return clipped
 
 
+def _clipped_fraction(spectrum: np.ndarray, m: int) -> float:
+    """Power fraction of an FFT-ordered spectrum outside the square of its
+    first ``m`` Chebyshev rings: the samples with ``m <= i <= n - m`` in
+    either index, which a cone that keeps ``m`` rings clips.
+
+    It is the clip fraction of :func:`_clip_curve` with no ring index: each
+    row's power, in all and outside the square, is summed a few rows at a
+    time, so no full-size temporary is made, and the rows are summed alike
+    on any number of cores.
+    """
+    n = spectrum.shape[0]
+    total, outside = np.empty(n), np.empty(n)
+    clipped = slice(m, n - m + 1)
+    step = max(1, _CLIP_CHUNK // n)
+
+    def row_sums(rows):
+        for start in range(rows.start, rows.stop, step):
+            r = slice(start, min(start + step, rows.stop))
+            p = np.abs(spectrum[r])
+            np.square(p, out=p)
+            p.sum(axis=1, out=total[r])
+            p[:, clipped].sum(axis=1, out=outside[r])
+
+    _each_block(row_sums, n, spectrum.size)
+    outside[clipped] = total[clipped]
+    whole = total.sum()
+    return float(outside.sum() / whole) if whole > 0.0 else 0.0
+
+
 def _bisect_safe_distance(frac, window: float, max_clip_fraction: float) -> float:
     lo, hi = 0.0, window * 4.0
     if frac(hi) <= max_clip_fraction:
@@ -249,29 +297,35 @@ class _Workspace:
     The copy is held either as samples or as their spectrum (``spectral``).
     A hop transforms it forward only if it holds samples and leaves it a
     spectrum, so consecutive hops share one transform; every other element,
-    and :meth:`field`, transforms it back first.  ``rings`` (the ring index
-    of the clip table) is built on the first hop whose cone clips and reused
-    by every later one.
+    and :meth:`field`, transforms it back first.  A SeparableField is held
+    as its ``factors`` (and no ``samples``) until an element needs the grid,
+    as the module docstring describes.
     """
 
-    def __init__(self, fld: ScalarField, ctx: WaveContext):
-        self.samples = np.empty_like(fld.samples)
-        _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n, fld.samples.size)
+    def __init__(self, fld: ScalarField | SeparableField, ctx: WaveContext):
+        self.n = fld.n
         self.pitch = fld.pitch
         self.ctx = ctx
         self.spectral = False
-        self._rings = None
+        if isinstance(fld, SeparableField):
+            self.factors, self.samples = (fld.column, fld.row), None
+        else:
+            self.factors = None
+            self.samples = np.empty_like(fld.samples)
+            _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n,
+                        fld.samples.size)
 
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    def rings(self) -> np.ndarray:
-        if self._rings is None:
-            self._rings = _chebyshev_rings(self.n)
-        return self._rings
+    def _expand(self, column: np.ndarray, row: np.ndarray, spectral: bool) -> np.ndarray:
+        """Write ``outer(column, row)`` into a new working array."""
+        u = self.samples = np.empty((self.n, self.n), np.complex128)
+        _each_block(lambda r: np.multiply(column[r, None], row[None, :], out=u[r]),
+                    self.n, u.size)
+        self.factors, self.spectral = None, spectral
+        return u
 
     def _to_samples(self) -> np.ndarray:
+        if self.factors is not None:
+            return self._expand(*self.factors, spectral=False)
         if self.spectral:
             _fft2_inplace(self.samples, inverse=True)
             self.spectral = False
@@ -282,22 +336,29 @@ class _Workspace:
             raise ValidationError(f"propagation distance must be >= 0, got {distance}")
         if distance == 0.0:
             return
-        u, n = self.samples, self.n
+        n = self.n
         window, wavelength = n * self.pitch, self.ctx.wavelength
         f = _half_freqs(n, self.pitch)
         f_limit = safe_frequency_limit(window, wavelength, distance)
-        if not self.spectral:
-            _fft2_inplace(u)
+        if self.factors is not None:
+            # fft2(outer(c, r)) = outer(fft(c), fft(r))
+            column, row = self.factors
+            self._expand(np.fft.fft(column), np.fft.fft(row), spectral=True)
+        elif not self.spectral:
+            _fft2_inplace(self.samples)
             self.spectral = True
-        # A cone that holds every frequency clips nothing: no table to build.
+        u = self.samples
+        # A cone that holds every frequency clips nothing.  Within budget the
+        # clip costs one pass; only a refusal builds the ring table, for its
+        # fraction and its safe distance.
         if f_limit < f[-1]:
-            clipped_at = _clip_curve(u, self.rings(), f, window, wavelength)
-            clipped = clipped_at(distance)
-            if clipped > max_clip_fraction:
+            m = np.searchsorted(f, f_limit, side="right")
+            if _clipped_fraction(u, m) > max_clip_fraction:
+                clipped_at = _clip_curve(u, _chebyshev_rings(n), f, window, wavelength)
                 z_max = _bisect_safe_distance(clipped_at, window, max_clip_fraction)
                 raise AliasingRiskError(
-                    f"distance {distance:g} m would clip {clipped:.2%} of the power "
-                    f"(budget {max_clip_fraction:.2%}); max safe distance for this "
+                    f"distance {distance:g} m would clip {clipped_at(distance):.2%} of the "
+                    f"power (budget {max_clip_fraction:.2%}); max safe distance for this "
                     f"field is {z_max:.4g} m",
                     max_safe_distance=z_max,
                 )
@@ -333,11 +394,19 @@ class _Workspace:
         _each_block(clear, self.n, u.size)
 
     def mask(self, transmission: TransmissionMask) -> None:
-        transmission.multiply_into(self._to_samples(), self.pitch)
+        if self.factors is not None and transmission.samples.strides[0] == 0:
+            # Every row repeats one profile (a wire_mask broadcast): it
+            # multiplies the row factor, into a new array.
+            transmission.check_grid((self.n, self.n), self.pitch)
+            column, row = self.factors
+            self.factors = (column, np.multiply(row, transmission.samples[0]))
+        else:
+            transmission.multiply_into(self._to_samples(), self.pitch)
 
     def check_finite(self) -> None:
         # On a spectrum too: a non-finite sample spreads to every frequency.
-        if not _all_finite(self.samples):
+        arrays = self.factors if self.factors is not None else (self.samples,)
+        if not all(_all_finite(a) for a in arrays):
             raise ValidationError("field samples must all be finite")
 
     def field(self) -> ScalarField:
@@ -460,13 +529,17 @@ def _apply_element(ws: _Workspace, el: OpticalElement, max_clip_fraction: float)
         ws.mask(el.transmission)
 
 
-def propagate_train(fld: ScalarField, ctx: WaveContext, train: OpticalTrain,
+def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
                     max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
     """Apply every element of the train in order, on one copy of the field.
 
+    A :class:`~twinbeam.field.SeparableField` is not copied: the train
+    starts from its two factors and writes the grid at the first element
+    that needs it, which for a hop is the spectrum, with no 2-D transform.
     Element errors are re-raised with the element index prepended so a
     failing stage of a long train is identifiable.  Each element's output is
-    checked for finiteness once: the last one's by the ScalarField it becomes.
+    checked for finiteness once (held as factors, on both factors): the last
+    one's by the ScalarField it becomes.
     """
     ws = _Workspace(fld, ctx)
     last = len(train.elements) - 1

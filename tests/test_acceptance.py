@@ -35,7 +35,7 @@ from twinbeam import (
     scan_detector,
     wire_mask,
 )
-from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
+from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map
 from twinbeam.counting import CountingConfig, sample_counts, snr
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement, load_scenario
@@ -149,7 +149,7 @@ def test_criterion_06_imaged_law_vs_wave_optics():
             twin_lenses=(LensElement(focal, z_l),), z_det=z_l + z_d,
             n=2048, pitch=10e-6, scan=(-2.0e-3, 2.0e-3, 5e-6))
         profile = scan_detector(scenario, kappa=1.0)
-        w_mask = wire_mask(wire_w, 2048, 10e-6).apply(pump_input_field(scenario))
+        w_mask = wire_mask(wire_w, 2048, 10e-6).apply(gaussian_beam(1e-3, 2048, 10e-6))
         obj_dist, img_dist = z_m1 + z_l, z_d
         closed = np.array([
             coincidence_imaged(w_mask, obj_dist, img_dist, (x, 0.0), (0.0, 0.0))

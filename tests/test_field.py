@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,16 @@ class TestGaussianBeam:
     def test_guard_band_violation_names_required_n(self):
         with pytest.raises(SamplingError, match="need N >"):
             gaussian_beam(1e-3, 128, 20e-6)
+
+    @pytest.mark.parametrize("make", [gaussian_beam, field.separable_gaussian])
+    @pytest.mark.parametrize("args, message", [
+        ((30e-6, 64, 20e-6), "waist 3e-05 m must exceed 2 pitches (4e-05 m)"),
+        ((1e-3, 128, 20e-6),
+         "window 0.00256 m too small for waist 0.001 m; need N > 301 at pitch 2e-05 m"),
+    ], ids=["waist", "window"])
+    def test_beam_and_its_factors_refuse_alike(self, make, args, message):
+        with pytest.raises(SamplingError, match=re.escape(message) + "$"):
+            make(*args)
 
 
 class TestWireMask:

@@ -94,6 +94,18 @@ def test_map_csv_matches_savetxt(values):
     assert fileio.map_to_csv(x, y, values) == ref
 
 
+@pytest.mark.parametrize("shape", [(37, 41), (250, 250), (256, 1), (0, 3)])
+def test_map_csv_matches_the_meshgrid_table(shape):
+    # the runner's map excerpt is up to 256 x 256: each coordinate formatted
+    # once gives the text of the three meshgrid columns
+    values = np.exp(np.random.default_rng(8).normal(scale=30.0, size=shape))
+    x = np.linspace(-1.5e-3, 1.5e-3, shape[1])
+    y = np.linspace(-1.5e-3, 1.5e-3, shape[0]) + 1e-9
+    xx, yy = np.meshgrid(x, y)
+    ref = fileio._table_csv("x_m,y_m,rate_pairs_per_s", [xx.ravel(), yy.ravel(), values.ravel()])
+    assert fileio.map_to_csv(x, y, values) == ref
+
+
 @pytest.mark.parametrize("values", _MAPS.values(), ids=_MAPS.keys())
 def test_profile_csv_matches_savetxt(values):
     coords = np.linspace(-1e-3, 1e-3, values.shape[1])

@@ -129,6 +129,45 @@ def test_clip_table(n, pool):
     pool.check()
 
 
+@pytest.mark.parametrize("distance", [0.5, 1.5, 3.0])
+def test_clipped_fraction(n, pool, distance):
+    # the pooled row sums in a few rows at a time equal whole-array row sums;
+    # the fraction equals the ring table's to rounding
+    spectrum = np.fft.fft2(_random_field(n))
+    f = propagation._half_freqs(n, PITCH)
+    m = np.searchsorted(f, safe_frequency_limit(n * PITCH, CTX.wavelength, distance), "right")
+    assert m <= n // 2
+    power = np.abs(spectrum) ** 2
+    total, outside = power.sum(axis=1), power[:, m:n - m + 1].sum(axis=1)
+    outside[m:n - m + 1] = total[m:n - m + 1]
+    got = propagation._clipped_fraction(spectrum, m)
+    assert got == outside.sum() / total.sum()
+    table = propagation._clip_curve(spectrum, propagation._chebyshev_rings(n), f,
+                                    n * PITCH, CTX.wavelength)
+    assert got == pytest.approx(table(distance), rel=1e-12)
+    pool.check()
+
+
+@pytest.mark.parametrize("elements", [(), (propagation.FreeSpace(0.05),)],
+                         ids=["samples", "spectrum"])
+def test_separable_start(n, pool, elements):
+    # the grid written from the factors: outer(column, row), or for a hop
+    # outer(fft(column), fft(row)) times the transfer
+    rng = np.random.default_rng(n)
+    column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    ws = propagation._Workspace(field.SeparableField(column, row, PITCH), CTX)
+    for el in elements:
+        propagation._apply_element(ws, el, max_clip_fraction=1.0)
+    if elements:
+        spectrum = np.multiply.outer(np.fft.fft(column), np.fft.fft(row))
+        transfer = full_grid_transfer(n, PITCH, CTX, 0.05)  # named: no elided, swapped product
+        ref = spectrum * transfer
+        assert ws.spectral and ws.samples.tobytes() == ref.tobytes()
+    else:
+        assert ws.field().samples.tobytes() == np.multiply.outer(column, row).tobytes()
+    pool.check()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("row", [0, -1])  # the first and the last row block
 def test_finiteness_checks(n, pool, bad, row):

@@ -19,6 +19,7 @@ from twinbeam import (
     Mask,
     OpticalTrain,
     ScalarField,
+    SeparableField,
     ThinLens,
     TransmissionMask,
     ValidationError,
@@ -32,7 +33,8 @@ from twinbeam import (
     safe_frequency_limit,
     wire_mask,
 )
-from twinbeam import effective_detector_field, field, load_scenario, propagation
+from twinbeam import (design_telescope, effective_detector_field, field, load_scenario,
+                      propagation, with_free_twin_side, with_telescope)
 
 CTX = WaveContext.from_wavelength(425e-9)
 
@@ -274,6 +276,20 @@ class TestSafeDistance:
         propagate(f, CTX, 0.01)
         propagate_train(f, CTX, OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01))))
 
+    def test_clipping_hop_within_budget_builds_no_ring_table(self, monkeypatch, masked_beam):
+        # the 2 m cone clips the wire's spectrum, by less than the budget: the
+        # clipped fraction is one pass, and only a refusal builds the rings
+        f_limit = safe_frequency_limit(masked_beam.window, CTX.wavelength, 2.0)
+        assert f_limit < 0.5 / masked_beam.pitch
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ring table built for a hop within the clip budget")
+
+        monkeypatch.setattr(propagation, "_clip_curve", fail)
+        monkeypatch.setattr(propagation, "_chebyshev_rings", fail)
+        propagate(masked_beam, CTX, 2.0)
+        propagate_train(masked_beam, CTX, OpticalTrain((FreeSpace(2.0), FreeSpace(1.0))))
+
     def test_refusal_transforms_the_field_once(self, monkeypatch):
         # a hop's own transform, or max_safe_distance's out-of-place one
         f = gaussian_beam(60e-6, 64, 20e-6)
@@ -426,13 +442,25 @@ class TestSpectralDomain:
         monkeypatch.setattr(propagation, "_fft2_inplace", counting)
         return calls
 
-    @pytest.mark.parametrize("preset, pairs", [("fig5", 3), ("fig4b", 2)])
-    def test_preset_trains_transform_once_per_stretch_of_hops(self, monkeypatch, preset, pairs):
-        # fig5: mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m;
-        # fig4b: mask, 0.005 m, 0.22 m, lens, 0.45 m
+    @pytest.mark.parametrize("scenario, want", [
+        # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m
+        (lambda: load_scenario("fig5"), [True, False, True, False, True]),
+        # mask, 0.005 m, 0.22 m, lens, 0.45 m
+        (lambda: load_scenario("fig4b"), [True, False, True]),
+        # a free sweep row: mask, 0.005 m, 0.5 m
+        (lambda: with_free_twin_side(load_scenario("fig4b"), 0.5), [True]),
+        # a collimated sweep row: mask, 0.005 m, 0.1 m, lens, 0.9 m, lens, 0.1 m
+        (lambda: with_telescope(load_scenario("fig4b"),
+                                design_telescope(1.1, -1.0, (0.1, 0.15, 0.25, 0.5))),
+         [True, False, True, False, True]),
+    ], ids=["fig5", "fig4b", "fig4b-free-0.5m", "fig4b-collimated-1.1m"])
+    def test_preset_trains_transform_once_per_stretch_of_hops(self, monkeypatch, scenario, want):
+        # the pump enters as its 1-D factors: the first stretch of hops starts
+        # from their spectra and makes only its inverse transform
+        scenario = scenario()
         calls = self._count_transforms(monkeypatch)
-        effective_detector_field(load_scenario(preset))
-        assert calls == [False, True] * pairs
+        effective_detector_field(scenario)
+        assert calls == want
 
     def test_non_finite_spectrum_names_the_hop(self, monkeypatch):
         # the hop leaves a spectrum, checked before the next hop runs on it
@@ -466,6 +494,86 @@ class TestSpectralDomain:
         with pytest.raises(AliasingRiskError, match=r"^element 1 \(FreeSpace\(20 m\)\)") as err:
             propagate_train(masked_beam, CTX, train)
         assert err.value.max_safe_distance == hop_by_hop.value.max_safe_distance
+
+
+_N, _PITCH, _WAIST = 128, 20e-6, 0.3e-3
+_WIRE = Mask(wire_mask(0.2e-3, _N, _PITCH))
+_SEPARABLE_TRAINS = {
+    "empty": (),
+    "mask": (_WIRE,),
+    "mask-hops": (_WIRE, FreeSpace(0.005), FreeSpace(0.1)),
+    "lens-first": (ThinLens(0.2), FreeSpace(0.05)),
+    "bounded-lens-first": (ThinLens(0.2, aperture_radius=0.4e-3), FreeSpace(0.05)),
+    "hop-then-mask": (FreeSpace(0.05), _WIRE, FreeSpace(0.05)),
+    "full-mask": (Mask(TransmissionMask(np.random.default_rng(7).uniform(size=(_N, _N)), _PITCH)),
+                  FreeSpace(0.05)),
+}
+
+
+class TestSeparableInput:
+    """A train that starts from a SeparableField writes the grid at the first
+    element that needs it, and otherwise runs as it does from the 2-D field."""
+
+    @pytest.mark.parametrize("elements", _SEPARABLE_TRAINS.values(),
+                             ids=_SEPARABLE_TRAINS.keys())
+    def test_equals_the_train_of_the_2d_beam(self, elements):
+        train = OpticalTrain(elements)
+        want = propagate_train(gaussian_beam(_WAIST, _N, _PITCH), CTX, train).samples
+        got = propagate_train(field.separable_gaussian(_WAIST, _N, _PITCH), CTX, train).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_never_writes_the_callers_arrays(self):
+        column = np.exp(-field.axis_coords(_N, _PITCH) ** 2 / _WAIST**2).astype(complex)
+        row = column.copy()
+        before = column.tobytes(), row.tobytes()
+        fld = SeparableField(column, row, _PITCH)
+        assert np.shares_memory(fld.column, column) and not fld.column.flags.writeable
+        for elements in _SEPARABLE_TRAINS.values():
+            out = propagate_train(fld, CTX, OpticalTrain(elements))
+            assert not np.shares_memory(out.samples, column)
+            assert not np.shares_memory(out.samples, row)
+        assert (column.tobytes(), row.tobytes()) == before
+        assert column.flags.writeable and row.flags.writeable
+
+    @pytest.mark.parametrize("column, row, pitch, match", [
+        (np.full(64, np.nan), np.ones(64), 20e-6, "column factor samples must all be finite"),
+        (np.ones(64), np.r_[np.ones(63), np.inf], 20e-6, "row factor samples must all be finite"),
+        (np.ones(64), np.ones(65), 20e-6, "one length"),
+        (np.ones((64, 1)), np.ones(64), 20e-6, "column factor must be 1D"),
+        (np.ones(8), np.ones(8), 20e-6, "at least 16x16"),
+        (np.ones(64), np.ones(64), 0.0, "pitch must be positive"),
+    ], ids=["nan-column", "inf-row", "lengths", "2d", "small", "pitch"])
+    def test_factors_are_checked(self, column, row, pitch, match):
+        with pytest.raises(ValidationError, match=match):
+            SeparableField(column, row, pitch)
+
+    @pytest.mark.parametrize("mask", [wire_mask(0.2e-3, 128, 20e-6), wire_mask(0.2e-3, 64, 10e-6)],
+                             ids=["size", "pitch"])
+    def test_mask_grid_mismatch_names_the_element(self, mask):
+        train = OpticalTrain((Mask(mask), FreeSpace(0.01)))
+        with pytest.raises(ValidationError, match=r"element 0 \(Mask\).*mask grid does not match"):
+            propagate_train(field.separable_gaussian(0.15e-3, 64, 20e-6), CTX, train)
+
+    def test_non_finite_factor_names_the_element(self, monkeypatch):
+        mask = propagation._Workspace.mask
+
+        def spoiling_mask(ws, transmission):
+            mask(ws, transmission)
+            column, row = ws.factors  # the wire multiplied the row factor
+            ws.factors = (column, np.where(np.arange(row.size) == 5, np.nan, row))
+
+        monkeypatch.setattr(propagation._Workspace, "mask", spoiling_mask)
+        train = OpticalTrain((_WIRE, FreeSpace(0.01)))
+        with pytest.raises(ValidationError, match=r"element 0 \(Mask\).*finite"):
+            propagate_train(field.separable_gaussian(_WAIST, _N, _PITCH), CTX, train)
+
+    def test_hop_from_the_factors_refuses_as_from_the_grid(self, masked_beam):
+        # the clip check runs on the spectrum written from the factors
+        pump = field.separable_gaussian(1e-3, 512, 20e-6)
+        train = OpticalTrain((Mask(wire_mask(0.2e-3, 512, 20e-6)), FreeSpace(20.0)))
+        with pytest.raises(AliasingRiskError, match=r"^element 1 \(FreeSpace\(20 m\)\)") as err:
+            propagate_train(pump, CTX, train)
+        assert err.value.max_safe_distance == max_safe_distance(masked_beam, CTX)
 
 
 def _propagate_in_child(f):
