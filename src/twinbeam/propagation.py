@@ -14,24 +14,42 @@ transfer function and leaves it a spectrum; the next hop starts from that
 spectrum.  A lens, a lens stop, a mask and the end of the train transform
 it back first, and only if it is a spectrum.  So each stretch of
 consecutive hops costs one forward and one inverse FFT, and a lone
-:func:`propagate` makes 2.  Each hop still has its own band-limit cone, its
-own clip check and refusal distance, and its own finiteness check (on the
+:func:`propagate` makes 2.  Each hop has its own band-limit cone, its own
+clip check and refusal distance, and its own finiteness check (on the
 spectrum; the train's last element is checked once, on the samples it ends
 with).  This is the standard composition of angular-spectrum steps
 (Schmidt, *Numerical Simulation of Optical Wave Propagation*, SPIE 2010,
-ch. 7); the hops are not merged into one.
+ch. 7).  On the grid each hop multiplies by its own transfer; only the
+hops held as factors' spectra (below) share one transfer.
 
 A train may also start from a :class:`~twinbeam.field.SeparableField`, the
 form the pump takes: a Gaussian, wire-masked or not, is ``outer(column,
-row)``, and so is its spectrum, ``outer(fft(column), fft(row))``.  The
-working array then holds the two factors until an element needs the grid.
-A mask whose rows all repeat one profile (a ``wire_mask``) multiplies the
-row factor; a hop writes the spectrum from the factors' 1-D transforms, in
-one pass with no 2-D transform; any other element, and the end of the
-train, writes the samples.  Held as factors, the array is checked for
-finiteness on both.  So fig5's train (mask, 0.005 m, 0.25 m, lens, 2.25 m,
-lens, 0.5 m) makes 5 2-D transforms, fig4b's makes 3 and a free sweep row
-1: the first stretch of hops costs only its inverse.
+row)``, and its spectrum ``outer(fft(column), fft(row))``.  The working
+array then holds the two factors until an element needs the grid.  A mask
+whose rows all repeat one profile (a ``wire_mask``) multiplies the row
+factor.  The first hop replaces the factors with their 1-D transforms and
+opens a stretch: it and each later hop add their distance and narrow the
+stretch's cone to their own.  The stretch's power stays separable,
+``outer(|fft(column)|^2, |fft(row)|^2)`` inside the cone and zero outside,
+so each hop's clip check and refusal read the ring table of the two folded
+1-D powers in O(n) (:func:`_separable_ring_table`; the band-limited
+criterion of Matsushima and Shimobaba, Opt. Express 17, 19662 (2009)): a
+refused hop makes no grid-sized array and no 2-D transform.  The first
+element that needs the grid (a lens, a stop, a mask after a hop, the end
+of the train) writes the stretch once, into a working array allocated
+before the transfer's quadrant (the other order let the C heap grow over
+repeated sweeps): ``outer(fft(column), fft(row))`` times one transfer,
+``exp(i (z_1 + ... + z_k) kz_rel)``, on the stretch's cone, zero outside
+it.  Only the transfers are merged; the carrier-referenced ``kz_rel`` makes
+the merged one equal their product to rounding (measured within 2e-14 of
+the field's peak).  Each hop keeps its own cone, clip check, refusal and
+element index.  A hop whose cone holds evanescent samples (``2 (2 pi f)^2
+>= k^2`` at its corner, only at a pitch of at most lambda / sqrt(2))
+zeroes them, which is not separable: it writes the grid first and runs on
+it.  Factors are checked for finiteness in O(n); the grid, after the
+element that writes it.  So fig5's train (mask, 0.005 m, 0.25 m, lens,
+2.25 m, lens, 0.5 m) makes 5 2-D transforms, fig4b's makes 3 and a free
+sweep row 1: the first stretch of hops costs only its inverse.
 
 :func:`propagate_train` copies a ScalarField input once (a SeparableField
 is not copied); each element then writes into the complex array it reads,
@@ -40,17 +58,24 @@ transfer function and a lens's phase depend on two half axes only, so each
 is built on one quadrant of the grid and the working array is multiplied by
 it block by block, four slice products reading the quadrant mirrored; no
 second full-size array is made.  The transfer is zero outside the
-band-limit cone, so it is evaluated only on the cone's block of the
-quadrant.  A hop whose cone leaves frequencies out sums the power outside
-the cone's square in one pass; only a hop that refuses builds the table of
-power per ring, which gives its clip fraction and safe distance.
-:func:`propagate` and :func:`apply_thin_lens` are one copy plus the same
-in-place kernels.
+band-limit cone, so only the cone's m x m block of the quadrant is built;
+a hop zeroes the rows and columns of the working array outside the cone
+and multiplies only the cone's mirrored blocks.  The lens phase
+``exp(-i k (x^2 + y^2) / 2f)`` is built as ``outer(p, p)`` of the 1-D chirp
+``p = exp(-i k x^2 / 2f)`` on the half axis, n/2 + 1 complex
+exponentials; it equals the 2-D exponential to the rounding of the phase
+(a few eps times the phase).  A hop on the grid whose cone leaves
+frequencies out sums the power outside the cone's square in one pass; only
+a hop that refuses builds the table of power per ring, which gives its clip
+fraction and safe distance.  :func:`propagate` and :func:`apply_thin_lens`
+are one copy plus the same in-place kernels.
 
 The results equal the out-of-place formulas byte for byte:
 ``ifft2(fft2(u) * transfer)`` for a hop,
-``ifft2((fft2(u) * transfer_1) * transfer_2)`` for two hops in a row, and
-``u * phase`` for a lens.  Three traps break that:
+``ifft2((fft2(u) * transfer_1) * transfer_2)`` for two hops in a row,
+``ifft2(outer(fft(column), fft(row)) * transfer)`` for a stretch held as
+factors' spectra, and ``u * outer(p, p)`` for a lens.  Three traps break
+that:
 
 * operand order.  Each product is ``np.multiply(u, factor, out=u)`` in the
   order of the formula: under FMA, a complex product with swapped operands
@@ -71,11 +96,12 @@ Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
 ``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
 and ``ifftn`` do themselves, line by line with the same routine, axis
 order and 1/n scaling.  Every other pass (the input copy, the outer
-product of the factors, the transfer and lens builds, the mirrored and mask
-products, the lens stop, the clip table's ``|u|^2`` and rings, the
-finiteness check) is elementwise: a worker evaluates the expression,
-operands in the same order, on a block of rows and writes it into an array
-the caller allocated.  The reductions split are the finiteness check's
+product of the factors, the stretch's write, the transfer and lens builds,
+the zeroing outside a cone, the mirrored and mask products, the lens stop,
+the clip table's ``|u|^2`` and rings, the finiteness check) is
+elementwise: a worker evaluates the expression, operands in the same
+order, on a block of rows and writes it into an array the caller
+allocated.  The reductions split are the finiteness check's
 sum, which is never kept, and the clipped power's row sums, each row
 summed whole by one worker; ``bincount`` stays serial.  So the result
 equals the one-call expression byte for byte, whatever the number of
@@ -150,21 +176,55 @@ def _half_freqs(n: int, pitch: float) -> np.ndarray:
     return np.abs(np.fft.fftfreq(n, d=pitch)[: n // 2 + 1])
 
 
-def _fft_runs(n: int) -> tuple:
-    """(axis slice, half-axis slice) pairs that mirror a half axis into FFT order.
+def _fft_runs(n: int, m: int | None = None) -> tuple:
+    """(axis slice, half-axis slice) pairs that mirror the first ``m`` entries
+    of a half axis (all n//2 + 1 by default) into FFT order.
 
     fftfreq gives samples i and n - i exact negatives of each other, so
     sample i takes entry min(i, n - i) of the half axis: an ascending run,
-    then a descending one.
+    then a descending one.  The samples m <= i <= n - m, which take no
+    entry, lie between the two runs.
     """
-    h = n // 2 + 1
-    return ((slice(0, h), slice(0, h)), (slice(h, n), slice(n - h, 0, -1)))
+    m = n // 2 + 1 if m is None else m
+    s = max(m, n - m + 1)
+    return ((slice(0, m), slice(0, m)), (slice(s, n), slice(n - s, 0, -1)))
 
 
 def _multiply_mirrored(u: np.ndarray, quadrant: np.ndarray, runs: tuple) -> None:
     """Multiply ``u[i, j]`` by ``quadrant[m(i), m(j)]`` in place, block by block,
     for the index map ``m`` that ``runs`` spells out."""
     _each_mirrored_block(lambda ub, qb: np.multiply(ub, qb, out=ub), u, quadrant, runs)
+
+
+def _clear_outside_cone(u: np.ndarray, m: int) -> None:
+    """Zero the samples of an FFT-ordered array outside the square of its first
+    ``m`` Chebyshev rings: every row and every column m <= i <= n - m."""
+    n = u.shape[0]
+    s = max(m, n - m + 1)
+
+    def clear(r):
+        a, b = r.start, r.stop
+        u[max(a, m):min(b, s)] = 0.0  # the band's rows
+        u[a:min(b, m), m:s] = 0.0  # the band's columns in the cone's rows
+        u[max(a, s):b, m:s] = 0.0
+
+    _each_block(clear, n, u.size)
+
+
+def _write_cone(u: np.ndarray, column: np.ndarray, row: np.ndarray, quadrant: np.ndarray,
+                runs: tuple) -> None:
+    """Write ``(column[i] * row[j]) * quadrant[m(i), m(j)]`` into the blocks of
+    ``u`` that ``runs`` spells out, one pass over ``u``."""
+    for rows, q_rows in runs:
+        for cols, q_cols in runs:
+            ub, qb, cb, rb = u[rows, cols], quadrant[q_rows, q_cols], column[rows], row[cols]
+
+            def write(r, ub=ub, qb=qb, cb=cb, rb=rb):
+                out = ub[r]
+                np.multiply(cb[r, None], rb[None, :], out=out)
+                np.multiply(out, qb[r], out=out)
+
+            _each_block(write, ub.shape[0], u.size)
 
 
 def _chebyshev_rings(n: int) -> np.ndarray:
@@ -176,17 +236,42 @@ def _chebyshev_rings(n: int) -> np.ndarray:
     return rings.ravel()
 
 
-def _clip_curve(spectrum: np.ndarray, rings: np.ndarray, ring_f: np.ndarray,
-                window: float, wavelength: float):
+def _ring_table(spectrum: np.ndarray) -> np.ndarray:
+    """Power of an FFT-ordered spectrum on each of its n//2 + 1 Chebyshev rings."""
+    n = spectrum.shape[0]
+    return np.bincount(_chebyshev_rings(n), weights=_abs_square(spectrum).ravel(),
+                       minlength=n // 2 + 1)
+
+
+def _separable_ring_table(column: np.ndarray, row: np.ndarray, cone: int) -> np.ndarray:
+    """:func:`_ring_table` of ``outer(column, row)`` with the rings from ``cone``
+    on zeroed, in O(n).
+
+    With ``pc`` and ``pr`` the factors' powers folded onto the half axis
+    (sample i onto min(i, n - i)), ring r holds the samples with
+    max(a, b) = r, so its power is
+    ``pc[r] * sum(pr[:r + 1]) + pr[r] * sum(pc[:r])``.
+    """
+    n = column.size
+    i = np.arange(n)
+    fold = np.minimum(i, n - i)
+    pc, pr = (np.bincount(fold, weights=_abs_square(a), minlength=n // 2 + 1)
+              for a in (column, row))
+    below = np.cumsum(pc)
+    below[1:], below[0] = below[:-1], 0.0
+    power = pc * np.cumsum(pr) + pr * below
+    power[cone:] = 0.0
+    return power
+
+
+def _clip_curve(power: np.ndarray, ring_f: np.ndarray, window: float, wavelength: float):
     """Clipped power fraction as a function of distance, from one ring table.
 
-    The clip at f_limit removes the samples whose Chebyshev ring (``rings``,
-    from :func:`_chebyshev_rings`) has a frequency ``ring_f[r]`` above
-    f_limit.  The table holds the power on and beyond each ring, summed in
-    reverse so a small tail suffers no cancellation, with a trailing 0.
+    The clip at f_limit removes the rings whose frequency ``ring_f[r]`` lies
+    above f_limit.  The table ``power`` (from :func:`_ring_table` or
+    :func:`_separable_ring_table`) is summed in reverse, into the power on
+    and beyond each ring, so a small tail suffers no cancellation.
     """
-    sample_power = _abs_square(spectrum)  # one float array
-    power = np.bincount(rings, weights=sample_power.ravel(), minlength=ring_f.size)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
 
     def clipped(z):
@@ -243,6 +328,18 @@ def _bisect_safe_distance(frac, window: float, max_clip_fraction: float) -> floa
     return lo
 
 
+def _refusal(clipped, distance: float, window: float,
+             max_clip_fraction: float) -> AliasingRiskError:
+    """The error of a hop whose clip, ``clipped(distance)``, is over budget."""
+    z_max = _bisect_safe_distance(clipped, window, max_clip_fraction)
+    return AliasingRiskError(
+        f"distance {distance:g} m would clip {clipped(distance):.2%} of the "
+        f"power (budget {max_clip_fraction:.2%}); max safe distance for this "
+        f"field is {z_max:.4g} m",
+        max_safe_distance=z_max,
+    )
+
+
 def max_safe_distance(fld: ScalarField, ctx: WaveContext,
                       max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> float:
     """Largest distance this field can be propagated within the clip budget.
@@ -250,20 +347,26 @@ def max_safe_distance(fld: ScalarField, ctx: WaveContext,
     Monotone in distance (the safe cone only shrinks), so a bisection on the
     clipped power fraction suffices.
     """
-    clipped = _clip_curve(np.fft.fft2(fld.samples), _chebyshev_rings(fld.n),
+    clipped = _clip_curve(_ring_table(np.fft.fft2(fld.samples)),
                           _half_freqs(fld.n, fld.pitch), fld.window, ctx.wavelength)
     return _bisect_safe_distance(clipped, fld.window, max_clip_fraction)
 
 
-def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float) -> np.ndarray:
-    """Band-limited transfer function on the quadrant of half axes ``f``.
+def _propagates(k: float, f: np.ndarray, m: int) -> bool:
+    """Whether every sample of the cone's m x m block of the quadrant of half
+    axes ``f`` propagates: its corner, the sample with the smallest kz^2
+    (evaluated as :func:`_transfer_quadrant` does), is not evanescent."""
+    k_sq = (2.0 * np.pi * f[m - 1:m]) ** 2
+    return bool(k**2 - k_sq[0] - k_sq[0] > 0.0)
 
-    It is zero outside the cone ``f <= f_limit``, so only the leading m x m
-    block of the quadrant, m = searchsorted(f, f_limit, "right"), is
-    evaluated; within it the cone is the propagating samples.
+
+def _transfer_quadrant(f: np.ndarray, k: float, m: int, distance: float) -> np.ndarray:
+    """Band-limited transfer function on the cone's m x m block of the
+    quadrant of half axes ``f``; the transfer is zero outside the block.
+
+    Within the block the cone is the propagating samples.
     """
-    quadrant = np.zeros((f.size, f.size), np.complex128)
-    m = np.searchsorted(f, f_limit, side="right")
+    quadrant = np.empty((m, m), np.complex128)
     k_sq = (2.0 * np.pi * f[:m]) ** 2
 
     def build(r):
@@ -279,7 +382,7 @@ def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float)
         kz_rel = kx_sq + ky_sq
         np.negative(kz_rel, out=kz_rel)
         np.divide(kz_rel, np.add(kz, k, out=kz), out=kz_rel)
-        block = quadrant[r, :m]
+        block = quadrant[r]
         np.exp(np.multiply(1j * distance, kz_rel, out=block), out=block)
         block[~propagating] = 0.0
 
@@ -294,12 +397,14 @@ def _transfer_quadrant(f: np.ndarray, k: float, f_limit: float, distance: float)
 class _Workspace:
     """One copy of a field, written in place by each element applied to it.
 
-    The copy is held either as samples or as their spectrum (``spectral``).
-    A hop transforms it forward only if it holds samples and leaves it a
-    spectrum, so consecutive hops share one transform; every other element,
-    and :meth:`field`, transforms it back first.  A SeparableField is held
-    as its ``factors`` (and no ``samples``) until an element needs the grid,
-    as the module docstring describes.
+    The copy is held in one of three states, as the module docstring
+    describes: a SeparableField's ``factors`` (and no ``samples``); those
+    factors' spectra with the ``stretch`` of hops applied to them since,
+    its cone and its total distance; or the grid ``samples``, which are a
+    spectrum if ``spectral``.  A hop on the grid transforms it forward only
+    if it holds samples and leaves it a spectrum, so consecutive hops share
+    one transform; every other element, and :meth:`field`, transforms it
+    back first.
     """
 
     def __init__(self, fld: ScalarField | SeparableField, ctx: WaveContext):
@@ -307,6 +412,7 @@ class _Workspace:
         self.pitch = fld.pitch
         self.ctx = ctx
         self.spectral = False
+        self.stretch = None
         if isinstance(fld, SeparableField):
             self.factors, self.samples = (fld.column, fld.row), None
         else:
@@ -315,21 +421,49 @@ class _Workspace:
             _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n,
                         fld.samples.size)
 
-    def _expand(self, column: np.ndarray, row: np.ndarray, spectral: bool) -> np.ndarray:
-        """Write ``outer(column, row)`` into a new working array."""
-        u = self.samples = np.empty((self.n, self.n), np.complex128)
-        _each_block(lambda r: np.multiply(column[r, None], row[None, :], out=u[r]),
-                    self.n, u.size)
-        self.factors, self.spectral = None, spectral
-        return u
+    def _write_grid(self) -> None:
+        """Write the grid from the factors: the samples ``outer(column, row)``,
+        or the stretch's spectrum ``outer(fft(column), fft(row))`` times its
+        one transfer on its cone, zero outside it."""
+        column, row = self.factors
+        n = self.n
+        # The working array is allocated before the transfer quadrant.
+        u = self.samples = np.empty((n, n), np.complex128)
+        if self.stretch is None:
+            _each_block(lambda r: np.multiply(column[r, None], row[None, :], out=u[r]), n, u.size)
+        else:
+            m, distance = self.stretch
+            quadrant = _transfer_quadrant(_half_freqs(n, self.pitch), self.ctx.wavenumber,
+                                          m, distance)
+            _clear_outside_cone(u, m)
+            _write_cone(u, column, row, quadrant, _fft_runs(n, m))
+        self.factors, self.spectral = None, self.stretch is not None
+        self.stretch = None
 
     def _to_samples(self) -> np.ndarray:
         if self.factors is not None:
-            return self._expand(*self.factors, spectral=False)
+            self._write_grid()
         if self.spectral:
             _fft2_inplace(self.samples, inverse=True)
             self.spectral = False
         return self.samples
+
+    def _hold(self, distance: float, f: np.ndarray, m: int, max_clip_fraction: float) -> None:
+        """Add a hop of cone ``m`` to the stretch held as the factors' spectra:
+        its clip check and refusal read the 1-D ring table, and its transfer
+        waits for the stretch's write."""
+        if self.stretch is None:
+            # fft2(outer(c, r)) = outer(fft(c), fft(r))
+            self.factors = tuple(np.fft.fft(a) for a in self.factors)
+            self.stretch = (f.size, 0.0)
+        cone, travelled = self.stretch
+        if m < f.size:
+            window = self.n * self.pitch
+            clipped = _clip_curve(_separable_ring_table(*self.factors, cone), f, window,
+                                  self.ctx.wavelength)
+            if clipped(distance) > max_clip_fraction:
+                raise _refusal(clipped, distance, window, max_clip_fraction)
+        self.stretch = (min(cone, m), travelled + distance)
 
     def hop(self, distance: float, max_clip_fraction: float) -> None:
         if distance < 0:
@@ -337,50 +471,43 @@ class _Workspace:
         if distance == 0.0:
             return
         n = self.n
-        window, wavelength = n * self.pitch, self.ctx.wavelength
+        window, wavelength, k = n * self.pitch, self.ctx.wavelength, self.ctx.wavenumber
         f = _half_freqs(n, self.pitch)
-        f_limit = safe_frequency_limit(window, wavelength, distance)
+        m = np.searchsorted(f, safe_frequency_limit(window, wavelength, distance), side="right")
         if self.factors is not None:
-            # fft2(outer(c, r)) = outer(fft(c), fft(r))
-            column, row = self.factors
-            self._expand(np.fft.fft(column), np.fft.fft(row), spectral=True)
-        elif not self.spectral:
+            # Evanescent samples in the cone would make the transfer's zeros,
+            # and so the spectrum, not separable: then the hop runs on the grid.
+            if _propagates(k, f, m):
+                self._hold(distance, f, m, max_clip_fraction)
+                return
+            self._write_grid()
+        if not self.spectral:
             _fft2_inplace(self.samples)
             self.spectral = True
         u = self.samples
         # A cone that holds every frequency clips nothing.  Within budget the
         # clip costs one pass; only a refusal builds the ring table, for its
         # fraction and its safe distance.
-        if f_limit < f[-1]:
-            m = np.searchsorted(f, f_limit, side="right")
-            if _clipped_fraction(u, m) > max_clip_fraction:
-                clipped_at = _clip_curve(u, _chebyshev_rings(n), f, window, wavelength)
-                z_max = _bisect_safe_distance(clipped_at, window, max_clip_fraction)
-                raise AliasingRiskError(
-                    f"distance {distance:g} m would clip {clipped_at(distance):.2%} of the "
-                    f"power (budget {max_clip_fraction:.2%}); max safe distance for this "
-                    f"field is {z_max:.4g} m",
-                    max_safe_distance=z_max,
-                )
-        quadrant = _transfer_quadrant(f, self.ctx.wavenumber, f_limit, distance)
-        _multiply_mirrored(u, quadrant, _fft_runs(n))
+        if m < f.size and _clipped_fraction(u, m) > max_clip_fraction:
+            raise _refusal(_clip_curve(_ring_table(u), f, window, wavelength), distance,
+                           window, max_clip_fraction)
+        quadrant = _transfer_quadrant(f, k, m, distance)
+        _clear_outside_cone(u, m)
+        _multiply_mirrored(u, quadrant, _fft_runs(n, m))
 
     def lens(self, focal: float) -> None:
         if focal == 0 or np.isnan(focal):
             raise ValidationError(f"focal length must be nonzero, got {focal}")
         if np.isinf(focal):
             return
-        # exp(-i k rho^2 / 2f) on the quadrant of distances |i - n//2| from the axis
+        # exp(-i k rho^2 / 2f) = outer(p, p) on the quadrant of distances
+        # |i - n//2| from the axis, p = exp(-i k x^2 / 2f) on the half axis
         h = self.n // 2 + 1
         x2 = (np.arange(h) * self.pitch) ** 2
+        p = np.exp(-1j * self.ctx.wavenumber * x2 / (2.0 * focal))
         quadrant = np.empty((h, h), np.complex128)
-
-        def build(r):
-            q = np.multiply(-1j * self.ctx.wavenumber, x2[None, :] + x2[r, None], out=quadrant[r])
-            np.divide(q, 2.0 * focal, out=q)
-            np.exp(q, out=q)
-
-        _each_block(build, h, quadrant.size)
+        _each_block(lambda r: np.multiply(p[r, None], p[None, :], out=quadrant[r]), h,
+                    quadrant.size)
         _multiply_mirrored(self._to_samples(), quadrant, centred_runs(self.n))
 
     def stop(self, radius: float) -> None:
@@ -394,7 +521,8 @@ class _Workspace:
         _each_block(clear, self.n, u.size)
 
     def mask(self, transmission: TransmissionMask) -> None:
-        if self.factors is not None and transmission.samples.strides[0] == 0:
+        if (self.factors is not None and self.stretch is None
+                and transmission.samples.strides[0] == 0):
             # Every row repeats one profile (a wire_mask broadcast): it
             # multiplies the row factor, into a new array.
             transmission.check_grid((self.n, self.n), self.pitch)

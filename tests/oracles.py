@@ -13,10 +13,11 @@ it checks:
 * :func:`find_image_plane` locates the image plane by wave optics, which
   checks the ABCD design of a relay;
 * :func:`read_pgm` decodes the PGM files the writer encodes;
-* :func:`full_grid_transfer`, :func:`disk_kernel` and
-  :func:`aperture_map_formula` build the transfer function, the disk and
-  the aperture convolution on the whole grid in one numpy call each, where
-  the model builds them on quadrants and blocks, in place.
+* :func:`full_grid_transfer`, :func:`lens_phase`, :func:`disk_kernel` and
+  :func:`aperture_map_formula` build the transfer function, the lens
+  phase, the disk and the aperture convolution on the whole grid in one
+  numpy call each, where the model builds them on quadrants and blocks, in
+  place.
 """
 
 from __future__ import annotations
@@ -78,20 +79,30 @@ def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -
 # Full-grid formulas
 # ---------------------------------------------------------------------------
 
-def full_grid_transfer(n: int, pitch: float, ctx: WaveContext, distance: float) -> np.ndarray:
-    """Band-limited angular-spectrum transfer function on every FFT-ordered sample."""
+def full_grid_transfer(n: int, pitch: float, ctx: WaveContext, distance: float,
+                       f_limit: float | None = None) -> np.ndarray:
+    """Band-limited angular-spectrum transfer function on every FFT-ordered sample,
+    zero beyond ``f_limit`` (by default the distance's own safe frequency limit)."""
     k = ctx.wavenumber
     f = np.fft.fftfreq(n, d=pitch)
     fx, fy = f[None, :], f[:, None]
     kx = 2.0 * np.pi * fx
     ky = 2.0 * np.pi * fy
-    f_limit = safe_frequency_limit(n * pitch, ctx.wavelength, distance)
+    if f_limit is None:
+        f_limit = safe_frequency_limit(n * pitch, ctx.wavelength, distance)
     kz_sq = k**2 - kx**2 - ky**2
     propagating = kz_sq > 0.0
     in_cone = propagating & (np.abs(fx) <= f_limit) & (np.abs(fy) <= f_limit)
     kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
     kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
     return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+
+
+def lens_phase(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarray:
+    """Thin-lens phase exp(-i k rho^2 / 2f) as the outer product of its 1-D
+    chirp exp(-i k x^2 / 2f) on the centred axis with itself, rows first."""
+    p = np.exp(-1j * ctx.wavenumber * axis_coords(n, pitch) ** 2 / (2.0 * focal))
+    return p[:, None] * p[None, :]
 
 
 def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, make_scenario
-from oracles import aperture_map_formula, full_grid_transfer, radius_squared
+from oracles import aperture_map_formula, full_grid_transfer, lens_phase, radius_squared
 from twinbeam import (ScalarField, TransmissionMask, ValidationError, WaveContext,
                       apply_thin_lens, bilinear_sample, biphoton, field, gaussian_beam,
                       propagation, safe_frequency_limit)
@@ -56,17 +56,20 @@ def _random_field(n):
 
 @pytest.mark.parametrize("distance", [0.05, 1.5])  # full band; band-limited
 def test_transfer_quadrant(n, pool, distance):
+    # built on the cone's m x m block only: outside it the transfer is zero
     f = propagation._half_freqs(n, PITCH)
     k = CTX.wavenumber
     f_limit = safe_frequency_limit(n * PITCH, CTX.wavelength, distance)
-    out = propagation._transfer_quadrant(f, k, f_limit, distance)
+    m = np.searchsorted(f, f_limit, side="right")
+    out = propagation._transfer_quadrant(f, k, m, distance)
     k_sq = (2.0 * np.pi * f) ** 2
     kx_sq, ky_sq = k_sq[None, :], k_sq[:, None]
     kz = k**2 - kx_sq - ky_sq
     in_cone = (kz > 0.0) & (f[None, :] <= f_limit) & (f[:, None] <= f_limit)
     kz_rel = -(kx_sq + ky_sq) / (np.sqrt(np.maximum(kz, 0.0)) + k)
     ref = np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
-    assert out.tobytes() == ref.tobytes()
+    assert out.shape == (m, m) and not ref[m:].any() and not ref[:, m:].any()
+    assert out.tobytes() == ref[:m, :m].copy().tobytes()
     pool.check()
 
 
@@ -74,7 +77,7 @@ def test_transfer_quadrant(n, pool, distance):
 def test_lens_phase(n, pool, focal):
     samples = _random_field(n)
     out = apply_thin_lens(ScalarField(samples, PITCH), CTX, focal)
-    phase = np.exp(-1j * CTX.wavenumber * radius_squared(n, PITCH) / (2.0 * focal))
+    phase = lens_phase(n, PITCH, CTX, focal)
     ref = samples * phase
     assert out.samples.tobytes() == ref.tobytes()
     pool.check()
@@ -120,8 +123,10 @@ def test_clip_table(n, pool):
     ref_rings = np.maximum(ring[None, :], ring[:, None]).ravel()
     rings = propagation._chebyshev_rings(n)
     assert rings.tobytes() == ref_rings.tobytes()
-    clipped = propagation._clip_curve(spectrum, rings, f, n * PITCH, CTX.wavelength)
     power = np.bincount(ref_rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=f.size)
+    table = propagation._ring_table(spectrum)
+    assert table.tobytes() == power.tobytes()
+    clipped = propagation._clip_curve(table, f, n * PITCH, CTX.wavelength)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
     for z in (0.05, 0.5, 1.5, 3.0):
         f_limit = safe_frequency_limit(n * PITCH, CTX.wavelength, z)
@@ -142,8 +147,8 @@ def test_clipped_fraction(n, pool, distance):
     outside[m:n - m + 1] = total[m:n - m + 1]
     got = propagation._clipped_fraction(spectrum, m)
     assert got == outside.sum() / total.sum()
-    table = propagation._clip_curve(spectrum, propagation._chebyshev_rings(n), f,
-                                    n * PITCH, CTX.wavelength)
+    table = propagation._clip_curve(propagation._ring_table(spectrum), f, n * PITCH,
+                                    CTX.wavelength)
     assert got == pytest.approx(table(distance), rel=1e-12)
     pool.check()
 
@@ -151,20 +156,47 @@ def test_clipped_fraction(n, pool, distance):
 @pytest.mark.parametrize("elements", [(), (propagation.FreeSpace(0.05),)],
                          ids=["samples", "spectrum"])
 def test_separable_start(n, pool, elements):
-    # the grid written from the factors: outer(column, row), or for a hop
-    # outer(fft(column), fft(row)) times the transfer
+    # the grid written from the factors: outer(column, row), or after a hop,
+    # which the factors' spectra hold, ifft2(outer(fft(column), fft(row)) * T)
     rng = np.random.default_rng(n)
     column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     ws = propagation._Workspace(field.SeparableField(column, row, PITCH), CTX)
     for el in elements:
         propagation._apply_element(ws, el, max_clip_fraction=1.0)
     if elements:
+        assert ws.samples is None and ws.stretch is not None
         spectrum = np.multiply.outer(np.fft.fft(column), np.fft.fft(row))
         transfer = full_grid_transfer(n, PITCH, CTX, 0.05)  # named: no elided, swapped product
         ref = spectrum * transfer
-        assert ws.spectral and ws.samples.tobytes() == ref.tobytes()
+        assert ws.field().samples.tobytes() == np.fft.ifft2(ref).tobytes()
     else:
         assert ws.field().samples.tobytes() == np.multiply.outer(column, row).tobytes()
+    pool.check()
+
+
+@pytest.mark.parametrize("distances", [(0.05, 1.5), (1.5, 0.05, 0.5)])
+def test_stretch_write(n, pool, distances, monkeypatch):
+    # a stretch of hops held as the factors' spectra is written once:
+    # outer(fft(column), fft(row)) times one transfer for the total distance
+    # on the smallest cone, zero outside it
+    rng = np.random.default_rng(n)
+    column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    ws = propagation._Workspace(field.SeparableField(column, row, PITCH), CTX)
+    for z in distances:
+        ws.hop(z, max_clip_fraction=1.0)
+    full = np.full  # a new working array starts as NaN: every sample must be written
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float: full(shape, np.nan, dtype))
+    ws._write_grid()
+    monkeypatch.undo()
+    f = np.abs(np.fft.fftfreq(n, d=PITCH))
+    f_limit = min(safe_frequency_limit(n * PITCH, CTX.wavelength, z) for z in distances)
+    in_cone = (f[None, :] <= f_limit) & (f[:, None] <= f_limit)
+    transfer = full_grid_transfer(n, PITCH, CTX, sum(distances), f_limit)
+    assert 0 < in_cone.sum() < n * n and np.count_nonzero(transfer) == in_cone.sum()
+    spectrum = np.multiply.outer(np.fft.fft(column), np.fft.fft(row))
+    product = spectrum * transfer
+    ref = np.where(in_cone, product, 0.0)  # +0 outside the cone, which the write clears
+    assert ws.spectral and ws.samples.tobytes() == ref.tobytes()
     pool.check()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (intensity_ncc, random_band_limited_field, rel_rms,
                       second_moment_radius, traced_peak)
-from oracles import (full_grid_transfer, oracle_fresnel_direct, radius_squared,
+from oracles import (full_grid_transfer, lens_phase, oracle_fresnel_direct, radius_squared,
                      resample_scaled)
 from twinbeam import (
     AliasingRiskError,
@@ -33,7 +33,7 @@ from twinbeam import (
     safe_frequency_limit,
     wire_mask,
 )
-from twinbeam import (design_telescope, effective_detector_field, field, load_scenario,
+from twinbeam import (biphoton, design_telescope, effective_detector_field, field, load_scenario,
                       propagation, with_free_twin_side, with_telescope)
 
 CTX = WaveContext.from_wavelength(425e-9)
@@ -178,9 +178,23 @@ class TestMirroredBuilds:
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         out = apply_thin_lens(ScalarField(samples, pitch), CTX, focal)
-        phase = np.exp(-1j * CTX.wavenumber * radius_squared(n, pitch) / (2.0 * focal))
+        phase = lens_phase(n, pitch, CTX, focal)
         ref = samples * phase
         assert out.samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n, pitch, focal", [(128, 20e-6, 0.2), (129, 20e-6, -0.2),
+                                                 (1024, 10e-6, 0.1)])
+    def test_lens_phase_is_the_radial_chirp_to_rounding(self, n, pitch, focal):
+        # outer(p, p) and exp(-i k rho^2 / 2f) differ by the rounding of their
+        # phases: each phase carries a relative error of a few eps, so the
+        # gap is bounded by 4 eps times the phase, plus 4 eps for the
+        # exponentials and the product
+        phi = CTX.wavenumber * radius_squared(n, pitch) / (2.0 * abs(focal))
+        direct = np.exp(-1j * CTX.wavenumber * radius_squared(n, pitch) / (2.0 * focal))
+        gap = np.abs(lens_phase(n, pitch, CTX, focal) - direct)
+        eps = np.finfo(float).eps
+        assert phi.max() > 100.0
+        assert np.all(gap <= 4.0 * eps * (phi + 1.0))
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_train_matches_out_of_place_chain(self, n):
@@ -196,7 +210,7 @@ class TestMirroredBuilds:
         u = samples * transmission
         u = _full_grid_propagate(u, pitch, CTX, 0.05)
         rho2 = radius_squared(n, pitch)
-        phase = np.exp(-1j * CTX.wavenumber * rho2 / (2.0 * focal))
+        phase = lens_phase(n, pitch, CTX, focal)
         u = u * phase
         u = np.where(rho2 <= stop**2, u, 0.0)
         u = _full_grid_propagate(u, pitch, CTX, 1.5)
@@ -574,6 +588,114 @@ class TestSeparableInput:
         with pytest.raises(AliasingRiskError, match=r"^element 1 \(FreeSpace\(20 m\)\)") as err:
             propagate_train(pump, CTX, train)
         assert err.value.max_safe_distance == max_safe_distance(masked_beam, CTX)
+
+
+def _random_factors(n):
+    rng = np.random.default_rng(n)
+    return tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+
+
+def _free_row(distance):
+    """A free fig4b sweep row's separable pump, its 2-D beam, its train and its context."""
+    scenario = with_free_twin_side(load_scenario("fig4b"), distance)
+    grid = scenario.grid
+    return (biphoton.pump_input_field(scenario),
+            gaussian_beam(scenario.pump.waist_m, grid.n, grid.pitch_m),
+            biphoton.unfolded_pump_train(scenario),
+            WaveContext.from_wavelength(scenario.pump.wavelength_m))
+
+
+class TestFactorHeldStretch:
+    """From a SeparableField, the first stretch of hops is held as the factors'
+    spectra: each hop's clip check and refusal read the ring table of the two
+    1-D powers, and the stretch is written once, with one transfer, when an
+    element needs the grid."""
+
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    @pytest.mark.parametrize("cone", [None, 20], ids=["no-cone", "cone-20"])
+    def test_ring_table_from_the_factors(self, n, cone):
+        column, row = _random_factors(n)
+        spectrum = np.fft.fft2(np.multiply.outer(column, row))
+        i = np.arange(n)
+        fold = np.minimum(i, n - i)
+        rings = np.maximum(fold[None, :], fold[:, None]).ravel()
+        want = np.bincount(rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=n // 2 + 1)
+        cone = n // 2 + 1 if cone is None else cone
+        want[cone:] = 0.0
+        got = propagation._separable_ring_table(np.fft.fft(column), np.fft.fft(row), cone)
+        assert got.shape == want.shape and not got[cone:].any()
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (field.separable_gaussian(1e-3, 512, 20e-6), gaussian_beam(1e-3, 512, 20e-6),
+                 OpticalTrain((Mask(wire_mask(0.2e-3, 512, 20e-6)), FreeSpace(2.0),
+                               FreeSpace(20.0))), CTX),
+        lambda: _free_row(2.0),
+        lambda: _free_row(3.0),
+    ], ids=["mask-2m-20m", "fig4b-free-2m", "fig4b-free-3m"])
+    def test_refuses_as_the_2d_field(self, make):
+        pump, beam, train, ctx = make()
+        with pytest.raises(AliasingRiskError) as held:
+            propagate_train(pump, ctx, train)
+        with pytest.raises(AliasingRiskError) as grid:
+            propagate_train(beam, ctx, train)
+        assert held.value.max_safe_distance == grid.value.max_safe_distance
+        assert str(held.value) == str(grid.value)
+
+    def test_refused_row_builds_no_grid(self, monkeypatch):
+        # the free 2 m row refuses at its second hop, from the 1-D spectra
+        pump, _, train, ctx = _free_row(2.0)
+        calls = TestSpectralDomain._count_transforms(monkeypatch)
+
+        def refuse():
+            with pytest.raises(AliasingRiskError, match=r"^element 2 \(FreeSpace\(2 m\)\)"):
+                propagate_train(pump, ctx, train)
+
+        peak = traced_peak(refuse)
+        assert calls == []
+        assert peak < 0.05 * pump.n**2 * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("n", [128, 129, 1024])
+    @pytest.mark.parametrize("distances", [(0.005, 0.1), (0.01, 0.02, 0.3)],
+                             ids=["2-hops", "3-hops"])
+    def test_stretch_equals_hop_by_hop(self, monkeypatch, n, distances):
+        # the 2-D field runs the hops one by one on its spectrum; the factors'
+        # stretch applies one transfer for the total distance on its cone
+        pitch = 20e-6
+        column, row = _random_factors(n)
+        train = OpticalTrain((Mask(wire_mask(0.2e-3, n, pitch)),
+                              *(FreeSpace(z) for z in distances)))
+        want = propagate_train(ScalarField(np.multiply.outer(column, row), pitch), CTX, train,
+                               max_clip_fraction=1.0).samples
+        calls = TestSpectralDomain._count_transforms(monkeypatch)
+        got = propagate_train(SeparableField(column, row, pitch), CTX, train,
+                              max_clip_fraction=1.0).samples
+        assert calls == [True]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("distances, want_calls", [
+        ((1e-6, 20e-6), [False, True]),  # the first hop's cone holds evanescent samples
+        ((20e-6, 1e-6), [True]),  # the second's: the stretch of one hop is written
+    ], ids=["first-hop", "second-hop"])
+    def test_evanescent_cone_runs_on_the_grid(self, monkeypatch, distances, want_calls):
+        # at a pitch below lambda / sqrt(2) the cone of a short hop reaches
+        # evanescent frequencies, where the transfer's zeros are not separable
+        n, pitch = 128, 0.2e-6
+        assert pitch <= CTX.wavelength / np.sqrt(2.0)
+        f = propagation._half_freqs(n, pitch)
+        cones = [np.searchsorted(f, safe_frequency_limit(n * pitch, CTX.wavelength, z), "right")
+                 for z in distances]
+        assert [propagation._propagates(CTX.wavenumber, f, m) for m in cones] \
+            == [z > 1e-5 for z in distances]
+        column, row = _random_factors(n)
+        train = OpticalTrain(tuple(FreeSpace(z) for z in distances))
+        want = propagate_train(ScalarField(np.multiply.outer(column, row), pitch), CTX, train,
+                               max_clip_fraction=1.0).samples
+        calls = TestSpectralDomain._count_transforms(monkeypatch)
+        got = propagate_train(SeparableField(column, row, pitch), CTX, train,
+                              max_clip_fraction=1.0).samples
+        assert calls == want_calls
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _propagate_in_child(f):
