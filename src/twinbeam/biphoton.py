@@ -29,21 +29,26 @@ stretch of hops makes no forward 2-D transform: fig5's train makes 5 2-D
 transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
 
 kappa and P are scalars, so the aperture-integrated rate map carries
-neither: it is |W|^2 convolved with the two aperture disks.  kappa * P is
-applied to what is read from the map, the scan's rates (and, in
-:mod:`twinbeam.runner`, the map excerpt written as CSV), by one function
-that also validates kappa.  A run that calibrates on its own scan takes
-kappa from the same map, so the map is made once per run.
+neither: it is |W|^2 convolved with the two aperture disks, that is with
+their composite kernel K = disk(a_s) * disk(a_i), built from exact integer
+overlap counts.  A scan samples two neighbouring lines of that map, so it
+convolves only those: each line is a sum over K's rows of 1-D transforms of
+the |W|^2 lines K reaches, and no 2-D map is built.  kappa * P is applied to
+what is read, the scan's rates (and, in :mod:`twinbeam.runner`, the map
+excerpt written as CSV), by one function that also validates kappa.  A run
+that calibrates on its own scan takes kappa from the same read, and builds
+the 2-D map only for its map artifacts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SamplingError, ValidationError
+from .errors import OutOfWindowError, SamplingError, ValidationError
 from .field import (ScalarField, SeparableField, WaveContext, _each_block, bilinear_sample,
                     separable_gaussian, wire_mask)
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _column_pass, propagate_train
@@ -163,28 +168,51 @@ class CoincidenceProfile:
         return float(self.rates.max())
 
 
+def _lattice_disk(n: int, pitch: float, radius: float):
+    """The lattice disk of ``radius`` on an n-sample grid: its offsets d from
+    the axis (clipped to the grid) and the (d.size, d.size) indicator of the
+    offsets (a, b) with (a pitch)^2 + (b pitch)^2 <= radius^2.  Offsets that
+    no lattice point of the disk reaches are left out."""
+    reach = int(np.ceil(radius / pitch)) + 1
+    d = np.arange(-min(reach, n // 2), min(reach, n - 1 - n // 2) + 1)
+    x2 = (d * pitch) ** 2
+    inside = x2[None, :] + x2[:, None] <= radius**2
+    keep = inside.any(axis=0)
+    return d[keep], inside[np.ix_(keep, keep)]
+
+
 def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
     """Real-input FFT (``rfft2``) of a centered disk indicator times the pixel
     area (midpoint rule), n x (n//2 + 1).
 
     The disk is written straight into FFT order: offset d from the axis
-    lands at index d mod n.  Only the offsets within the radius, clipped
-    to the grid, are evaluated, and only their rows are transformed.  Every
-    other row is a copy of the transform of a zero row, which is not all
-    +0.0: pocketfft gives some of its parts as -0.0.
+    lands at index d mod n.  Only the offsets of :func:`_lattice_disk` are
+    evaluated, and only their rows are transformed.  Every other row is a
+    copy of the transform of a zero row, which is not all +0.0: pocketfft
+    gives some of its parts as -0.0.
     """
-    reach = int(np.ceil(radius / pitch)) + 1
-    d = np.arange(-min(reach, n // 2), min(reach, n - 1 - n // 2) + 1)
-    x2 = (d * pitch) ** 2
+    d, inside = _lattice_disk(n, pitch, radius)
     idx = d % n
     rows = np.zeros((d.size, n))
-    rows[:, idx] = (x2[None, :] + x2[:, None] <= radius**2) * pitch**2
+    rows[:, idx] = inside * pitch**2
     kernel = np.empty((n, n // 2 + 1), np.complex128)
     zero_row = np.fft.rfft(np.zeros(n))
     _each_block(lambda r: np.copyto(kernel[r], zero_row), n, n * n)
     kernel[idx] = np.fft.rfft(rows, axis=-1)
     _column_pass(np.fft.fft, kernel, n * n)
     return kernel
+
+
+def _resolved_radii(pitch: float, radii: tuple) -> tuple:
+    """The positive aperture radii, each checked to span MIN_APERTURE_SAMPLES samples."""
+    radii = tuple(r for r in radii if r > 0)
+    for radius in radii:
+        if 2.0 * radius / pitch < MIN_APERTURE_SAMPLES:
+            raise SamplingError(
+                f"aperture radius {radius:g} m under-resolved: need at least "
+                f"{MIN_APERTURE_SAMPLES} samples across the diameter at pitch {pitch:g} m"
+            )
+    return radii
 
 
 def aperture_integrated_map(intensity: np.ndarray, pitch: float,
@@ -205,13 +233,7 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
     place.  Each pass is split across the cores, so no full-size copy of
     the map is made.
     """
-    radii = [r for r in (radius_signal, radius_idler) if r > 0]
-    for radius in radii:
-        if 2.0 * radius / pitch < MIN_APERTURE_SAMPLES:
-            raise SamplingError(
-                f"aperture radius {radius:g} m under-resolved: need at least "
-                f"{MIN_APERTURE_SAMPLES} samples across the diameter at pitch {pitch:g} m"
-            )
+    radii = _resolved_radii(pitch, (radius_signal, radius_idler))
     if not radii:
         return intensity
     n = intensity.shape[0]
@@ -268,24 +290,116 @@ def scan_points(scenario: "Scenario"):
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
 
 
+def _overlap_counts(n: int, pitch: float, radii: tuple):
+    """Offsets e and integer counts of the composite kernel of one or two
+    positive ``radii``, on both axes: for two, count[a, b] is the number of
+    pairs of lattice points, one in each :func:`_lattice_disk`, whose offsets
+    sum to (e[a], e[b]), rounded from a small FFT convolution; for one, the
+    disk's indicator."""
+    (d, counts), *rest = (_lattice_disk(n, pitch, r) for r in radii)
+    for d_other, inside in rest:
+        s = (d.size + d_other.size - 1,) * 2
+        spectrum = np.fft.rfft2(counts, s) * np.fft.rfft2(inside, s)
+        counts = np.rint(np.fft.irfft2(spectrum, s))
+        d = np.arange(d[0] + d_other[0], d[-1] + d_other[-1] + 1)
+    return d, counts.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_row_spectra(n: int, pitch: float, radii: tuple):
+    """The composite kernel K = disk(a_s) * disk(a_i) pitch^4 (one disk
+    times pitch^2 for one radius) row by row: its offsets e and the ``rfft``
+    of each row written into FFT order on n samples, read-only.  K equals its
+    transpose, so these are its column spectra too.  A sweep reads the same
+    kernel row after row; at n = 1024 and a = 0.5 mm one entry is 1.7 MB."""
+    e, counts = _overlap_counts(n, pitch, radii)
+    rows = np.zeros((e.size, n))
+    np.add.at(rows, (slice(None), e % n), counts * pitch ** (2 * len(radii)))
+    spectra = np.fft.rfft(rows, axis=-1)
+    spectra.setflags(write=False)
+    return e, spectra
+
+
+def _cell(n: int, pitch: float, v) -> np.ndarray:
+    """Lower corner of the bilinear cell of coordinate(s) ``v``, clamped to
+    [0, n - 2] as :func:`~twinbeam.field.bilinear_sample` clamps it."""
+    return np.clip((np.asarray(v) / pitch + n // 2).astype(int), 0, n - 2)
+
+
+def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
+                points: tuple) -> np.ndarray:
+    """``bilinear_sample(aperture_integrated_map(|samples|^2, pitch, *radii),
+    pitch, *points)`` for points along ``axis`` that share one coordinate on
+    the other axis, with ``radii`` positive and checked.
+
+    Only the two map lines of that coordinate's cell are convolved: rows
+    for an x scan, columns for a y scan.  Line j is
+    ``max(irfft(sum_a rfft(I[j - e_a]) rfft(K[a]), n), 0)`` with the kernel
+    of :func:`_kernel_row_spectra`, and I = |samples|^2 is taken only on the
+    e.size + 1 lines the two reach, indexed modulo n as the circular map is;
+    without radii the lines are I itself.  They are written into an n x n
+    array of zeros, which bilinear_sample reads as it reads the map.
+    """
+    n = samples.shape[0]
+    first = int(_cell(n, pitch, points[1] if axis == "x" else points[0]))
+
+    def intensity(idx):
+        lines = samples[idx] if axis == "x" else np.ascontiguousarray(samples[:, idx].T)
+        return np.square(np.abs(lines))
+
+    if radii:
+        e, spectra = _kernel_row_spectra(n, pitch, radii)
+        slab = np.fft.rfft(intensity(np.arange(first - e[-1], first + 2 - e[0]) % n), axis=-1)
+        pair = np.empty((2, n))
+        for k in range(2):
+            np.fft.irfft((slab[k:k + e.size][::-1] * spectra).sum(axis=0), n, out=pair[k])
+        np.maximum(pair, 0.0, out=pair)
+    else:
+        pair = intensity(np.arange(first, first + 2))
+    # Written as rows, so that the pages no line reaches stay unmapped; a
+    # y scan reads them through the transposed view.
+    values = np.zeros((n, n))
+    values[first:first + 2] = pair
+    return bilinear_sample(values if axis == "x" else values.T, pitch, *points)
+
+
 def _scan_stage(scenario: "Scenario"):
-    """The one path from a scenario to its scan, before kappa and P: the scanned
-    coordinates, the detector field, its rate map and that map read at every
-    scan point at once."""
-    coords, points, apertures = scan_points(scenario)
+    """The one path from a scenario to its scan, before kappa and P: the
+    scanned coordinates, the detector field and the rates at every scan
+    point, read by :func:`_read_lines`.
+
+    A point whose apertures reach R = ceil((a_s + a_i) / pitch) + 1 samples
+    around its cell past the grid raises OutOfWindowError: the map is
+    circular, so its rate would hold intensity from the opposite edge.
+    """
+    coords, (x, y), apertures = scan_points(scenario)
     w = effective_detector_field(scenario)
-    rate_map = aperture_integrated_map(w.intensity(), w.pitch, *apertures)
-    return coords, w, rate_map, bilinear_sample(rate_map, w.pitch, *points)
+    n, pitch = w.n, w.pitch
+    radii = _resolved_radii(pitch, apertures)
+    rates = _read_lines(w.samples, pitch, radii, scenario.scan.axis, (x, y))
+    if radii:
+        reach = int(np.ceil(sum(radii) / pitch)) + 1
+        x, y = np.broadcast_arrays(x, y)
+        cells = np.stack([_cell(n, pitch, x), _cell(n, pitch, y)])
+        outside = np.flatnonzero(((cells < reach) | (cells > n - 2 - reach)).any(axis=0))
+        if outside.size:
+            k = outside[0]
+            raise OutOfWindowError(
+                f"sample point ({x[k]:g}, {y[k]:g}) m: the apertures reach {reach * pitch:g} m "
+                f"around it, past the grid window [{-(n // 2) * pitch:g}, "
+                f"{(n - 1 - n // 2) * pitch:g}] m, where the rate map wraps"
+            )
+    return coords, w, rates
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:
     """Scan one detector and integrate the rate over both apertures.
 
     The scan is the scenario's: to scan differently, ``dataclasses.replace``
-    its ``scan`` or ``detectors``.  The detector field and the rate map are
-    computed once; every scan point is a pure read of that map, so
+    its ``scan`` or ``detectors``.  The detector field is computed once and
+    every scan point is read from the same two lines of its rate map, so
     evaluation order cannot change the result.
     """
     scale = _rate_scale(scenario, kappa)
-    coords, _, _, raw = _scan_stage(scenario)
+    coords, _, raw = _scan_stage(scenario)
     return CoincidenceProfile(coords, scale * raw)

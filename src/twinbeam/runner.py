@@ -1,10 +1,11 @@
 """Config-driven experiment runs: profile, counts, metrics, artifacts.
 
-A run propagates the unfolded train once and builds one aperture-integrated
-rate map, which carries no kappa, also when the run calibrates kappa on its
-own scan; the profile, Poisson counts, dip/peak metrics and CSV/PGM
-artifacts all come from that field and map, plus a JSON report.  Identical
-scenario and seed give byte-identical artifacts.
+A run propagates the unfolded train once, also when it calibrates kappa on
+its own scan.  The profile, Poisson counts and dip/peak metrics come from the
+scan's read of two lines of the rate map; the whole aperture-integrated map,
+which carries no kappa, is built once, only for the map artifacts.  The CSV/PGM
+artifacts and a JSON report are written.  Identical scenario and seed give
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .biphoton import (
     CoincidenceProfile,
     _rate_scale,
     _scan_stage,
+    aperture_integrated_map,
     divergence_loss_distance,
     scan_detector,
+    scan_points,
 )
 from .field import axis_coords
 from .counting import CountedProfile, sample_counts, snr
@@ -131,10 +134,10 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
         kappa = resolve_kappa(scenario)
 
     scale = None if kappa is None else _rate_scale(scenario, kappa)
-    scan_coords, w_eff, rate_map, raw = _scan_stage(scenario)
+    scan_coords, w_eff, raw = _scan_stage(scenario)
     if scale is None:
         # The scenario is its own calibration reference: its scan at
-        # kappa = 1 calibrates it, so the train and the map are made once.
+        # kappa = 1 calibrates it, so the train is made once.
         kappa = _calibrated_kappa(scenario, _rate_scale(scenario, 1.0) * raw.max())
         scale = _rate_scale(scenario, kappa)
     profile = CoincidenceProfile(scan_coords, scale * raw)
@@ -144,7 +147,8 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
 
     # 2D coincidence map: full resolution as PGM, normalised to its own peak,
     # and cropped to the scan region, thinned to at most ~256 points per axis
-    # and scaled to pairs/s for the CSV
+    # and scaled to pairs/s for the CSV.  The scan read only two of its lines.
+    rate_map = aperture_integrated_map(w_eff.intensity(), w_eff.pitch, *scan_points(scenario)[2])
     coords = axis_coords(rate_map.shape[0], w_eff.pitch)
     margin = 1e-3
     keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)

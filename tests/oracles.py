@@ -113,24 +113,21 @@ def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:
 
 def aperture_map_formula(point_map: np.ndarray, pitch: float, radii: tuple,
                          real_input: bool = True) -> np.ndarray:
-    """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``, out of place.
+    """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``, out of place, for
+    two radii; for one, ``np.maximum(irfft2(k1 * rfft2(I), s), 0)``.
 
-    Each product is named, so that numpy cannot elide it into a swapped
-    in-place product.  With ``real_input=False`` it is the complex-transform
+    Each kernel spectrum is the first operand, so that numpy can elide a
+    product only into an in-place one of the same order.  With ``real_input=False`` it is the complex-transform
     formula ``np.maximum(ifft2(k2 * (k1 * fft2(I))).real, 0)``.
     """
     n = point_map.shape[0]
+    fft2 = np.fft.rfft2 if real_input else np.fft.fft2
+    spec = fft2(point_map)
+    for radius in radii:
+        spec = fft2(disk_kernel(n, pitch, radius)) * spec
     if real_input:
-        k1, k2 = (np.fft.rfft2(disk_kernel(n, pitch, r)) for r in radii)
-        spec = np.fft.rfft2(point_map)
-    else:
-        k1, k2 = (np.fft.fft2(disk_kernel(n, pitch, r)) for r in radii)
-        spec = np.fft.fft2(point_map)
-    once = k1 * spec
-    twice = k2 * once
-    if real_input:
-        return np.maximum(np.fft.irfft2(twice, s=point_map.shape), 0.0)
-    return np.maximum(np.fft.ifft2(twice).real, 0.0)
+        return np.maximum(np.fft.irfft2(spec, s=point_map.shape), 0.0)
+    return np.maximum(np.fft.ifft2(spec).real, 0.0)
 
 
 # ---------------------------------------------------------------------------

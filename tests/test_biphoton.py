@@ -9,6 +9,7 @@ from oracles import (aperture_map_formula, coincidence_imaged, disk_kernel,
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
+    ScalarField,
     SeparableField,
     ValidationError,
     WaveContext,
@@ -345,14 +346,109 @@ class TestProfileInvariants:
         assert peak / (n * n * np.dtype(np.complex128).itemsize) < 0.75
 
     def test_scan_points_independent_of_evaluation_order(self):
-        # every point is a pure lookup on one precomputed map, so sampling
-        # the coordinates in reverse must reproduce the profile exactly
+        # every point is a pure read of the same two lines of the map, so
+        # reading the coordinates one by one in reverse must reproduce the
+        # profile exactly
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
-        rate_map = aperture_integrated_map(w.intensity(), w.pitch, 1e-4, 1e-4)
-        reversed_rates = [bilinear_sample(rate_map, w.pitch, x, 0.0)
+        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4), "x", (x, 0.0))
                           for x in profile.coordinates[::-1]]
         scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
         assert np.array_equal(scale * np.array(reversed_rates)[::-1], profile.rates)
+
+
+def _fixed_coordinate(n, pitch, where):
+    """A coordinate on a node, between two nodes, or in the last cell, whose
+    lower corner bilinear_sample clamps to n - 2."""
+    return {"node": 3 * pitch, "between": -2.3 * pitch,
+            "last": (n - 1 - n // 2) * pitch}[where]
+
+
+class TestLineRead:
+    """A scan convolves only the two lines of the rate map it samples."""
+
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4), (1e-4, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("where", ["node", "between", "last"])
+    def test_line_read_is_the_map_read(self, n, radii, axis, where):
+        # within 1e-13 of the map's peak; with point detectors the map is
+        # |samples|^2 itself and the read equals it byte for byte.  The read
+        # of the last cell reaches past the edge and wraps, as the map does
+        pitch = 20e-6
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        moving = np.linspace(-0.9, 0.9, 37) * (n // 2) * pitch
+        fixed = _fixed_coordinate(n, pitch, where)
+        points = (moving, fixed) if axis == "x" else (fixed, moving)
+        positive = tuple(r for r in radii if r > 0)
+        out = biphoton._read_lines(samples, pitch, positive, axis, points)
+        if positive:
+            rate_map = aperture_map_formula(np.abs(samples) ** 2, pitch, positive)
+            ref = bilinear_sample(rate_map, pitch, *points)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
+        else:
+            rate_map = aperture_integrated_map(ScalarField(samples, pitch).intensity(), pitch,
+                                               *radii)
+            assert out.tobytes() == bilinear_sample(rate_map, pitch, *points).tobytes()
+
+    @pytest.mark.parametrize("radii", [(5e-5,), (5e-5, 5e-5), (5e-5, 7e-5), (6.1e-5, 4e-5)])
+    def test_kernel_counts_are_lattice_pair_counts(self, radii):
+        pitch = 20e-6
+        disks = []
+        for radius in radii:
+            reach = int(radius / pitch) + 1
+            disks.append([(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)
+                          if (a * pitch) ** 2 + (b * pitch) ** 2 <= radius**2])
+        counts = {}
+        if len(disks) == 1:
+            counts = dict.fromkeys(disks[0], 1)
+        else:
+            for a, b in disks[0]:
+                for c, d in disks[1]:
+                    counts[a + c, b + d] = counts.get((a + c, b + d), 0) + 1
+        e, out = biphoton._overlap_counts(128, pitch, radii)
+        assert out.dtype == np.int64
+        ref = np.zeros_like(out)
+        for (a, b), count in counts.items():
+            ref[a - e[0], b - e[0]] = count
+        assert np.array_equal(out, ref)
+        # the offsets end at the outermost pairs: no row or column is empty
+        assert out[0].any() and out[-1].any() and out[:, 0].any() and out[:, -1].any()
+
+    def test_kernel_row_spectra_are_read_only_and_kept(self):
+        e, spectra = biphoton._kernel_row_spectra(128, 20e-6, (1e-4, 1e-4))
+        assert not spectra.flags.writeable
+        assert biphoton._kernel_row_spectra(128, 20e-6, (1e-4, 1e-4))[1] is spectra
+
+    def test_scan_and_sweep_row_build_no_map(self, monkeypatch):
+        from twinbeam import counting
+
+        calls = []
+        for name in ("aperture_integrated_map", "_disk_kernel_spectrum"):
+            monkeypatch.setattr(biphoton, name, lambda *args, name=name: calls.append(name))
+        scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
+                                 scan=(-1e-3, 1e-3, 1e-4))
+        assert scan_detector(scenario).peak_rate > 0
+        row, = counting.sweep_distance(scenario, [0.3], collimated=False,
+                                       aperture_radius_m=1e-4)
+        assert row.peak_rate > 0 and calls == []
+
+    def test_aperture_reach_past_the_window_raises(self):
+        # R = ceil(2e-4 / 2e-5) + 1 = 11 samples, 0.22 mm; the window of 256
+        # samples is [-2.56, 2.54] mm, so the first point's cell (8) is inside
+        # the window, but its reach is not
+        scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
+                                 scan=(-2.4e-3, 0.0, 1e-4))
+        with pytest.raises(OutOfWindowError, match=r"\(-0.0024, 0\) m: the apertures reach "
+                                                   r"0.00022 m .* \[-0.00256, 0.00254\] m"):
+            scan_detector(scenario)
+        # from 0.1 mm further in, and with point detectors, the scan is read
+        inside = dataclasses.replace(scenario, scan=dataclasses.replace(scenario.scan,
+                                                                        start_m=-2.3e-3))
+        assert scan_detector(inside).peak_rate > 0
+        point = make_scenario(z_m1=0.02, z_det=0.5, n=256, waist=0.4e-3,
+                              scan=(-2.4e-3, 0.0, 1e-4))
+        assert scan_detector(point).peak_rate > 0

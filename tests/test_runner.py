@@ -126,22 +126,25 @@ def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
     assert report.kappa == kappa
 
 
-@pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 2)])
+@pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 1)])
 def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
-    # fig4b calibrates on its own scan, fig5 on fig4b's; both radii are
-    # equal, so each rate map builds one disk kernel
-    from twinbeam import biphoton
+    # fig4b calibrates on its own scan, fig5 on fig4b's; scans read two
+    # lines of the map, so only the run's own map artifacts build the map,
+    # and both radii are equal, so it builds one disk kernel
+    from twinbeam import biphoton, runner
 
-    builds = []
-    build = biphoton._disk_kernel_spectrum
+    calls = []
+    for module, name in ((biphoton, "aperture_integrated_map"),
+                         (runner, "aperture_integrated_map"),
+                         (biphoton, "_disk_kernel_spectrum")):
+        def counting(*args, name=name, original=getattr(module, name)):
+            calls.append(name)
+            return original(*args)
 
-    def counting_build(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(biphoton, "_disk_kernel_spectrum", counting_build)
+        monkeypatch.setattr(module, name, counting)
     run(load_scenario(preset), tmp_path)
-    assert len(builds) == maps
+    assert calls.count("aperture_integrated_map") == maps
+    assert calls.count("_disk_kernel_spectrum") == maps
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
