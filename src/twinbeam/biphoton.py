@@ -31,13 +31,14 @@ transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
 their composite kernel K = disk(a_s) * disk(a_i), built from exact integer
-overlap counts.  A scan samples two neighbouring lines of that map, so it
-convolves only those: each line is a sum over K's rows of 1-D transforms of
-the |W|^2 lines K reaches, and no 2-D map is built.  kappa * P is applied to
-what is read, the scan's rates (and, in :mod:`twinbeam.runner`, the map
-excerpt written as CSV), by one function that also validates kappa.  A run
-that calibrates on its own scan takes kappa from the same read, and builds
-the 2-D map only for its map artifacts.
+overlap counts and cached per grid and radii.  A scan samples two
+neighbouring lines of that map, so it convolves only those: each line is a
+sum over K's rows of 1-D transforms of the |W|^2 lines K reaches.  A run
+builds the 2-D map, with the same cached K, only for its map artifacts.
+kappa * P is applied to what is read, the scan's rates (and, in
+:mod:`twinbeam.runner`, the map excerpt written as CSV), by one function
+that also validates kappa.  A run that calibrates on its own scan takes
+kappa from the same read.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfWindowError, SamplingError, ValidationError
-from .field import (ScalarField, SeparableField, WaveContext, _each_block, bilinear_sample,
-                    separable_gaussian, wire_mask)
+from .field import (ScalarField, SeparableField, WaveContext, _cell, _each_block,
+                    bilinear_sample, separable_gaussian, wire_mask)
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _column_pass, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -181,26 +182,34 @@ def _lattice_disk(n: int, pitch: float, radius: float):
     return d[keep], inside[np.ix_(keep, keep)]
 
 
-def _disk_kernel_spectrum(n: int, pitch: float, radius: float) -> np.ndarray:
-    """Real-input FFT (``rfft2``) of a centered disk indicator times the pixel
-    area (midpoint rule), n x (n//2 + 1).
+def _overlap_counts(n: int, pitch: float, radii: tuple):
+    """Offsets e and integer counts of the composite kernel of one or two
+    positive ``radii``, on both axes: for two, count[a, b] is the number of
+    pairs of lattice points, one in each :func:`_lattice_disk`, whose offsets
+    sum to (e[a], e[b]), rounded from a small FFT convolution; for one, the
+    disk's indicator."""
+    (d, counts), *rest = (_lattice_disk(n, pitch, r) for r in radii)
+    for d_other, inside in rest:
+        s = (d.size + d_other.size - 1,) * 2
+        spectrum = np.fft.rfft2(counts, s) * np.fft.rfft2(inside, s)
+        counts = np.rint(np.fft.irfft2(spectrum, s))
+        d = np.arange(d[0] + d_other[0], d[-1] + d_other[-1] + 1)
+    return d, counts.astype(np.int64)
 
-    The disk is written straight into FFT order: offset d from the axis
-    lands at index d mod n.  Only the offsets of :func:`_lattice_disk` are
-    evaluated, and only their rows are transformed.  Every other row is a
-    copy of the transform of a zero row, which is not all +0.0: pocketfft
-    gives some of its parts as -0.0.
-    """
-    d, inside = _lattice_disk(n, pitch, radius)
-    idx = d % n
-    rows = np.zeros((d.size, n))
-    rows[:, idx] = inside * pitch**2
-    kernel = np.empty((n, n // 2 + 1), np.complex128)
-    zero_row = np.fft.rfft(np.zeros(n))
-    _each_block(lambda r: np.copyto(kernel[r], zero_row), n, n * n)
-    kernel[idx] = np.fft.rfft(rows, axis=-1)
-    _column_pass(np.fft.fft, kernel, n * n)
-    return kernel
+
+@functools.lru_cache(maxsize=4)
+def _kernel_row_spectra(n: int, pitch: float, radii: tuple):
+    """The composite kernel K = disk(a_s) * disk(a_i) pitch^4 (one disk
+    times pitch^2 for one radius) row by row: its offsets e and the ``rfft``
+    of each row written into FFT order on n samples, read-only.  K equals its
+    transpose, so these are its column spectra too.  A sweep reads the same
+    kernel row after row; at n = 1024 and a = 0.5 mm one entry is 1.7 MB."""
+    e, counts = _overlap_counts(n, pitch, radii)
+    rows = np.zeros((e.size, n))
+    np.add.at(rows, (slice(None), e % n), counts * pitch ** (2 * len(radii)))
+    spectra = np.fft.rfft(rows, axis=-1)
+    spectra.setflags(write=False)
+    return e, spectra
 
 
 def _resolved_radii(pitch: float, radii: tuple) -> tuple:
@@ -219,37 +228,35 @@ def aperture_integrated_map(intensity: np.ndarray, pitch: float,
                             radius_signal: float, radius_idler: float) -> np.ndarray:
     """Convolve the point-rate map with both detector aperture disks.
 
-    Because the rate depends only on the detector coordinate sum, the
-    double aperture integral is a convolution of the sum-coordinate map
-    with the two disk indicators.  Equal radii share one kernel; with two
-    point detectors the map is ``intensity`` itself.
+    The rate depends only on the detector coordinate sum, so the double
+    aperture integral is a convolution of the sum-coordinate map with the
+    composite kernel K of the two disks, the cached kernel the scans read
+    (:func:`_kernel_row_spectra`); with two point detectors the map is
+    ``intensity`` itself.
 
-    The map is real, so it is convolved with real-input transforms:
-    ``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``.  One n x (n//2 + 1)
-    complex array holds the half spectrum, read by the row ``rfft`` straight
-    from ``intensity``, and all its products (kernel * spec, the order that
-    rounds as the formula does).  After the column ``ifft`` the row
-    ``irfft`` writes into the real result, which the clamp then updates in
-    place.  Each pass is split across the cores, so no full-size copy of
-    the map is made.
+    It is ``np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0)``.  K's half
+    spectrum is its row spectra in FFT order, transformed down the columns.
+    The map's is read by the row ``rfft`` straight from ``intensity`` into a
+    second n x (n//2 + 1) complex array, which then holds the product
+    (kernel * spec, the order that rounds as the formula does).  After the
+    column ``ifft`` the row ``irfft`` writes the real result, clamped in
+    place.  Each pass is split across the cores.
     """
     radii = _resolved_radii(pitch, (radius_signal, radius_idler))
     if not radii:
         return intensity
     n = intensity.shape[0]
-    kernels = {r: _disk_kernel_spectrum(n, pitch, r) for r in set(radii)}
+    e, spectra = _kernel_row_spectra(n, pitch, radii)
+    kernel = np.zeros((n, n // 2 + 1), np.complex128)
+    np.add.at(kernel, e % n, spectra)
+    _column_pass(np.fft.fft, kernel, intensity.size)
     spec = np.empty((n, n // 2 + 1), np.complex128)
     _each_block(lambda r: np.fft.rfft(intensity[r], axis=-1, out=spec[r]), n, intensity.size)
     _column_pass(np.fft.fft, spec, intensity.size)
-
-    def products(r):
-        for radius in radii:
-            np.multiply(kernels[radius][r], spec[r], out=spec[r])
-
-    _each_block(products, n, intensity.size)
-    # Freed before the real map is allocated, the kernels (half a complex
-    # field each) are not part of the run's peak memory.
-    del kernels
+    _each_block(lambda r: np.multiply(kernel[r], spec[r], out=spec[r]), n, intensity.size)
+    # Freed before the real map is allocated, K's half spectrum is not part
+    # of the run's peak memory.
+    del kernel
     _column_pass(np.fft.ifft, spec, intensity.size)
     rates = np.empty(intensity.shape)
 
@@ -288,42 +295,6 @@ def scan_points(scenario: "Scenario"):
     else:
         points = (moving_spec.x_m + fixed.x_m, coords + fixed.y_m)
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
-
-
-def _overlap_counts(n: int, pitch: float, radii: tuple):
-    """Offsets e and integer counts of the composite kernel of one or two
-    positive ``radii``, on both axes: for two, count[a, b] is the number of
-    pairs of lattice points, one in each :func:`_lattice_disk`, whose offsets
-    sum to (e[a], e[b]), rounded from a small FFT convolution; for one, the
-    disk's indicator."""
-    (d, counts), *rest = (_lattice_disk(n, pitch, r) for r in radii)
-    for d_other, inside in rest:
-        s = (d.size + d_other.size - 1,) * 2
-        spectrum = np.fft.rfft2(counts, s) * np.fft.rfft2(inside, s)
-        counts = np.rint(np.fft.irfft2(spectrum, s))
-        d = np.arange(d[0] + d_other[0], d[-1] + d_other[-1] + 1)
-    return d, counts.astype(np.int64)
-
-
-@functools.lru_cache(maxsize=4)
-def _kernel_row_spectra(n: int, pitch: float, radii: tuple):
-    """The composite kernel K = disk(a_s) * disk(a_i) pitch^4 (one disk
-    times pitch^2 for one radius) row by row: its offsets e and the ``rfft``
-    of each row written into FFT order on n samples, read-only.  K equals its
-    transpose, so these are its column spectra too.  A sweep reads the same
-    kernel row after row; at n = 1024 and a = 0.5 mm one entry is 1.7 MB."""
-    e, counts = _overlap_counts(n, pitch, radii)
-    rows = np.zeros((e.size, n))
-    np.add.at(rows, (slice(None), e % n), counts * pitch ** (2 * len(radii)))
-    spectra = np.fft.rfft(rows, axis=-1)
-    spectra.setflags(write=False)
-    return e, spectra
-
-
-def _cell(n: int, pitch: float, v) -> np.ndarray:
-    """Lower corner of the bilinear cell of coordinate(s) ``v``, clamped to
-    [0, n - 2] as :func:`~twinbeam.field.bilinear_sample` clamps it."""
-    return np.clip((np.asarray(v) / pitch + n // 2).astype(int), 0, n - 2)
 
 
 def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,

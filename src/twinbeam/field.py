@@ -4,6 +4,9 @@ Grid convention: an N-by-N array with physical pitch (meters per sample),
 sample (row j, column i) sits at transverse coordinate
 ``x = (i - N//2) * pitch``, ``y = (j - N//2) * pitch``, so index N//2 is
 the optical axis.
+
+The Gaussian beam is defined once, as its two 1-D factors; the bilinear
+cell of a coordinate once, by :func:`_cell`, which the scan shares.
 """
 
 from __future__ import annotations
@@ -70,15 +73,6 @@ def _each_block(job, rows: int, size: int) -> None:
         list(_executor(workers).map(job, blocks))
     else:
         job(slice(0, rows))
-
-
-def _each_mirrored_block(job, u: np.ndarray, quadrant: np.ndarray, runs: tuple) -> None:
-    """``job(u_block, quadrant_block)`` on the blocks of ``u`` that read ``quadrant``
-    mirrored by the index map ``runs`` spells out; together they are one pass over ``u``."""
-    for rows, q_rows in runs:
-        for cols, q_cols in runs:
-            ub, qb = u[rows, cols], quadrant[q_rows, q_cols]
-            _each_block(lambda r, ub=ub, qb=qb: job(ub[r], qb[r]), ub.shape[0], u.size)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -281,8 +275,10 @@ def _check_gaussian_sampling(waist: float, n: int, pitch: float) -> None:
         )
 
 
-def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
-    """Flat-phase Gaussian beam exp(-rho^2 / waist^2) with unit peak.
+def separable_gaussian(waist: float, n: int, pitch: float) -> SeparableField:
+    """Flat-phase Gaussian beam exp(-rho^2 / waist^2) with unit peak, as its
+    two equal 1-D factors: exp(-rho^2 / waist^2) = exp(-y^2 / waist^2) *
+    exp(-x^2 / waist^2).
 
     Parameters
     ----------
@@ -300,31 +296,15 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
         guard band of at least 6 waists.
     """
     _check_gaussian_sampling(waist, n, pitch)
-    # exp(-rho^2 / waist^2) on the quadrant of distances |i - n//2| from the
-    # axis, mirrored onto the grid
-    h = n // 2 + 1
-    x2 = (np.arange(h) * pitch) ** 2
-    quadrant = np.empty((h, h))
-
-    def build(r):
-        q = np.add(x2[None, :], x2[r, None], out=quadrant[r])
-        np.negative(q, out=q)
-        np.divide(q, waist**2, out=q)
-        np.exp(q, out=q)
-
-    _each_block(build, h, quadrant.size)
-    samples = np.empty((n, n), np.complex128)
-    _each_mirrored_block(np.copyto, samples, quadrant, centred_runs(n))
-    return ScalarField(samples, pitch)
-
-
-def separable_gaussian(waist: float, n: int, pitch: float) -> SeparableField:
-    """The beam of :func:`gaussian_beam` as its two equal 1-D factors,
-    exp(-rho^2 / waist^2) = exp(-y^2 / waist^2) * exp(-x^2 / waist^2), with
-    the same checks.  Its samples agree with that beam's to rounding."""
-    _check_gaussian_sampling(waist, n, pitch)
     profile = np.exp(-axis_coords(n, pitch) ** 2 / waist**2)
     return SeparableField(profile, profile, pitch)
+
+
+def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
+    """:func:`separable_gaussian`'s beam on the grid, ``outer(column, row)`` of its
+    factors: within half an ulp of the unit peak of exp(-rho^2 / waist^2)."""
+    beam = separable_gaussian(waist, n, pitch)
+    return ScalarField(np.outer(beam.column, beam.row), pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
@@ -341,6 +321,12 @@ def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
     x = axis_coords(n, pitch)
     profile = np.where((x >= -width / 2) & (x < width / 2), 0.0, 1.0)
     return TransmissionMask(np.broadcast_to(profile, (n, n)), pitch)
+
+
+def _cell(n: int, pitch: float, v) -> np.ndarray:
+    """Lower corner of the bilinear cell of coordinate(s) ``v`` on an n-sample
+    grid, clamped to [0, n - 2]: the last node is read from the last cell."""
+    return np.clip((np.asarray(v, dtype=np.float64) / pitch + n // 2).astype(int), 0, n - 2)
 
 
 def bilinear_sample(values: np.ndarray, pitch: float, x, y):
@@ -363,9 +349,7 @@ def bilinear_sample(values: np.ndarray, pitch: float, x, y):
             f"sample point ({x.flat[k]:g}, {y.flat[k]:g}) m outside grid window "
             f"[{-half:g}, {(n - 1 - n // 2) * pitch:g}] m"
         )
-    # bilinear blend in the cell whose lower corner is clamped to [0, N-2]
-    i0 = np.clip(fi.astype(int), 0, n - 2)
-    j0 = np.clip(fj.astype(int), 0, n - 2)
+    i0, j0 = _cell(n, pitch, x), _cell(n, pitch, y)
     tx = fi - i0
     ty = fj - j0
     out = (values[j0, i0] * (1 - tx) * (1 - ty)

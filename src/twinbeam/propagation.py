@@ -89,9 +89,10 @@ that:
 ``out=`` on the ``numpy.fft`` functions needs numpy 2.0.
 
 From 512 x 512 samples up, every full-grid pass of a train, and of the
-aperture convolution in :mod:`twinbeam.biphoton`, is split across the cores
-in the process's affinity mask by :func:`twinbeam.field._each_block`, on
-one persistent thread pool (numpy's ufuncs and pocketfft release the GIL).
+aperture convolution in :mod:`twinbeam.biphoton` (its transforms, its one
+kernel product and its clamp), is split across the cores in the process's
+affinity mask by :func:`twinbeam.field._each_block`, on one persistent
+thread pool (numpy's ufuncs and pocketfft release the GIL).
 Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
 ``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
 and ``ifftn`` do themselves, line by line with the same routine, axis
@@ -119,7 +120,7 @@ import numpy as np
 
 from .errors import AliasingRiskError, ValidationError
 from .field import (ScalarField, SeparableField, TransmissionMask, WaveContext, _abs_square,
-                    _all_finite, _each_block, _each_mirrored_block, axis_coords, centred_runs)
+                    _all_finite, _each_block, axis_coords, centred_runs)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -193,7 +194,11 @@ def _fft_runs(n: int, m: int | None = None) -> tuple:
 def _multiply_mirrored(u: np.ndarray, quadrant: np.ndarray, runs: tuple) -> None:
     """Multiply ``u[i, j]`` by ``quadrant[m(i), m(j)]`` in place, block by block,
     for the index map ``m`` that ``runs`` spells out."""
-    _each_mirrored_block(lambda ub, qb: np.multiply(ub, qb, out=ub), u, quadrant, runs)
+    for rows, q_rows in runs:
+        for cols, q_cols in runs:
+            ub, qb = u[rows, cols], quadrant[q_rows, q_cols]
+            _each_block(lambda r, ub=ub, qb=qb: np.multiply(ub[r], qb[r], out=ub[r]),
+                        ub.shape[0], u.size)
 
 
 def _clear_outside_cone(u: np.ndarray, m: int) -> None:

@@ -13,15 +13,19 @@ it checks:
 * :func:`find_image_plane` locates the image plane by wave optics, which
   checks the ABCD design of a relay;
 * :func:`read_pgm` decodes the PGM files the writer encodes;
-* :func:`full_grid_transfer`, :func:`lens_phase`, :func:`disk_kernel` and
-  :func:`aperture_map_formula` build the transfer function, the lens
-  phase, the disk and the aperture convolution on the whole grid in one
-  numpy call each, where the model builds them on quadrants and blocks, in
-  place.
+* :func:`full_grid_transfer`, :func:`lens_phase` and :func:`disk_kernel`
+  build the transfer function, the lens phase and the disk on the whole
+  grid in one numpy call each, where the model builds them on quadrants
+  and blocks, in place;
+* :func:`composite_kernel` counts the aperture kernel pair by pair of
+  lattice points, where the model counts it by a small FFT convolution;
+  :func:`aperture_map_formula` convolves with it on the whole grid, and
+  :func:`aperture_map_per_disk` with each disk in turn.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -111,23 +115,53 @@ def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:
                             * pitch**2)
 
 
+def composite_kernel(n: int, pitch: float, radii: tuple) -> np.ndarray:
+    """The composite kernel disk(a_s) * disk(a_i) pitch^4 of two radii (one
+    disk times pitch^2 for one radius) on the whole grid, in FFT order.
+
+    The lattice points of each disk, clipped to the grid, are listed one by
+    one, and each pair of points, one in each disk, adds one count at the
+    sum of their offsets modulo n, as the circular convolution wraps it.
+    """
+    disks = []
+    for radius in radii:
+        reach = int(radius / pitch) + 1
+        axis = range(max(-reach, -(n // 2)), min(reach, n - 1 - n // 2) + 1)
+        disks.append([(a, b) for a in axis for b in axis
+                      if (a * pitch) ** 2 + (b * pitch) ** 2 <= radius**2])
+    pairs = Counter(disks[0]) if len(disks) == 1 else Counter(
+        (a + c, b + d) for a, b in disks[0] for c, d in disks[1])
+    counts = np.zeros((n, n), np.int64)
+    for (a, b), count in pairs.items():
+        counts[a % n, b % n] += count
+    return counts * pitch ** (2 * len(radii))
+
+
 def aperture_map_formula(point_map: np.ndarray, pitch: float, radii: tuple,
                          real_input: bool = True) -> np.ndarray:
-    """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``, out of place, for
-    two radii; for one, ``np.maximum(irfft2(k1 * rfft2(I), s), 0)``.
+    """``np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0)``, out of place, with
+    K the :func:`composite_kernel` of one or two radii.
 
-    Each kernel spectrum is the first operand, so that numpy can elide a
-    product only into an in-place one of the same order.  With ``real_input=False`` it is the complex-transform
-    formula ``np.maximum(ifft2(k2 * (k1 * fft2(I))).real, 0)``.
+    K's spectrum is the first operand, so that numpy can elide the product
+    only into an in-place one of the same order.  With ``real_input=False`` it
+    is the complex-transform formula ``np.maximum(ifft2(fft2(K) * fft2(I)).real, 0)``.
     """
     n = point_map.shape[0]
     fft2 = np.fft.rfft2 if real_input else np.fft.fft2
-    spec = fft2(point_map)
-    for radius in radii:
-        spec = fft2(disk_kernel(n, pitch, radius)) * spec
+    spec = fft2(composite_kernel(n, pitch, radii)) * fft2(point_map)
     if real_input:
         return np.maximum(np.fft.irfft2(spec, s=point_map.shape), 0.0)
     return np.maximum(np.fft.ifft2(spec).real, 0.0)
+
+
+def aperture_map_per_disk(point_map: np.ndarray, pitch: float, radii: tuple) -> np.ndarray:
+    """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``: the map convolved
+    with each aperture's :func:`disk_kernel` in turn, one spectrum product
+    per radius."""
+    spec = np.fft.rfft2(point_map)
+    for radius in radii:
+        spec = np.fft.rfft2(disk_kernel(point_map.shape[0], pitch, radius)) * spec
+    return np.maximum(np.fft.irfft2(spec, s=point_map.shape), 0.0)
 
 
 # ---------------------------------------------------------------------------

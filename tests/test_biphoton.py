@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario, traced_peak
-from oracles import (aperture_map_formula, coincidence_imaged, disk_kernel,
-                     rate_from_intensity)
+from oracles import (aperture_map_formula, aperture_map_per_disk, coincidence_imaged,
+                     composite_kernel, disk_kernel, rate_from_intensity)
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -282,31 +282,37 @@ class TestProfileInvariants:
         out = aperture_integrated_map(intensity, 20e-6, 0.0, 0.0)
         assert out is intensity
 
-    @pytest.mark.parametrize("radii, kernels", [((1e-4, 1e-4), 1), ((1e-4, 2e-4), 2)])
-    def test_one_disk_kernel_per_distinct_radius(self, monkeypatch, radii, kernels):
-        calls = []
-        build = biphoton._disk_kernel_spectrum
-
-        def counting_build(n, pitch, radius):
-            calls.append(radius)
-            return build(n, pitch, radius)
-
-        monkeypatch.setattr(biphoton, "_disk_kernel_spectrum", counting_build)
-        intensity = gaussian_beam(0.5e-3, 256, 20e-6).intensity()
-        aperture_integrated_map(intensity, 20e-6, *radii)
-        assert len(calls) == kernels
+    @pytest.mark.parametrize("radii, center", [((1e-4, 1e-4), 73), ((1e-4, 2e-4), 73),
+                                               ((1e-4, 0.0), 1)])
+    def test_map_of_one_bright_sample_is_the_kernel(self, radii, center):
+        # a unit sample on the axis spreads into K = disk(a_s) * disk(a_i)
+        # pitch^4 (one disk pitch^2) around it.  At zero offset K counts the
+        # smaller disk's lattice points: 73, as the points (3, 4) pitches
+        # from the axis and their mirror images round to just outside it
+        n, pitch = 128, 20e-6
+        intensity = np.zeros((n, n))
+        intensity[n // 2, n // 2] = 1.0
+        positive = tuple(r for r in radii if r > 0)
+        kernel = np.fft.fftshift(composite_kernel(n, pitch, positive))
+        assert kernel[n // 2, n // 2] == center * pitch ** (2 * len(positive))
+        out = aperture_integrated_map(intensity, pitch, *radii)
+        assert np.max(np.abs(out - kernel)) <= 1e-13 * kernel.max()
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_matches_out_of_place_formula(self, n, radii):
-        # np.maximum(irfft2(K2 * (K1 * rfft2(I)), s), 0) with real-input
-        # transforms; the dark left half rounds to negatives the clamp zeroes
+        # np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0) with real-input
+        # transforms; the dark left half rounds to negatives the clamp
+        # zeroes.  Convolved with each disk in turn instead, the map moves by
+        # rounding only (measured at most 5.2e-16 of the peak)
         pitch = 20e-6
         intensity = np.random.default_rng(n).uniform(size=(n, n))
         intensity[:, : n // 2] = 0.0
         ref = aperture_map_formula(intensity, pitch, radii)
         out = aperture_integrated_map(intensity, pitch, *radii)
         assert out.tobytes() == ref.tobytes()
+        per_disk = aperture_map_per_disk(intensity, pitch, radii)
+        assert np.max(np.abs(out - per_disk)) <= 1e-13 * per_disk.max()
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
@@ -322,28 +328,35 @@ class TestProfileInvariants:
     @pytest.mark.parametrize("radii, bound", [((1e-4, 1e-4), 1.25), ((1e-4, 2e-4), 1.75)])
     def test_aperture_map_works_in_one_complex_array(self, radii, bound):
         # in units of a complex field of the map's shape: half a field for
-        # the map's half spectrum and half for each distinct disk kernel,
-        # which are freed before the real result (half a field) is made;
-        # measured 1.04 and 1.51.  Full-size complex arrays would double it
+        # the map's half spectrum and half for the kernel's, which is freed
+        # before the real result (half a field) is made; measured 1.03 and
+        # 1.04.  Full-size complex arrays would double it
         intensity = gaussian_beam(1e-3, 512, 20e-6).intensity()
+        biphoton._kernel_row_spectra.cache_clear()
         peak = traced_peak(lambda: aperture_integrated_map(intensity, 20e-6, *radii))
         assert peak / (2 * intensity.nbytes) < bound
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radius", [1e-4, 0.37e-3, 1.5e-3])  # the last exceeds half the window
     def test_disk_kernel_matches_shifted_full_grid_disk(self, n, radius):
+        # the kernel of one radius is the disk, clipped to the grid: its row
+        # spectra are those of the shifted full-grid disk's rows, and every
+        # other row of that disk is empty
         pitch = 20e-6
-        ref = np.fft.rfft2(disk_kernel(n, pitch, radius))
-        out = biphoton._disk_kernel_spectrum(n, pitch, radius)
-        assert out.tobytes() == ref.tobytes()
+        ref = np.fft.rfft(disk_kernel(n, pitch, radius), axis=-1)
+        e, out = biphoton._kernel_row_spectra(n, pitch, (radius,))
+        assert out.tobytes() == ref[e % n].tobytes()
+        assert not np.delete(ref, e % n, axis=0).any()
 
     def test_disk_kernel_is_built_in_its_own_array(self):
-        # the half spectrum, n x (n//2 + 1), is written straight into FFT
-        # order and only the disk's rows are transformed: half a field
-        # (measured 0.53); through a full-grid disk and ifftshift, 1.5 more
+        # K is built on its own rows only, never on the grid: its rows and
+        # their spectra take a few hundredths of a complex field (measured
+        # 0.042, and 0.072 on a first call, which also plans numpy's FFTs);
+        # one n x (n//2 + 1) half spectrum alone would be 0.5
         n, pitch = 512, 20e-6
-        peak = traced_peak(lambda: biphoton._disk_kernel_spectrum(n, pitch, 1e-4))
-        assert peak / (n * n * np.dtype(np.complex128).itemsize) < 0.75
+        build = biphoton._kernel_row_spectra.__wrapped__
+        peak = traced_peak(lambda: build(n, pitch, (1e-4, 1e-4)))
+        assert peak / (n * n * np.dtype(np.complex128).itemsize) < 0.25
 
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure read of the same two lines of the map, so
@@ -426,15 +439,22 @@ class TestLineRead:
     def test_scan_and_sweep_row_build_no_map(self, monkeypatch):
         from twinbeam import counting
 
+        # each builds K once, on an empty cache, and neither builds the map
         calls = []
-        for name in ("aperture_integrated_map", "_disk_kernel_spectrum"):
-            monkeypatch.setattr(biphoton, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(biphoton, "aperture_integrated_map",
+                            lambda *args: calls.append("aperture_integrated_map"))
+        count = biphoton._overlap_counts
+        monkeypatch.setattr(biphoton, "_overlap_counts",
+                            lambda *args: calls.append("_overlap_counts") or count(*args))
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
                                  scan=(-1e-3, 1e-3, 1e-4))
+        biphoton._kernel_row_spectra.cache_clear()
         assert scan_detector(scenario).peak_rate > 0
+        assert calls == ["_overlap_counts"]
+        biphoton._kernel_row_spectra.cache_clear()
         row, = counting.sweep_distance(scenario, [0.3], collimated=False,
                                        aperture_radius_m=1e-4)
-        assert row.peak_rate > 0 and calls == []
+        assert row.peak_rate > 0 and calls == ["_overlap_counts"] * 2
 
     def test_aperture_reach_past_the_window_raises(self):
         # R = ceil(2e-4 / 2e-5) + 1 = 11 samples, 0.22 mm; the window of 256

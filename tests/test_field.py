@@ -18,7 +18,7 @@ from twinbeam import (
     power,
     wire_mask,
 )
-from twinbeam import field
+from twinbeam import biphoton, field
 
 
 class TestWaveContext:
@@ -60,9 +60,16 @@ class TestGaussianBeam:
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
     def test_mirrored_quadrant_matches_full_grid(self, n, waist):
+        # the beam is the outer product of the separable factors, and within
+        # 4 ulp of the unit peak of the 2-D exponential (measured half an
+        # ulp; relative to each sample the tails differ by up to 48 ulp,
+        # the rounding of the exponent rho^2 / waist^2)
         pitch = 20e-6
-        ref = np.exp(-radius_squared(n, pitch) / waist**2).astype(complex)
-        assert gaussian_beam(waist, n, pitch).samples.tobytes() == ref.tobytes()
+        factors = field.separable_gaussian(waist, n, pitch)
+        beam = gaussian_beam(waist, n, pitch).samples
+        assert beam.tobytes() == np.outer(factors.column, factors.row).tobytes()
+        ref = np.exp(-radius_squared(n, pitch) / waist**2)
+        assert np.max(np.abs(beam - ref)) <= 4 * np.spacing(1.0)
 
     def test_underresolved_waist_rejected(self):
         with pytest.raises(SamplingError):
@@ -210,6 +217,20 @@ class TestBilinearSample:
         # one point of an array call outside the window fails the whole call
         with pytest.raises(OutOfWindowError):
             bilinear_sample(vals, 1e-5, np.array([0.0, 2e-5, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_one_cell_rule(self, n):
+        # the lower corner of the cell, shared with the scan's line read: on
+        # a node, between two nodes, in the last cell, and on the last node,
+        # which is read from the last cell
+        pitch = 20e-6
+        last = n - 1 - n // 2
+        x = np.array([3.0, -2.3, last - 0.5, last]) * pitch
+        assert field._cell(n, pitch, x).tolist() == [n // 2 + 3, n // 2 - 3, n - 2, n - 2]
+        assert biphoton._cell is field._cell
+        ramp = np.broadcast_to(np.arange(n, dtype=np.float64), (n, n))
+        assert bilinear_sample(ramp, pitch, x, 0.0) == pytest.approx(x / pitch + n // 2,
+                                                                     rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-3e-4, max_value=3e-4),

@@ -129,22 +129,24 @@ def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
 @pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 1)])
 def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
     # fig4b calibrates on its own scan, fig5 on fig4b's; scans read two
-    # lines of the map, so only the run's own map artifacts build the map,
-    # and both radii are equal, so it builds one disk kernel
+    # lines of the map, so only the run's own map artifacts build the map.
+    # The map and the scan share one cached kernel, so K is counted once per
+    # grid: fig4b's, and for fig5 its own as well
     from twinbeam import biphoton, runner
 
     calls = []
     for module, name in ((biphoton, "aperture_integrated_map"),
                          (runner, "aperture_integrated_map"),
-                         (biphoton, "_disk_kernel_spectrum")):
+                         (biphoton, "_overlap_counts")):
         def counting(*args, name=name, original=getattr(module, name)):
             calls.append(name)
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
+    biphoton._kernel_row_spectra.cache_clear()
     run(load_scenario(preset), tmp_path)
     assert calls.count("aperture_integrated_map") == maps
-    assert calls.count("_disk_kernel_spectrum") == maps
+    assert calls.count("_overlap_counts") == (1 if preset == "fig4b" else 2)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
