@@ -31,14 +31,15 @@ transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
 their composite kernel K = disk(a_s) * disk(a_i), built from exact integer
-overlap counts and cached per grid and radii.  A scan samples two
-neighbouring lines of that map, so it convolves only those: each line is a
-sum over K's rows of 1-D transforms of the |W|^2 lines K reaches.  A run
-builds the 2-D map, with the same cached K, only for its map artifacts.
-kappa * P is applied to what is read, the scan's rates (and, in
-:mod:`twinbeam.runner`, the map excerpt written as CSV), by one function
-that also validates kappa.  A run that calibrates on its own scan takes
-kappa from the same read.
+overlap counts and cached per grid and radii.  The map is never built
+whole: one function, :func:`_map_lines`, convolves the lines that are
+read, each a sum over K's rows of 1-D transforms of the |W|^2 lines K
+reaches.  A scan samples two neighbouring lines and gathers its bilinear
+reads from them; a run's map artifacts read the kept rows of the scan
+region (:mod:`twinbeam.runner`).  kappa * P is applied to what is read, the
+scan's rates (and, in :mod:`twinbeam.runner`, the map excerpt written as
+CSV), by one function that also validates kappa.  A run that calibrates on
+its own scan takes kappa from the same read.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfWindowError, SamplingError, ValidationError
-from .field import (ScalarField, SeparableField, WaveContext, _cell, _each_block,
-                    bilinear_sample, separable_gaussian, wire_mask)
-from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _column_pass, propagate_train
+from .field import (ScalarField, SeparableField, WaveContext, _bilinear_cells, _bilinear_gather,
+                    separable_gaussian, wire_mask)
+from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -224,50 +225,6 @@ def _resolved_radii(pitch: float, radii: tuple) -> tuple:
     return radii
 
 
-def aperture_integrated_map(intensity: np.ndarray, pitch: float,
-                            radius_signal: float, radius_idler: float) -> np.ndarray:
-    """Convolve the point-rate map with both detector aperture disks.
-
-    The rate depends only on the detector coordinate sum, so the double
-    aperture integral is a convolution of the sum-coordinate map with the
-    composite kernel K of the two disks, the cached kernel the scans read
-    (:func:`_kernel_row_spectra`); with two point detectors the map is
-    ``intensity`` itself.
-
-    It is ``np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0)``.  K's half
-    spectrum is its row spectra in FFT order, transformed down the columns.
-    The map's is read by the row ``rfft`` straight from ``intensity`` into a
-    second n x (n//2 + 1) complex array, which then holds the product
-    (kernel * spec, the order that rounds as the formula does).  After the
-    column ``ifft`` the row ``irfft`` writes the real result, clamped in
-    place.  Each pass is split across the cores.
-    """
-    radii = _resolved_radii(pitch, (radius_signal, radius_idler))
-    if not radii:
-        return intensity
-    n = intensity.shape[0]
-    e, spectra = _kernel_row_spectra(n, pitch, radii)
-    kernel = np.zeros((n, n // 2 + 1), np.complex128)
-    np.add.at(kernel, e % n, spectra)
-    _column_pass(np.fft.fft, kernel, intensity.size)
-    spec = np.empty((n, n // 2 + 1), np.complex128)
-    _each_block(lambda r: np.fft.rfft(intensity[r], axis=-1, out=spec[r]), n, intensity.size)
-    _column_pass(np.fft.fft, spec, intensity.size)
-    _each_block(lambda r: np.multiply(kernel[r], spec[r], out=spec[r]), n, intensity.size)
-    # Freed before the real map is allocated, K's half spectrum is not part
-    # of the run's peak memory.
-    del kernel
-    _column_pass(np.fft.ifft, spec, intensity.size)
-    rates = np.empty(intensity.shape)
-
-    def inverse_rows(r):
-        np.fft.irfft(spec[r], n, axis=-1, out=rates[r])
-        np.maximum(rates[r], 0.0, out=rates[r])
-
-    _each_block(inverse_rows, n, rates.size)
-    return rates
-
-
 def _rate_scale(scenario: "Scenario", kappa: float) -> float:
     """kappa * P, the factor from the kappa-free rate map to pairs/s."""
     if not (kappa > 0 and np.isfinite(kappa)):
@@ -297,41 +254,50 @@ def scan_points(scenario: "Scenario"):
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
 
 
-def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
-                points: tuple) -> np.ndarray:
-    """``bilinear_sample(aperture_integrated_map(|samples|^2, pitch, *radii),
-    pitch, *points)`` for points along ``axis`` that share one coordinate on
-    the other axis, with ``radii`` positive and checked.
+def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
+               lines) -> np.ndarray:
+    """Lines ``lines`` of the aperture-integrated rate map of the field
+    ``samples``, with ``radii`` positive and checked: rows for ``axis`` "x",
+    columns for "y", each returned as a row.
 
-    Only the two map lines of that coordinate's cell are convolved: rows
-    for an x scan, columns for a y scan.  Line j is
-    ``max(irfft(sum_a rfft(I[j - e_a]) rfft(K[a]), n), 0)`` with the kernel
-    of :func:`_kernel_row_spectra`, and I = |samples|^2 is taken only on the
-    e.size + 1 lines the two reach, indexed modulo n as the circular map is;
-    without radii the lines are I itself.  They are written into an n x n
-    array of zeros, which bilinear_sample reads as it reads the map.
+    The map is I = |samples|^2 convolved with the composite kernel K of
+    :func:`_kernel_row_spectra`, circularly.  Line j is
+    ``max(irfft(sum_a rfft(I[j - e_a]) rfft(K[a]), n), 0)``; I is transformed
+    once, on the lines K reaches from ``lines``, indexed modulo n.  Without
+    radii the lines are I itself.
     """
     n = samples.shape[0]
-    first = int(_cell(n, pitch, points[1] if axis == "x" else points[0]))
 
     def intensity(idx):
-        lines = samples[idx] if axis == "x" else np.ascontiguousarray(samples[:, idx].T)
-        return np.square(np.abs(lines))
+        block = np.ascontiguousarray(np.abs(samples[idx] if axis == "x" else samples[:, idx].T))
+        return np.square(block, out=block)
 
-    if radii:
-        e, spectra = _kernel_row_spectra(n, pitch, radii)
-        slab = np.fft.rfft(intensity(np.arange(first - e[-1], first + 2 - e[0]) % n), axis=-1)
-        pair = np.empty((2, n))
-        for k in range(2):
-            np.fft.irfft((slab[k:k + e.size][::-1] * spectra).sum(axis=0), n, out=pair[k])
-        np.maximum(pair, 0.0, out=pair)
-    else:
-        pair = intensity(np.arange(first, first + 2))
-    # Written as rows, so that the pages no line reaches stay unmapped; a
-    # y scan reads them through the transposed view.
-    values = np.zeros((n, n))
-    values[first:first + 2] = pair
-    return bilinear_sample(values if axis == "x" else values.T, pitch, *points)
+    if not radii:
+        return intensity(lines)
+    e, spectra = _kernel_row_spectra(n, pitch, radii)
+    sources = (np.asarray(lines)[:, None] - e) % n
+    reached, slab_rows = np.unique(sources, return_inverse=True)
+    slab = np.fft.rfft(intensity(reached), axis=-1)
+    out = np.empty((sources.shape[0], n))
+    for k, rows in enumerate(slab_rows.reshape(sources.shape)):
+        terms = slab[rows]
+        np.multiply(terms, spectra, out=terms)
+        np.fft.irfft(terms.sum(axis=0), n, out=out[k])
+    return np.maximum(out, 0.0, out=out)
+
+
+def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
+                cells: tuple) -> np.ndarray:
+    """The rate map read bilinearly on ``cells`` (of :func:`_bilinear_cells`),
+    which share one cell on the axis not scanned: only that cell's two lines
+    are convolved, by :func:`_map_lines`, and the gather reads them as the
+    map's."""
+    i0, j0, tx, ty = cells
+    first = int((j0 if axis == "x" else i0).flat[0])
+    pair = _map_lines(samples, pitch, radii, axis, [first, first + 1])
+    if axis == "x":
+        return _bilinear_gather(pair, i0, j0 - first, tx, ty)
+    return _bilinear_gather(pair.T, i0 - first, j0, tx, ty)
 
 
 def _scan_stage(scenario: "Scenario"):
@@ -347,20 +313,20 @@ def _scan_stage(scenario: "Scenario"):
     w = effective_detector_field(scenario)
     n, pitch = w.n, w.pitch
     radii = _resolved_radii(pitch, apertures)
-    rates = _read_lines(w.samples, pitch, radii, scenario.scan.axis, (x, y))
+    cells = _bilinear_cells(n, pitch, x, y)
     if radii:
         reach = int(np.ceil(sum(radii) / pitch)) + 1
-        x, y = np.broadcast_arrays(x, y)
-        cells = np.stack([_cell(n, pitch, x), _cell(n, pitch, y)])
-        outside = np.flatnonzero(((cells < reach) | (cells > n - 2 - reach)).any(axis=0))
+        corners = np.stack(cells[:2])
+        outside = np.flatnonzero(((corners < reach) | (corners > n - 2 - reach)).any(axis=0))
         if outside.size:
             k = outside[0]
+            x, y = np.broadcast_arrays(x, y)
             raise OutOfWindowError(
                 f"sample point ({x[k]:g}, {y[k]:g}) m: the apertures reach {reach * pitch:g} m "
                 f"around it, past the grid window [{-(n // 2) * pitch:g}, "
                 f"{(n - 1 - n // 2) * pitch:g}] m, where the rate map wraps"
             )
-    return coords, w, rates
+    return coords, w, _read_lines(w.samples, pitch, radii, scenario.scan.axis, cells)
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:

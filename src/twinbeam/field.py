@@ -5,8 +5,10 @@ sample (row j, column i) sits at transverse coordinate
 ``x = (i - N//2) * pitch``, ``y = (j - N//2) * pitch``, so index N//2 is
 the optical axis.
 
-The Gaussian beam is defined once, as its two 1-D factors; the bilinear
-cell of a coordinate once, by :func:`_cell`, which the scan shares.
+The Gaussian beam is defined once, as its two 1-D factors; bilinear
+interpolation once, as the cells of the points (:func:`_bilinear_cells`)
+and the gather from them (:func:`_bilinear_gather`), which the scan calls
+itself on the two map lines it reads.
 """
 
 from __future__ import annotations
@@ -323,21 +325,15 @@ def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
     return TransmissionMask(np.broadcast_to(profile, (n, n)), pitch)
 
 
-def _cell(n: int, pitch: float, v) -> np.ndarray:
-    """Lower corner of the bilinear cell of coordinate(s) ``v`` on an n-sample
-    grid, clamped to [0, n - 2]: the last node is read from the last cell."""
-    return np.clip((np.asarray(v, dtype=np.float64) / pitch + n // 2).astype(int), 0, n - 2)
+def _bilinear_cells(n: int, pitch: float, x, y) -> tuple:
+    """The bilinear cells of the points (x, y) meters on a centered n-sample
+    grid, broadcast: lower corners (i0, j0), clamped to [0, n - 2] so that the
+    last node is read from the last cell, and the fractions (tx, ty) of the
+    points within them.
 
-
-def bilinear_sample(values: np.ndarray, pitch: float, x, y):
-    """Bilinearly interpolate a centered grid of real values at (x, y) meters.
-
-    Scalar coordinates give a float, broadcast arrays an array of the same
-    values.  Raises OutOfWindowError when any point falls outside the hull
-    of sample centers; scans that leave the window are configuration bugs,
-    not zeros.
+    Raises OutOfWindowError when any point falls outside the hull of sample
+    centers; scans that leave the window are configuration bugs, not zeros.
     """
-    n = values.shape[0]
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     fi = x / pitch + n // 2
     fj = y / pitch + n // 2
@@ -349,11 +345,26 @@ def bilinear_sample(values: np.ndarray, pitch: float, x, y):
             f"sample point ({x.flat[k]:g}, {y.flat[k]:g}) m outside grid window "
             f"[{-half:g}, {(n - 1 - n // 2) * pitch:g}] m"
         )
-    i0, j0 = _cell(n, pitch, x), _cell(n, pitch, y)
-    tx = fi - i0
-    ty = fj - j0
+    i0, j0 = (np.clip(f.astype(int), 0, n - 2) for f in (fi, fj))
+    return i0, j0, fi - i0, fj - j0
+
+
+def _bilinear_gather(values: np.ndarray, i0, j0, tx, ty):
+    """The bilinear interpolant on the cells of :func:`_bilinear_cells`, read
+    from ``values[j0, i0]`` to ``values[j0 + 1, i0 + 1]``: a float for one
+    point, else an array."""
     out = (values[j0, i0] * (1 - tx) * (1 - ty)
            + values[j0, i0 + 1] * tx * (1 - ty)
            + values[j0 + 1, i0] * (1 - tx) * ty
            + values[j0 + 1, i0 + 1] * tx * ty)
     return float(out) if out.ndim == 0 else out
+
+
+def bilinear_sample(values: np.ndarray, pitch: float, x, y):
+    """Bilinearly interpolate a centered grid of real values at (x, y) meters.
+
+    Scalar coordinates give a float, broadcast arrays an array of the same
+    values.  Raises OutOfWindowError when any point falls outside the hull
+    of sample centers (see :func:`_bilinear_cells`).
+    """
+    return _bilinear_gather(values, *_bilinear_cells(values.shape[0], pitch, x, y))

@@ -88,11 +88,12 @@ that:
 
 ``out=`` on the ``numpy.fft`` functions needs numpy 2.0.
 
-From 512 x 512 samples up, every full-grid pass of a train, and of the
-aperture convolution in :mod:`twinbeam.biphoton` (its transforms, its one
-kernel product and its clamp), is split across the cores in the process's
-affinity mask by :func:`twinbeam.field._each_block`, on one persistent
-thread pool (numpy's ufuncs and pocketfft release the GIL).
+From 512 x 512 samples up, every full-grid pass of a train is split
+across the cores in the process's affinity mask by
+:func:`twinbeam.field._each_block`, on one persistent thread pool (numpy's
+ufuncs and pocketfft release the GIL).  The aperture convolution in
+:mod:`twinbeam.biphoton` transforms only the map lines it reads and makes
+no full-grid pass.
 Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
 ``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
 and ``ifftn`` do themselves, line by line with the same routine, axis
@@ -135,13 +136,6 @@ _CLIP_CHUNK = 1 << 16
 # The 2-D transform, split across the process's cores
 # ---------------------------------------------------------------------------
 
-def _column_pass(fft, u: np.ndarray, size: int) -> None:
-    """``fft`` (numpy's 1-D ``fft`` or ``ifft``) down every column of ``u``, in
-    place, on column blocks split across the cores for a pass over ``size``
-    samples."""
-    _each_block(lambda c: fft(u[:, c], axis=-2, out=u[:, c]), u.shape[1], size)
-
-
 def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``np.fft.fft2(u)`` (or ``ifftn`` over both axes), written into ``u``.
 
@@ -151,7 +145,7 @@ def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
     """
     fft = np.fft.ifft if inverse else np.fft.fft
     _each_block(lambda r: fft(u[r], axis=-1, out=u[r]), u.shape[0], u.size)
-    _column_pass(fft, u, u.size)
+    _each_block(lambda c: fft(u[:, c], axis=-2, out=u[:, c]), u.shape[1], u.size)
     return u
 
 

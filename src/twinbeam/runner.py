@@ -2,9 +2,10 @@
 
 A run propagates the unfolded train once, also when it calibrates kappa on
 its own scan.  The profile, Poisson counts and dip/peak metrics come from the
-scan's read of two lines of the rate map; the whole aperture-integrated map,
-which carries no kappa, is built once, only for the map artifacts.  The CSV/PGM
-artifacts and a JSON report are written.  Identical scenario and seed give
+scan's read of two lines of the rate map.  The map artifacts come from the
+same line convolution (:func:`twinbeam.biphoton._map_lines`), on the kept
+rows of the scan region only: no whole map is built.  The CSV/PGM artifacts
+and a JSON report are written.  Identical scenario and seed give
 byte-identical artifacts.
 """
 
@@ -22,9 +23,10 @@ import numpy as np
 from . import fileio
 from .biphoton import (
     CoincidenceProfile,
+    _map_lines,
     _rate_scale,
+    _resolved_radii,
     _scan_stage,
-    aperture_integrated_map,
     divergence_loss_distance,
     scan_detector,
     scan_points,
@@ -145,16 +147,17 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     metrics = profile_metrics(profile, counted)
     metrics["divergence_loss_distance_m"] = divergence_loss_distance(scenario)
 
-    # 2D coincidence map: full resolution as PGM, normalised to its own peak,
-    # and cropped to the scan region, thinned to at most ~256 points per axis
-    # and scaled to pairs/s for the CSV.  The scan read only two of its lines.
-    rate_map = aperture_integrated_map(w_eff.intensity(), w_eff.pitch, *scan_points(scenario)[2])
-    coords = axis_coords(rate_map.shape[0], w_eff.pitch)
+    # The rate map on the scan region: the rows and columns within 1 mm of
+    # the scan range, thinned to at most ~256 per axis.  It is read from the
+    # map lines of the kept rows, as the scan reads its two, and written as
+    # PGM, normalised to its own peak, and in pairs/s as CSV.
+    coords = axis_coords(w_eff.n, w_eff.pitch)
     margin = 1e-3
     keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)
                           & (coords <= scenario.scan.stop_m + margin))
     keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
-    cropped = scale * rate_map[np.ix_(keep, keep)]
+    radii = _resolved_radii(w_eff.pitch, scan_points(scenario)[2])
+    crop = _map_lines(w_eff.samples, w_eff.pitch, radii, "x", keep)[:, keep]
 
     # The output directory is made only once every number is computed, so a
     # run refused on the way writes nothing.
@@ -172,8 +175,8 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     emit("counts.csv", fileio.counted_to_csv(counted.coordinates, counted.expected_rates,
                                              counted.counts, counted.accidental_rates))
     emit("detector_field.pgm", fileio.intensity_to_pgm(w_eff.intensity()))
-    emit("rate_map.pgm", fileio.intensity_to_pgm(rate_map))
-    emit("rate_map.csv", fileio.map_to_csv(coords[keep], coords[keep], cropped))
+    emit("rate_map.pgm", fileio.intensity_to_pgm(crop))
+    emit("rate_map.csv", fileio.map_to_csv(coords[keep], coords[keep], scale * crop))
 
     report = RunReport(
         scenario_name=scenario.name,

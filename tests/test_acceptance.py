@@ -35,7 +35,7 @@ from twinbeam import (
     scan_detector,
     wire_mask,
 )
-from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map
+from twinbeam.biphoton import CoincidenceProfile
 from twinbeam.counting import CountingConfig, sample_counts, snr
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement, load_scenario
@@ -105,10 +105,10 @@ def test_criterion_03_quadrature_oracle_equivalence():
 
 
 def test_criterion_04_sum_coordinate_symmetry():
-    # point detectors read the main-path rate map at rho_s + rho_i
+    # point detectors read the main-path rate map, |W|^2 itself, at rho_s + rho_i
     scenario = make_scenario(z_m1=0.02, z_det=0.5, n=512)
     w = effective_detector_field(scenario)
-    rate_map = aperture_integrated_map(w.intensity(), w.pitch, 0.0, 0.0)
+    rate_map = w.intensity()
     rng = np.random.default_rng(4)
     worst = 0.0
 

@@ -26,7 +26,8 @@ from twinbeam import (
     wire_mask,
 )
 from twinbeam import biphoton
-from twinbeam.biphoton import CoincidenceProfile, aperture_integrated_map, pump_input_field
+from twinbeam.biphoton import CoincidenceProfile, pump_input_field
+from twinbeam.field import _bilinear_cells
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
@@ -261,7 +262,7 @@ class TestScanDetector:
                                  scan=(-1e-3, 1e-3, 1e-4))
         w = effective_detector_field(scenario)
         # the map carries no kappa and no P: they scale what is read from it
-        rate_map = aperture_integrated_map(w.intensity(), w.pitch, 1e-4, 1e-4)
+        rate_map = biphoton._map_lines(w.samples, w.pitch, (1e-4, 1e-4), "x", np.arange(w.n))
         scale = 2.0 * divergence_prefactor(K_P, divergence_loss_distance(scenario))
         profile = scan_detector(scenario, kappa=2.0)
         mid = [scale * bilinear_sample(rate_map, w.pitch, x, 0.0) for x in profile.coordinates]
@@ -278,9 +279,13 @@ class TestProfileInvariants:
             CoincidenceProfile(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_aperture_map_point_limit_is_identity(self):
-        intensity = gaussian_beam(0.15e-3, 64, 20e-6).intensity()
-        out = aperture_integrated_map(intensity, 20e-6, 0.0, 0.0)
-        assert out is intensity
+        # with point detectors the map lines are |samples|^2, byte for byte
+        fld = gaussian_beam(0.15e-3, 64, 20e-6)
+        lines = [0, 5, 32, 63]
+        rows = biphoton._map_lines(fld.samples, fld.pitch, (), "x", lines)
+        columns = biphoton._map_lines(fld.samples, fld.pitch, (), "y", lines)
+        assert rows.tobytes() == fld.intensity()[lines].tobytes()
+        assert columns.tobytes() == np.ascontiguousarray(fld.intensity()[:, lines].T).tobytes()
 
     @pytest.mark.parametrize("radii, center", [((1e-4, 1e-4), 73), ((1e-4, 2e-4), 73),
                                                ((1e-4, 0.0), 1)])
@@ -295,46 +300,36 @@ class TestProfileInvariants:
         positive = tuple(r for r in radii if r > 0)
         kernel = np.fft.fftshift(composite_kernel(n, pitch, positive))
         assert kernel[n // 2, n // 2] == center * pitch ** (2 * len(positive))
-        out = aperture_integrated_map(intensity, pitch, *radii)
+        out = biphoton._map_lines(intensity, pitch, positive, "x", np.arange(n))
         assert np.max(np.abs(out - kernel)) <= 1e-13 * kernel.max()
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_matches_out_of_place_formula(self, n, radii):
-        # np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0) with real-input
-        # transforms; the dark left half rounds to negatives the clamp
-        # zeroes.  Convolved with each disk in turn instead, the map moves by
-        # rounding only (measured at most 5.2e-16 of the peak)
+        # every line of the map against np.maximum(irfft2(rfft2(K) *
+        # rfft2(I), s), 0) and against the map convolved with each disk in
+        # turn (measured at most 6.0e-16 and 8.8e-16 of the peak); the dark
+        # left half rounds to negatives the clamp zeroes
         pitch = 20e-6
-        intensity = np.random.default_rng(n).uniform(size=(n, n))
-        intensity[:, : n // 2] = 0.0
-        ref = aperture_map_formula(intensity, pitch, radii)
-        out = aperture_integrated_map(intensity, pitch, *radii)
-        assert out.tobytes() == ref.tobytes()
-        per_disk = aperture_map_per_disk(intensity, pitch, radii)
-        assert np.max(np.abs(out - per_disk)) <= 1e-13 * per_disk.max()
+        samples = np.random.default_rng(n).uniform(size=(n, n))
+        samples[:, : n // 2] = 0.0
+        intensity = np.square(samples)
+        out = biphoton._map_lines(samples, pitch, radii, "x", np.arange(n))
+        assert out.min() == 0.0
+        for ref in (aperture_map_formula(intensity, pitch, radii),
+                    aperture_map_per_disk(intensity, pitch, radii)):
+            assert np.max(np.abs(out - ref)) <= 1e-13 * ref.max()
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_is_the_complex_formula_up_to_round_off(self, n, radii):
         # real-input transforms round differently from complex ones; the
-        # deviation measured here is at most 2.3e-15 of the peak
+        # deviation measured here is at most 1.9e-15 of the peak
         pitch = 20e-6
-        intensity = np.random.default_rng(n).uniform(size=(n, n))
-        ref = aperture_map_formula(intensity, pitch, radii, real_input=False)
-        out = aperture_integrated_map(intensity, pitch, *radii)
+        samples = np.random.default_rng(n).uniform(size=(n, n))
+        ref = aperture_map_formula(np.square(samples), pitch, radii, real_input=False)
+        out = biphoton._map_lines(samples, pitch, radii, "x", np.arange(n))
         assert np.max(np.abs(out - ref)) <= 1e-14 * ref.max()
-
-    @pytest.mark.parametrize("radii, bound", [((1e-4, 1e-4), 1.25), ((1e-4, 2e-4), 1.75)])
-    def test_aperture_map_works_in_one_complex_array(self, radii, bound):
-        # in units of a complex field of the map's shape: half a field for
-        # the map's half spectrum and half for the kernel's, which is freed
-        # before the real result (half a field) is made; measured 1.03 and
-        # 1.04.  Full-size complex arrays would double it
-        intensity = gaussian_beam(1e-3, 512, 20e-6).intensity()
-        biphoton._kernel_row_spectra.cache_clear()
-        peak = traced_peak(lambda: aperture_integrated_map(intensity, 20e-6, *radii))
-        assert peak / (2 * intensity.nbytes) < bound
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radius", [1e-4, 0.37e-3, 1.5e-3])  # the last exceeds half the window
@@ -366,7 +361,8 @@ class TestProfileInvariants:
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
-        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4), "x", (x, 0.0))
+        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4), "x",
+                                               _bilinear_cells(w.n, w.pitch, x, 0.0))
                           for x in profile.coordinates[::-1]]
         scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
         assert np.array_equal(scale * np.array(reversed_rates)[::-1], profile.rates)
@@ -380,7 +376,29 @@ def _fixed_coordinate(n, pitch, where):
 
 
 class TestLineRead:
-    """A scan convolves only the two lines of the rate map it samples."""
+    """The rate map is convolved line by line, only on the lines read: a scan
+    its two, a run the kept rows of its map artifacts."""
+
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4), (1e-4, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_map_lines_are_the_map_lines(self, n, radii, axis):
+        # the lines at both edges, whose kernel reach wraps, and a thinned
+        # set like a run's, against the oracle's map within 1e-13 of its
+        # peak; with point detectors, |samples|^2 byte for byte
+        pitch = 20e-6
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        intensity = ScalarField(samples, pitch).intensity()
+        lines = np.concatenate([[0, 1, 2], np.arange(n // 4, 3 * n // 4, 3), [n - 2, n - 1]])
+        positive = tuple(r for r in radii if r > 0)
+        out = biphoton._map_lines(samples, pitch, positive, axis, lines)
+        rate_map = aperture_map_formula(intensity, pitch, positive) if positive else intensity
+        ref = rate_map[lines] if axis == "x" else rate_map[:, lines].T
+        if positive:
+            assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
+        else:
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4), (1e-4, 0.0), (0.0, 0.0)])
@@ -397,15 +415,32 @@ class TestLineRead:
         fixed = _fixed_coordinate(n, pitch, where)
         points = (moving, fixed) if axis == "x" else (fixed, moving)
         positive = tuple(r for r in radii if r > 0)
-        out = biphoton._read_lines(samples, pitch, positive, axis, points)
+        out = biphoton._read_lines(samples, pitch, positive, axis,
+                                   _bilinear_cells(n, pitch, *points))
         if positive:
             rate_map = aperture_map_formula(np.abs(samples) ** 2, pitch, positive)
             ref = bilinear_sample(rate_map, pitch, *points)
             assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
         else:
-            rate_map = aperture_integrated_map(ScalarField(samples, pitch).intensity(), pitch,
-                                               *radii)
+            rate_map = ScalarField(samples, pitch).intensity()
             assert out.tobytes() == bilinear_sample(rate_map, pitch, *points).tobytes()
+
+    @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (5e-4, 5e-4)])
+    def test_line_read_holds_no_grid(self, radii):
+        # a scan's read at n = 1024, K's build included, peaks below one
+        # n x n float array: the line slab, the kernel's rows and spectra
+        # and one line's products are each a few hundred lines at most
+        # (measured 0.16 and 0.79 of it for an x scan, 0.12 and 0.59 for a
+        # y scan, which finds K cached)
+        n, pitch = 1024, 1e-5
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        moving = np.linspace(-1e-3, 1e-3, 21)
+        biphoton._kernel_row_spectra.cache_clear()
+        for axis, points in (("x", (moving, 0.3e-3)), ("y", (0.3e-3, moving))):
+            cells = _bilinear_cells(n, pitch, *points)
+            peak = traced_peak(lambda: biphoton._read_lines(samples, pitch, radii, axis, cells))
+            assert peak < n * n * np.dtype(np.float64).itemsize
 
     @pytest.mark.parametrize("radii", [(5e-5,), (5e-5, 5e-5), (5e-5, 7e-5), (6.1e-5, 4e-5)])
     def test_kernel_counts_are_lattice_pair_counts(self, radii):
@@ -439,10 +474,11 @@ class TestLineRead:
     def test_scan_and_sweep_row_build_no_map(self, monkeypatch):
         from twinbeam import counting
 
-        # each builds K once, on an empty cache, and neither builds the map
+        # each builds K once, on an empty cache, and convolves two lines
         calls = []
-        monkeypatch.setattr(biphoton, "aperture_integrated_map",
-                            lambda *args: calls.append("aperture_integrated_map"))
+        lines = biphoton._map_lines
+        monkeypatch.setattr(biphoton, "_map_lines",
+                            lambda *args: calls.append(len(args[-1])) or lines(*args))
         count = biphoton._overlap_counts
         monkeypatch.setattr(biphoton, "_overlap_counts",
                             lambda *args: calls.append("_overlap_counts") or count(*args))
@@ -450,11 +486,11 @@ class TestLineRead:
                                  scan=(-1e-3, 1e-3, 1e-4))
         biphoton._kernel_row_spectra.cache_clear()
         assert scan_detector(scenario).peak_rate > 0
-        assert calls == ["_overlap_counts"]
+        assert calls == [2, "_overlap_counts"]
         biphoton._kernel_row_spectra.cache_clear()
         row, = counting.sweep_distance(scenario, [0.3], collimated=False,
                                        aperture_radius_m=1e-4)
-        assert row.peak_rate > 0 and calls == ["_overlap_counts"] * 2
+        assert row.peak_rate > 0 and calls == [2, "_overlap_counts"] * 2
 
     def test_aperture_reach_past_the_window_raises(self):
         # R = ceil(2e-4 / 2e-5) + 1 = 11 samples, 0.22 mm; the window of 256

@@ -226,8 +226,10 @@ class TestBilinearSample:
         pitch = 20e-6
         last = n - 1 - n // 2
         x = np.array([3.0, -2.3, last - 0.5, last]) * pitch
-        assert field._cell(n, pitch, x).tolist() == [n // 2 + 3, n // 2 - 3, n - 2, n - 2]
-        assert biphoton._cell is field._cell
+        i0, j0, tx, ty = field._bilinear_cells(n, pitch, x, 0.0)
+        assert i0.tolist() == [n // 2 + 3, n // 2 - 3, n - 2, n - 2]
+        assert j0.tolist() == [n // 2] * 4 and tx[-1] == 1.0 and not ty.any()
+        assert biphoton._bilinear_cells is field._bilinear_cells
         ramp = np.broadcast_to(np.arange(n, dtype=np.float64), (n, n))
         assert bilinear_sample(ramp, pitch, x, 0.0) == pytest.approx(x / pitch + n // 2,
                                                                      rel=1e-14)

@@ -128,25 +128,36 @@ def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
 
 @pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 1)])
 def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
-    # fig4b calibrates on its own scan, fig5 on fig4b's; scans read two
-    # lines of the map, so only the run's own map artifacts build the map.
-    # The map and the scan share one cached kernel, so K is counted once per
-    # grid: fig4b's, and for fig5 its own as well
+    # fig4b calibrates on its own scan, fig5 on fig4b's; each scan reads two
+    # lines of the map, and the run's map artifacts read the kept rows of
+    # the scan region, 251 for the presets, from the same line convolution.
+    # Scans and map share one cached kernel, so K is counted once per grid:
+    # fig4b's, and for fig5 its own as well
     from twinbeam import biphoton, runner
 
     calls = []
-    for module, name in ((biphoton, "aperture_integrated_map"),
-                         (runner, "aperture_integrated_map"),
+    for module, name in ((biphoton, "_map_lines"), (runner, "_map_lines"),
                          (biphoton, "_overlap_counts")):
         def counting(*args, name=name, original=getattr(module, name)):
-            calls.append(name)
+            calls.append(len(args[-1]) if name == "_map_lines" else name)
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
     biphoton._kernel_row_spectra.cache_clear()
     run(load_scenario(preset), tmp_path)
-    assert calls.count("aperture_integrated_map") == maps
-    assert calls.count("_overlap_counts") == (1 if preset == "fig4b" else 2)
+    scans = 1 if preset == "fig4b" else 2
+    assert sorted(c for c in calls if c != "_overlap_counts") == [2] * scans + [251] * maps
+    assert calls.count("_overlap_counts") == scans
+
+
+@pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig5"])
+def test_map_artifacts_are_the_scan_region_crop(tmp_path, preset):
+    # both map artifacts hold the 251 x 251 kept samples of the scan region,
+    # not the n x n grid
+    run(load_scenario(preset), tmp_path, seed=0)
+    assert (tmp_path / "rate_map.pgm").read_bytes().startswith(b"P5\n251 251\n65535\n")
+    rows = (tmp_path / "rate_map.csv").read_text().splitlines()
+    assert rows[0] == "x_m,y_m,rate_pairs_per_s" and len(rows) == 1 + 251 ** 2
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
