@@ -28,6 +28,14 @@ from the factors' 1-D transforms, so no 2-D pump is built and the first
 stretch of hops makes no forward 2-D transform: fig5's train makes 5 2-D
 transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
 
+A scan reads rows of the detector field, not the field: it works out the
+cells of its points first, then asks the train (:func:`_detector_rows`)
+for the rows its two map lines reach, and the train's last inverse
+transform runs its row pass on those rows only (all rows for a y scan).  A
+run asks for every row, because ``detector_field.pgm`` covers the grid;
+its profile equals the scan's byte for byte.  :func:`effective_detector_field`
+is the whole field as a ScalarField, which no scan or run calls.
+
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
 their composite kernel K = disk(a_s) * disk(a_i), built from exact integer
@@ -53,7 +61,7 @@ import numpy as np
 from .errors import OutOfWindowError, SamplingError, ValidationError
 from .field import (ScalarField, SeparableField, WaveContext, _bilinear_cells, _bilinear_gather,
                     separable_gaussian, wire_mask)
-from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
+from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _train_rows, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -133,11 +141,23 @@ def divergence_loss_distance(scenario: "Scenario") -> float:
     return scenario.detectors.distance_from_crystal_m
 
 
+def _detector_train(scenario: "Scenario") -> tuple:
+    """The pump's factors, its wave context and the unfolded train."""
+    ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
+    return pump_input_field(scenario), ctx, unfolded_pump_train(scenario)
+
+
 def effective_detector_field(scenario: "Scenario") -> ScalarField:
     """Pump field propagated through the unfolded train to the detectors;
     it equals the train of :func:`~twinbeam.field.gaussian_beam` to rounding."""
-    ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
-    return propagate_train(pump_input_field(scenario), ctx, unfolded_pump_train(scenario))
+    return propagate_train(*_detector_train(scenario))
+
+
+def _detector_rows(scenario: "Scenario", rows=None) -> np.ndarray:
+    """Rows ``rows`` (all by default) of the detector field's samples, equal
+    to :func:`effective_detector_field`'s byte for byte: the train's last
+    inverse transform runs its row pass on those rows only."""
+    return _train_rows(*_detector_train(scenario), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +190,43 @@ class CoincidenceProfile:
         return float(self.rates.max())
 
 
-def _lattice_disk(n: int, pitch: float, radius: float):
-    """The lattice disk of ``radius`` on an n-sample grid: its offsets d from
-    the axis (clipped to the grid) and the (d.size, d.size) indicator of the
-    offsets (a, b) with (a pitch)^2 + (b pitch)^2 <= radius^2.  Offsets that
-    no lattice point of the disk reaches are left out."""
+def _disk_offsets(n: int, pitch: float, radius: float) -> np.ndarray:
+    """The offsets d from the axis (clipped to the grid) that the lattice
+    disk of ``radius`` reaches: those with (d pitch)^2 <= radius^2."""
     reach = int(np.ceil(radius / pitch)) + 1
     d = np.arange(-min(reach, n // 2), min(reach, n - 1 - n // 2) + 1)
+    return d[(d * pitch) ** 2 <= radius**2]
+
+
+def _lattice_disk(n: int, pitch: float, radius: float):
+    """The lattice disk of ``radius`` on an n-sample grid: its offsets d
+    (:func:`_disk_offsets`) and the (d.size, d.size) indicator of the
+    offsets (a, b) with (a pitch)^2 + (b pitch)^2 <= radius^2."""
+    d = _disk_offsets(n, pitch, radius)
     x2 = (d * pitch) ** 2
-    inside = x2[None, :] + x2[:, None] <= radius**2
-    keep = inside.any(axis=0)
-    return d[keep], inside[np.ix_(keep, keep)]
+    return d, x2[None, :] + x2[:, None] <= radius**2
+
+
+def _kernel_offsets(n: int, pitch: float, radii: tuple) -> np.ndarray:
+    """The offsets e of the composite kernel of one or two positive
+    ``radii`` on each axis: from the sum of its disks' first offsets to the
+    sum of their last.  A scan reads them without counting the kernel."""
+    first, last = np.sum([_disk_offsets(n, pitch, r)[[0, -1]] for r in radii], axis=0)
+    return np.arange(first, last + 1)
 
 
 def _overlap_counts(n: int, pitch: float, radii: tuple):
-    """Offsets e and integer counts of the composite kernel of one or two
-    positive ``radii``, on both axes: for two, count[a, b] is the number of
-    pairs of lattice points, one in each :func:`_lattice_disk`, whose offsets
-    sum to (e[a], e[b]), rounded from a small FFT convolution; for one, the
-    disk's indicator."""
-    (d, counts), *rest = (_lattice_disk(n, pitch, r) for r in radii)
-    for d_other, inside in rest:
-        s = (d.size + d_other.size - 1,) * 2
+    """Offsets e (:func:`_kernel_offsets`) and integer counts of the
+    composite kernel of one or two positive ``radii``, on both axes: for
+    two, count[a, b] is the number of pairs of lattice points, one in each
+    :func:`_lattice_disk`, whose offsets sum to (e[a], e[b]), rounded from a
+    small FFT convolution; for one, the disk's indicator."""
+    (_, counts), *rest = (_lattice_disk(n, pitch, r) for r in radii)
+    for _, inside in rest:
+        s = (counts.shape[0] + inside.shape[0] - 1,) * 2
         spectrum = np.fft.rfft2(counts, s) * np.fft.rfft2(inside, s)
         counts = np.rint(np.fft.irfft2(spectrum, s))
-        d = np.arange(d[0] + d_other[0], d[-1] + d_other[-1] + 1)
-    return d, counts.astype(np.int64)
+    return _kernel_offsets(n, pitch, radii), counts.astype(np.int64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -254,11 +285,27 @@ def scan_points(scenario: "Scenario"):
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
 
 
+def _reached_rows(n: int, pitch: float, radii: tuple, lines) -> np.ndarray:
+    """The rows of the field that map rows ``lines`` read, ascending: those
+    K reaches from them, modulo n (the lines themselves without radii).
+
+    It builds no kernel: a scan asks for these rows before its train runs,
+    and K's cached spectra, built first, left a fig5 run's peak RSS 6-10 MiB
+    higher (C heap that a later free could not return).
+    """
+    lines = np.asarray(lines)
+    if not radii:
+        return np.unique(lines)
+    return np.unique((lines[:, None] - _kernel_offsets(n, pitch, radii)) % n)
+
+
 def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
-               lines) -> np.ndarray:
+               lines, rows=None) -> np.ndarray:
     """Lines ``lines`` of the aperture-integrated rate map of the field
     ``samples``, with ``radii`` positive and checked: rows for ``axis`` "x",
-    columns for "y", each returned as a row.
+    columns for "y", each returned as a row.  ``samples`` holds the field's
+    rows ``rows``, ascending, at least those :func:`_reached_rows` names
+    (an x scan's); by default it holds them all.
 
     The map is I = |samples|^2 convolved with the composite kernel K of
     :func:`_kernel_row_spectra`, circularly.  Line j is
@@ -266,9 +313,11 @@ def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
     once, on the lines K reaches from ``lines``, indexed modulo n.  Without
     radii the lines are I itself.
     """
-    n = samples.shape[0]
+    n = samples.shape[1]
 
     def intensity(idx):
+        if rows is not None:
+            idx = np.searchsorted(rows, idx)
         block = np.ascontiguousarray(np.abs(samples[idx] if axis == "x" else samples[:, idx].T))
         return np.square(block, out=block)
 
@@ -279,39 +328,49 @@ def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
     reached, slab_rows = np.unique(sources, return_inverse=True)
     slab = np.fft.rfft(intensity(reached), axis=-1)
     out = np.empty((sources.shape[0], n))
-    for k, rows in enumerate(slab_rows.reshape(sources.shape)):
-        terms = slab[rows]
+    for k, lines_read in enumerate(slab_rows.reshape(sources.shape)):
+        terms = slab[lines_read]
         np.multiply(terms, spectra, out=terms)
         np.fft.irfft(terms.sum(axis=0), n, out=out[k])
     return np.maximum(out, 0.0, out=out)
 
 
+def _scanned_lines(cells: tuple, axis: str) -> list:
+    """The two map lines the scan's ``cells`` (of :func:`_bilinear_cells`)
+    read, around the one cell they share on the axis not scanned."""
+    i0, j0 = cells[:2]
+    first = int((j0 if axis == "x" else i0).flat[0])
+    return [first, first + 1]
+
+
 def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
-                cells: tuple) -> np.ndarray:
+                cells: tuple, rows=None) -> np.ndarray:
     """The rate map read bilinearly on ``cells`` (of :func:`_bilinear_cells`),
     which share one cell on the axis not scanned: only that cell's two lines
-    are convolved, by :func:`_map_lines`, and the gather reads them as the
-    map's."""
+    are convolved, by :func:`_map_lines` (from the field's rows ``rows``,
+    as there), and the gather reads them as the map's."""
     i0, j0, tx, ty = cells
-    first = int((j0 if axis == "x" else i0).flat[0])
-    pair = _map_lines(samples, pitch, radii, axis, [first, first + 1])
+    lines = _scanned_lines(cells, axis)
+    pair = _map_lines(samples, pitch, radii, axis, lines, rows)
     if axis == "x":
-        return _bilinear_gather(pair, i0, j0 - first, tx, ty)
-    return _bilinear_gather(pair.T, i0 - first, j0, tx, ty)
+        return _bilinear_gather(pair, i0, j0 - lines[0], tx, ty)
+    return _bilinear_gather(pair.T, i0 - lines[0], j0, tx, ty)
 
 
-def _scan_stage(scenario: "Scenario"):
+def _scan_stage(scenario: "Scenario", every_row: bool = False):
     """The one path from a scenario to its scan, before kappa and P: the
-    scanned coordinates, the detector field and the rates at every scan
-    point, read by :func:`_read_lines`.
+    scanned coordinates, rows of the detector field and the rates at every
+    scan point, read by :func:`_read_lines`.
 
-    A point whose apertures reach R = ceil((a_s + a_i) / pitch) + 1 samples
-    around its cell past the grid raises OutOfWindowError: the map is
-    circular, so its rate would hold intensity from the opposite edge.
+    The cells of the scan points come first: an x scan asks the train only
+    for the rows its two map lines reach (:func:`_reached_rows`), a y scan,
+    or ``every_row``, for all rows, and the rows come back in ascending
+    order.  A point whose apertures reach R = ceil((a_s + a_i) / pitch) + 1
+    samples around its cell past the grid raises OutOfWindowError: the map
+    is circular, so its rate would hold intensity from the opposite edge.
     """
     coords, (x, y), apertures = scan_points(scenario)
-    w = effective_detector_field(scenario)
-    n, pitch = w.n, w.pitch
+    n, pitch, axis = scenario.grid.n, scenario.grid.pitch_m, scenario.scan.axis
     radii = _resolved_radii(pitch, apertures)
     cells = _bilinear_cells(n, pitch, x, y)
     if radii:
@@ -326,7 +385,11 @@ def _scan_stage(scenario: "Scenario"):
                 f"around it, past the grid window [{-(n // 2) * pitch:g}, "
                 f"{(n - 1 - n // 2) * pitch:g}] m, where the rate map wraps"
             )
-    return coords, w, _read_lines(w.samples, pitch, radii, scenario.scan.axis, cells)
+    rows = None
+    if axis == "x" and not every_row:
+        rows = _reached_rows(n, pitch, radii, _scanned_lines(cells, axis))
+    samples = _detector_rows(scenario, rows)
+    return coords, samples, _read_lines(samples, pitch, radii, axis, cells, rows)
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:

@@ -22,6 +22,19 @@ with).  This is the standard composition of angular-spectrum steps
 ch. 7).  On the grid each hop multiplies by its own transfer; only the
 hops held as factors' spectra (below) share one transfer.
 
+Every inverse is one routine, :func:`_inverse`, whose passes run in the
+other order from ``ifft2``: down the columns, then along the rows.  The
+spectrum it inverts is zero outside the square of its cone m (the last grid
+hop's, or the held stretch's), so the column pass runs only on the cone's
+2m - 1 columns: the others are zero and stay zero.  The row pass runs only
+on the rows asked for.  This is output pruning of the FFT (Markel, IEEE
+Trans. Audio Electroacoust. 19, 305 (1971)).  Before a lens, a stop or a
+mask, and for :func:`propagate_train`, every row is asked for; a scan asks
+:func:`_train_rows` for the rows its aperture lines reach, 42 of the
+presets' grid rows.  So fig5's inverse after its 2.25 m hop transforms 439
+of 2048 columns, and a free 0.5 m sweep row 493 of 1024 columns and 202
+rows.
+
 A train may also start from a :class:`~twinbeam.field.SeparableField`, the
 form the pump takes: a Gaussian, wire-masked or not, is ``outer(column,
 row)``, and its spectrum ``outer(fft(column), fft(row))``.  The working
@@ -49,7 +62,10 @@ zeroes them, which is not separable: it writes the grid first and runs on
 it.  Factors are checked for finiteness in O(n); the grid, after the
 element that writes it.  So fig5's train (mask, 0.005 m, 0.25 m, lens,
 2.25 m, lens, 0.5 m) makes 5 2-D transforms, fig4b's makes 3 and a free
-sweep row 1: the first stretch of hops costs only its inverse.
+sweep row 1: the first stretch of hops costs only its inverse.  A train
+that ends inside its first stretch and is asked for some rows writes only
+the cone's columns of the stretch, an n x (2m - 1) block, and the rows
+read: no n x n array.
 
 :func:`propagate_train` copies a ScalarField input once (a SeparableField
 is not copied); each element then writes into the complex array it reads,
@@ -67,15 +83,18 @@ exponentials; it equals the 2-D exponential to the rounding of the phase
 (a few eps times the phase).  A hop on the grid whose cone leaves
 frequencies out sums the power outside the cone's square in one pass; only
 a hop that refuses builds the table of power per ring, which gives its clip
-fraction and safe distance.  :func:`propagate` and :func:`apply_thin_lens`
+fraction and safe distance, from the power folded onto the quadrant (no
+ring index).  :func:`propagate` and :func:`apply_thin_lens`
 are one copy plus the same in-place kernels.
 
-The results equal the out-of-place formulas byte for byte:
-``ifft2(fft2(u) * transfer)`` for a hop,
-``ifft2((fft2(u) * transfer_1) * transfer_2)`` for two hops in a row,
-``ifft2(outer(fft(column), fft(row)) * transfer)`` for a stretch held as
-factors' spectra, and ``u * outer(p, p)`` for a lens.  Three traps break
-that:
+The results equal the out-of-place formulas byte for byte, with
+``ifftc(s) = ifft(ifft(s, axis=0), axis=1)`` for the inverse, columns first
+(it differs from ``ifft2``, rows first, by rounding, within 1e-14 of the
+peak): ``ifftc(fft2(u) * transfer)`` for a hop,
+``ifftc((fft2(u) * transfer_1) * transfer_2)`` for two hops in a row,
+``ifftc(outer(fft(column), fft(row)) * transfer)`` for a stretch held as
+factors' spectra, and ``u * outer(p, p)`` for a lens; rows read alone are
+those rows of the formula.  Three traps break that:
 
 * operand order.  Each product is ``np.multiply(u, factor, out=u)`` in the
   order of the formula: under FMA, a complex product with swapped operands
@@ -94,22 +113,22 @@ across the cores in the process's affinity mask by
 ufuncs and pocketfft release the GIL).  The aperture convolution in
 :mod:`twinbeam.biphoton` transforms only the map lines it reads and makes
 no full-grid pass.
-Each 2-D transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft`` (or
-``ifft``) over blocks of rows, then over blocks of columns: what ``fft2``
-and ``ifftn`` do themselves, line by line with the same routine, axis
-order and 1/n scaling.  Every other pass (the input copy, the outer
-product of the factors, the stretch's write, the transfer and lens builds,
-the zeroing outside a cone, the mirrored and mask products, the lens stop,
-the clip table's ``|u|^2`` and rings, the finiteness check) is
-elementwise: a worker evaluates the expression, operands in the same
-order, on a block of rows and writes it into an array the caller
-allocated.  The reductions split are the finiteness check's
-sum, which is never kept, and the clipped power's row sums, each row
-summed whole by one worker; ``bincount`` stays serial.  So the result
-equals the one-call expression byte for byte, whatever the number of
-blocks; smaller arrays, and a process allowed one core, run each pass as
-one call over the whole array (a transform as one row call and one column
-call), on the same code path.
+The forward transform, :func:`_fft2_inplace`, runs numpy's 1-D ``fft``
+over blocks of rows, then over blocks of columns: what ``fft2`` does
+itself, line by line with the same routine, axis order and scaling.  The
+inverse runs ``ifft`` over blocks of the cone's columns, then over blocks
+of rows (all rows) or in one call (the rows read).  Every other pass (the
+input copy, the outer product of the factors, the stretch's write, the
+transfer and lens builds, the zeroing outside a cone, the mirrored and
+mask products, the lens stop, the finiteness check) is elementwise: a
+worker evaluates the expression, operands in the same order, on a block of
+rows and writes it into an array the caller allocated.  The reductions
+split are the finiteness check's sum, which is never kept, and the clipped
+power's row sums, each row summed whole by one worker; the ring table,
+which only a refusal builds, is serial.  So the result equals the one-call
+expression byte for byte, whatever the number of blocks; smaller arrays,
+and a process allowed one core, run each pass as one call over the whole
+array, on the same code path.
 """
 
 from __future__ import annotations
@@ -136,17 +155,44 @@ _CLIP_CHUNK = 1 << 16
 # The 2-D transform, split across the process's cores
 # ---------------------------------------------------------------------------
 
-def _fft2_inplace(u: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``np.fft.fft2(u)`` (or ``ifftn`` over both axes), written into ``u``.
+def _fft2_inplace(u: np.ndarray) -> np.ndarray:
+    """``np.fft.fft2(u)``, written into ``u``.
 
     The row pass, then the column pass, each split into one block per core
     when :func:`twinbeam.field._splits` says so, else one call (see the
     module docstring for why this is byte-identical either way).
     """
-    fft = np.fft.ifft if inverse else np.fft.fft
-    _each_block(lambda r: fft(u[r], axis=-1, out=u[r]), u.shape[0], u.size)
-    _each_block(lambda c: fft(u[:, c], axis=-2, out=u[:, c]), u.shape[1], u.size)
+    _each_block(lambda r: np.fft.fft(u[r], axis=-1, out=u[r]), u.shape[0], u.size)
+    _each_block(lambda c: np.fft.fft(u[:, c], axis=-2, out=u[:, c]), u.shape[1], u.size)
     return u
+
+
+def _column_pass(a: np.ndarray, runs: tuple) -> None:
+    """``ifft`` down the columns of ``a`` that the slices ``runs`` select, in
+    place, split across the cores as one pass over all of them."""
+    blocks = [a[:, cols] for cols in runs]
+    size = sum(b.size for b in blocks)
+    for b in blocks:
+        _each_block(lambda c, b=b: np.fft.ifft(b[:, c], axis=0, out=b[:, c]), b.shape[1], size)
+
+
+def _inverse(u: np.ndarray, m: int, rows=None) -> np.ndarray:
+    """Rows ``rows`` (all by default) of the inverse 2-D transform of an
+    FFT-ordered spectrum ``u`` that is zero outside the square of its first
+    ``m`` rings.
+
+    The column pass runs first, in place and only on the cone's 2m - 1
+    columns: the others are zero and stay zero.  The row pass then runs on
+    ``rows``: for all rows in place, so ``u`` holds the samples, else into a
+    new array, and ``u`` holds neither.
+    """
+    n = u.shape[0]
+    _column_pass(u, tuple(cols for cols, _ in _fft_runs(n, m)))
+    if rows is None:
+        _each_block(lambda r: np.fft.ifft(u[r], axis=-1, out=u[r]), n, u.size)
+        return u
+    out = np.take(u, rows, axis=0)
+    return np.fft.ifft(out, axis=-1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +257,12 @@ def _clear_outside_cone(u: np.ndarray, m: int) -> None:
 
 
 def _write_cone(u: np.ndarray, column: np.ndarray, row: np.ndarray, quadrant: np.ndarray,
-                runs: tuple) -> None:
+                runs: tuple, column_runs: tuple | None = None) -> None:
     """Write ``(column[i] * row[j]) * quadrant[m(i), m(j)]`` into the blocks of
-    ``u`` that ``runs`` spells out, one pass over ``u``."""
+    ``u`` that ``runs`` spells out (on the columns, ``column_runs`` if
+    given), one pass over ``u``."""
     for rows, q_rows in runs:
-        for cols, q_cols in runs:
+        for cols, q_cols in runs if column_runs is None else column_runs:
             ub, qb, cb, rb = u[rows, cols], quadrant[q_rows, q_cols], column[rows], row[cols]
 
             def write(r, ub=ub, qb=qb, cb=cb, rb=rb):
@@ -226,20 +273,26 @@ def _write_cone(u: np.ndarray, column: np.ndarray, row: np.ndarray, quadrant: np
             _each_block(write, ub.shape[0], u.size)
 
 
-def _chebyshev_rings(n: int) -> np.ndarray:
-    """Flattened ring max(min(i, n - i), min(j, n - j)) of each FFT-ordered sample."""
-    i = np.arange(n)
-    ring = np.minimum(i, n - i)
-    rings = np.empty((n, n), ring.dtype)
-    _each_block(lambda r: np.maximum(ring[None, :], ring[r, None], out=rings[r]), n, rings.size)
-    return rings.ravel()
-
-
 def _ring_table(spectrum: np.ndarray) -> np.ndarray:
-    """Power of an FFT-ordered spectrum on each of its n//2 + 1 Chebyshev rings."""
-    n = spectrum.shape[0]
-    return np.bincount(_chebyshev_rings(n), weights=_abs_square(spectrum).ravel(),
-                       minlength=n // 2 + 1)
+    """Power of an FFT-ordered spectrum on each of its n//2 + 1 Chebyshev rings.
+
+    The power is folded onto the quadrant of half axes, ``q[a, b]`` the sum
+    over the samples (i, j) with min(i, n - i) = a and min(j, n - j) = b,
+    block by block along :func:`_fft_runs`.  Ring r holds the entries with
+    max(a, b) = r: row r up to column r, which is the diagonal of
+    ``cumsum(q, 1)``, and column r above row r, the diagonal above the main
+    one of ``cumsum(q, 0)``.
+    """
+    runs = _fft_runs(spectrum.shape[0])
+    h = runs[0][0].stop
+    q = np.zeros((h, h))
+    for rows, q_rows in runs:
+        for cols, q_cols in runs:
+            p = np.abs(spectrum[rows, cols])
+            q[q_rows, q_cols] += np.square(p, out=p)
+    power = np.diagonal(np.cumsum(q, axis=1)).copy()
+    power[1:] += np.diagonal(np.cumsum(q, axis=0), offset=1)
+    return power
 
 
 def _separable_ring_table(column: np.ndarray, row: np.ndarray, cone: int) -> np.ndarray:
@@ -396,22 +449,24 @@ def _transfer_quadrant(f: np.ndarray, k: float, m: int, distance: float) -> np.n
 class _Workspace:
     """One copy of a field, written in place by each element applied to it.
 
-    The copy is held in one of three states, as the module docstring
+    The copy is held in one of four states, as the module docstring
     describes: a SeparableField's ``factors`` (and no ``samples``); those
-    factors' spectra with the ``stretch`` of hops applied to them since,
-    its cone and its total distance; or the grid ``samples``, which are a
-    spectrum if ``spectral``.  A hop on the grid transforms it forward only
+    factors' spectra with the stretch of hops applied to them since, over
+    its total ``distance``; or the grid ``samples``, as samples or as their
+    spectrum.  ``cone`` is None while the copy holds samples; a spectrum is
+    zero outside the square of its first ``cone`` rings, the stretch's cone
+    or the last grid hop's.  A hop on the grid transforms it forward only
     if it holds samples and leaves it a spectrum, so consecutive hops share
-    one transform; every other element, and :meth:`field`, transforms it
-    back first.
+    one transform; every other element transforms it back first, by
+    :func:`_inverse`, and the train's end reads the rows it is asked for
+    (:meth:`rows`, :meth:`field`).
     """
 
     def __init__(self, fld: ScalarField | SeparableField, ctx: WaveContext):
         self.n = fld.n
         self.pitch = fld.pitch
         self.ctx = ctx
-        self.spectral = False
-        self.stretch = None
+        self.cone = self.distance = None
         if isinstance(fld, SeparableField):
             self.factors, self.samples = (fld.column, fld.row), None
         else:
@@ -419,6 +474,11 @@ class _Workspace:
             self.samples = np.empty_like(fld.samples)
             _each_block(lambda r: np.copyto(self.samples[r], fld.samples[r]), fld.n,
                         fld.samples.size)
+
+    def _stretch_transfer(self) -> np.ndarray:
+        """The held stretch's one transfer, on its cone's block of the quadrant."""
+        return _transfer_quadrant(_half_freqs(self.n, self.pitch), self.ctx.wavenumber,
+                                  self.cone, self.distance)
 
     def _write_grid(self) -> None:
         """Write the grid from the factors: the samples ``outer(column, row)``,
@@ -428,41 +488,61 @@ class _Workspace:
         n = self.n
         # The working array is allocated before the transfer quadrant.
         u = self.samples = np.empty((n, n), np.complex128)
-        if self.stretch is None:
+        if self.cone is None:
             _each_block(lambda r: np.multiply(column[r, None], row[None, :], out=u[r]), n, u.size)
         else:
-            m, distance = self.stretch
-            quadrant = _transfer_quadrant(_half_freqs(n, self.pitch), self.ctx.wavenumber,
-                                          m, distance)
+            m = self.cone
+            quadrant = self._stretch_transfer()
             _clear_outside_cone(u, m)
             _write_cone(u, column, row, quadrant, _fft_runs(n, m))
-        self.factors, self.spectral = None, self.stretch is not None
-        self.stretch = None
+        self.factors = self.distance = None
 
     def _to_samples(self) -> np.ndarray:
         if self.factors is not None:
             self._write_grid()
-        if self.spectral:
-            _fft2_inplace(self.samples, inverse=True)
-            self.spectral = False
+        if self.cone is not None:
+            _inverse(self.samples, self.cone)
+            self.cone = None
         return self.samples
+
+    def _stretch_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` of the held stretch's samples, with no n x n array.
+
+        The cone's columns of the spectrum :meth:`_write_grid` writes are
+        written into an n x (2m - 1) block, by the same products in the same
+        order, and transformed down the columns; each row asked for takes
+        them on the cone's columns, zero elsewhere, and is transformed
+        along.  So the rows equal the grid's byte for byte.
+        """
+        column, row = self.factors
+        n, m = self.n, self.cone
+        runs = _fft_runs(n, m)
+        (low, _), (high, q_high) = runs
+        cols = np.r_[low, high]
+        block = np.empty((n, cols.size), np.complex128)
+        block[m:high.start] = 0.0  # the rows outside the cone
+        _write_cone(block, column, row[cols], self._stretch_transfer(), runs,
+                    ((low, low), (slice(m, cols.size), q_high)))
+        _column_pass(block, (slice(None),))
+        out = np.zeros((len(rows), n), np.complex128)
+        out[:, cols] = block[rows]
+        return np.fft.ifft(out, axis=-1, out=out)
 
     def _hold(self, distance: float, f: np.ndarray, m: int, max_clip_fraction: float) -> None:
         """Add a hop of cone ``m`` to the stretch held as the factors' spectra:
         its clip check and refusal read the 1-D ring table, and its transfer
         waits for the stretch's write."""
-        if self.stretch is None:
+        if self.cone is None:
             # fft2(outer(c, r)) = outer(fft(c), fft(r))
             self.factors = tuple(np.fft.fft(a) for a in self.factors)
-            self.stretch = (f.size, 0.0)
-        cone, travelled = self.stretch
+            self.cone, self.distance = f.size, 0.0
         if m < f.size:
             window = self.n * self.pitch
-            clipped = _clip_curve(_separable_ring_table(*self.factors, cone), f, window,
+            clipped = _clip_curve(_separable_ring_table(*self.factors, self.cone), f, window,
                                   self.ctx.wavelength)
             if clipped(distance) > max_clip_fraction:
                 raise _refusal(clipped, distance, window, max_clip_fraction)
-        self.stretch = (min(cone, m), travelled + distance)
+        self.cone, self.distance = min(self.cone, m), self.distance + distance
 
     def hop(self, distance: float, max_clip_fraction: float) -> None:
         if distance < 0:
@@ -480,9 +560,9 @@ class _Workspace:
                 self._hold(distance, f, m, max_clip_fraction)
                 return
             self._write_grid()
-        if not self.spectral:
+        if self.cone is None:
             _fft2_inplace(self.samples)
-            self.spectral = True
+            self.cone = f.size
         u = self.samples
         # A cone that holds every frequency clips nothing.  Within budget the
         # clip costs one pass; only a refusal builds the ring table, for its
@@ -493,6 +573,7 @@ class _Workspace:
         quadrant = _transfer_quadrant(f, k, m, distance)
         _clear_outside_cone(u, m)
         _multiply_mirrored(u, quadrant, _fft_runs(n, m))
+        self.cone = m
 
     def lens(self, focal: float) -> None:
         if focal == 0 or np.isnan(focal):
@@ -520,7 +601,7 @@ class _Workspace:
         _each_block(clear, self.n, u.size)
 
     def mask(self, transmission: TransmissionMask) -> None:
-        if (self.factors is not None and self.stretch is None
+        if (self.factors is not None and self.cone is None
                 and transmission.samples.strides[0] == 0):
             # Every row repeats one profile (a wire_mask broadcast): it
             # multiplies the row factor, into a new array.
@@ -536,7 +617,27 @@ class _Workspace:
         if not all(_all_finite(a) for a in arrays):
             raise ValidationError("field samples must all be finite")
 
+    def rows(self, rows=None) -> np.ndarray:
+        """Rows ``rows`` of the samples, any sequence of row indices, checked
+        for finiteness: the workspace's last read, whatever state it holds.
+        All rows (the default) are the working array itself."""
+        if rows is None:
+            out = self._to_samples()
+        elif self.factors is not None and self.cone is None:
+            column, row = self.factors
+            out = np.multiply(column[rows, None], row[None, :])
+        elif self.factors is not None:
+            out = self._stretch_rows(rows)
+        elif self.cone is None:
+            out = np.take(self.samples, rows, axis=0)
+        else:
+            out = _inverse(self.samples, self.cone, rows)
+        if not _all_finite(out):
+            raise ValidationError("field samples must all be finite")
+        return out
+
     def field(self) -> ScalarField:
+        """All rows of the samples, as a ScalarField (which checks them)."""
         return ScalarField(self._to_samples(), self.pitch)
 
 
@@ -656,6 +757,28 @@ def _apply_element(ws: _Workspace, el: OpticalElement, max_clip_fraction: float)
         ws.mask(el.transmission)
 
 
+def _run_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
+               max_clip_fraction: float, read):
+    """The element loop of :func:`propagate_train` on one :class:`_Workspace`:
+    it returns ``read(workspace)``, which checks the last element's output,
+    under that element's error prefix."""
+    ws = _Workspace(fld, ctx)
+    last = len(train.elements) - 1
+    for i, el in enumerate(train.elements):
+        try:
+            _apply_element(ws, el, max_clip_fraction)
+            if i == last:
+                return read(ws)
+            ws.check_finite()
+        except AliasingRiskError as exc:
+            raise AliasingRiskError(
+                f"element {i} ({el.describe()}): {exc}", exc.max_safe_distance
+            ) from exc
+        except ValidationError as exc:
+            raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
+    return read(ws)
+
+
 def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
                     max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
     """Apply every element of the train in order, on one copy of the field.
@@ -668,19 +791,13 @@ def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: 
     checked for finiteness once (held as factors, on both factors): the last
     one's by the ScalarField it becomes.
     """
-    ws = _Workspace(fld, ctx)
-    last = len(train.elements) - 1
-    for i, el in enumerate(train.elements):
-        try:
-            _apply_element(ws, el, max_clip_fraction)
-            if i == last:
-                return ws.field()
-            ws.check_finite()
-        except AliasingRiskError as exc:
-            raise AliasingRiskError(
-                f"element {i} ({el.describe()}): {exc}", exc.max_safe_distance
-            ) from exc
-        except ValidationError as exc:
-            raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
-    return ws.field()
+    return _run_train(fld, ctx, train, max_clip_fraction, _Workspace.field)
 
+
+def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
+                rows=None, max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> np.ndarray:
+    """Rows ``rows`` (all by default) of :func:`propagate_train`'s samples,
+    equal to them byte for byte: the last inverse transform runs its row pass on those rows
+    only, and a train that ends in its first stretch of hops makes no
+    n x n array (:meth:`_Workspace.rows`)."""
+    return _run_train(fld, ctx, train, max_clip_fraction, lambda ws: ws.rows(rows))

@@ -31,7 +31,7 @@ from .biphoton import (
     scan_detector,
     scan_points,
 )
-from .field import axis_coords
+from .field import _abs_square, axis_coords
 from .counting import CountedProfile, sample_counts, snr
 from .errors import PhysicsError, ValidationError
 from .scenario import (
@@ -136,7 +136,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
         kappa = resolve_kappa(scenario)
 
     scale = None if kappa is None else _rate_scale(scenario, kappa)
-    scan_coords, w_eff, raw = _scan_stage(scenario)
+    scan_coords, samples, raw = _scan_stage(scenario, every_row=True)
     if scale is None:
         # The scenario is its own calibration reference: its scan at
         # kappa = 1 calibrates it, so the train is made once.
@@ -151,13 +151,14 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     # the scan range, thinned to at most ~256 per axis.  It is read from the
     # map lines of the kept rows, as the scan reads its two, and written as
     # PGM, normalised to its own peak, and in pairs/s as CSV.
-    coords = axis_coords(w_eff.n, w_eff.pitch)
+    pitch = scenario.grid.pitch_m
+    coords = axis_coords(scenario.grid.n, pitch)
     margin = 1e-3
     keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)
                           & (coords <= scenario.scan.stop_m + margin))
     keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
-    radii = _resolved_radii(w_eff.pitch, scan_points(scenario)[2])
-    crop = _map_lines(w_eff.samples, w_eff.pitch, radii, "x", keep)[:, keep]
+    radii = _resolved_radii(pitch, scan_points(scenario)[2])
+    crop = _map_lines(samples, pitch, radii, "x", keep)[:, keep]
 
     # The output directory is made only once every number is computed, so a
     # run refused on the way writes nothing.
@@ -174,7 +175,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     emit("profile.csv", fileio.profile_to_csv(profile.coordinates, profile.rates))
     emit("counts.csv", fileio.counted_to_csv(counted.coordinates, counted.expected_rates,
                                              counted.counts, counted.accidental_rates))
-    emit("detector_field.pgm", fileio.intensity_to_pgm(w_eff.intensity()))
+    emit("detector_field.pgm", fileio.intensity_to_pgm(_abs_square(samples)))
     emit("rate_map.pgm", fileio.intensity_to_pgm(crop))
     emit("rate_map.csv", fileio.map_to_csv(coords[keep], coords[keep], scale * crop))
 

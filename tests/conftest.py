@@ -50,6 +50,24 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def count_inverse_lines(monkeypatch):
+    """The lines numpy's 1-D ``ifft`` transforms while it is set, one
+    ("columns" or "rows", count) entry per run of passes of one kind."""
+    passes = []
+    ifft = np.fft.ifft
+
+    def counting(a, *args, axis=-1, **kwargs):
+        kind, lines = ("columns", a.shape[1]) if axis == 0 else ("rows", a.shape[0])
+        if passes and passes[-1][0] == kind:
+            passes[-1] = (kind, passes[-1][1] + lines)
+        else:
+            passes.append((kind, lines))
+        return ifft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return passes
+
+
 def rel_rms(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(a - b) ** 2)) / np.sqrt(np.mean(np.abs(b) ** 2)))
 

@@ -16,7 +16,8 @@ it checks:
 * :func:`full_grid_transfer`, :func:`lens_phase` and :func:`disk_kernel`
   build the transfer function, the lens phase and the disk on the whole
   grid in one numpy call each, where the model builds them on quadrants
-  and blocks, in place;
+  and blocks, in place; :func:`ifft2_columns_first` transforms the whole
+  grid where the model transforms the cone's columns and the rows read;
 * :func:`composite_kernel` counts the aperture kernel pair by pair of
   lattice points, where the model counts it by a small FFT convolution;
   :func:`aperture_map_formula` convolves with it on the whole grid, and
@@ -100,6 +101,13 @@ def full_grid_transfer(n: int, pitch: float, ctx: WaveContext, distance: float,
     kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
     kz_rel = np.where(propagating, -(kx**2 + ky**2) / (kz + k), 0.0)
     return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
+
+
+def ifft2_columns_first(spectrum: np.ndarray) -> np.ndarray:
+    """The inverse 2-D transform as numpy's 1-D ``ifft`` down the columns,
+    then along the rows: the pass order of every inverse of a train, which
+    rounds differently from ``np.fft.ifft2`` (rows first)."""
+    return np.fft.ifft(np.fft.ifft(spectrum, axis=0), axis=1)
 
 
 def lens_phase(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarray:

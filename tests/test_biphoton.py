@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import PUMP_WAVELENGTH, intensity_ncc, make_scenario, traced_peak
+from conftest import (PUMP_WAVELENGTH, count_inverse_lines, intensity_ncc, make_scenario,
+                      traced_peak)
 from oracles import (aperture_map_formula, aperture_map_per_disk, coincidence_imaged,
                      composite_kernel, disk_kernel, rate_from_intensity)
 from twinbeam import (
@@ -478,7 +479,7 @@ class TestLineRead:
         calls = []
         lines = biphoton._map_lines
         monkeypatch.setattr(biphoton, "_map_lines",
-                            lambda *args: calls.append(len(args[-1])) or lines(*args))
+                            lambda *args: calls.append(len(args[4])) or lines(*args))
         count = biphoton._overlap_counts
         monkeypatch.setattr(biphoton, "_overlap_counts",
                             lambda *args: calls.append("_overlap_counts") or count(*args))
@@ -508,3 +509,53 @@ class TestLineRead:
         point = make_scenario(z_m1=0.02, z_det=0.5, n=256, waist=0.4e-3,
                               scan=(-2.4e-3, 0.0, 1e-4))
         assert scan_detector(point).peak_rate > 0
+
+    def test_aperture_reach_is_checked_before_the_train_runs(self, monkeypatch):
+        # the scan asks the train for the rows its lines reach, so the guard
+        # that keeps those rows inside the window runs first
+        scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
+                                 scan=(-2.4e-3, 0.0, 1e-4))
+
+        def fail(*args):
+            raise AssertionError("the train ran for a scan past the window")
+
+        monkeypatch.setattr(biphoton, "_detector_rows", fail)
+        with pytest.raises(OutOfWindowError, match="the apertures reach"):
+            scan_detector(scenario)
+
+
+class TestScanRows:
+    """A scan transforms only what it reads: its train's last inverse covers
+    the cone's columns and the rows its apertures reach."""
+
+    def test_free_sweep_row_makes_no_grid(self, monkeypatch):
+        # the free 0.5 m row ends in its first stretch of hops, cone 247:
+        # 493 columns, then the 202 rows that K (0.5 mm apertures, offsets
+        # -100..100) reaches from two lines, and no n x n complex array
+        from twinbeam import counting, with_free_twin_side
+
+        scenario = load_scenario("fig4b")
+        n = scenario.grid.n
+        passes = count_inverse_lines(monkeypatch)
+        biphoton._kernel_row_spectra.cache_clear()
+        peak = traced_peak(lambda: counting.sweep_distance(scenario, [0.5], collimated=False,
+                                                           kappa=1.0))
+        assert passes == [("columns", 493), ("rows", 202)]
+        assert peak < n * n * np.dtype(np.complex128).itemsize
+        # the rows read give the profile of the whole field
+        derived = with_free_twin_side(scenario, 0.5, 0.5e-3)
+        _, rows, raw = biphoton._scan_stage(derived)
+        _, samples, whole = biphoton._scan_stage(derived, every_row=True)
+        assert rows.shape == (202, n) and samples.shape == (n, n)
+        assert raw.tobytes() == whole.tobytes()
+
+    def test_fig5_inverse_after_the_long_hop_covers_its_cone(self, monkeypatch):
+        # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m at 2048: the first
+        # stretch is written whole, the 2.25 m hop's cone keeps 439 of 2048
+        # columns, and the scan reads the 42 rows of two lines
+        passes = count_inverse_lines(monkeypatch)
+        scan_detector(load_scenario("fig5"), kappa=1.0)
+        assert passes[:4] == [("columns", 2048), ("rows", 2048), ("columns", 439),
+                              ("rows", 2048)]
+        assert passes[-1] == ("rows", 42)
+

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, make_scenario
-from oracles import aperture_map_formula, full_grid_transfer, lens_phase, radius_squared
+from oracles import (aperture_map_formula, full_grid_transfer, ifft2_columns_first, lens_phase,
+                     radius_squared)
 from twinbeam import (ScalarField, TransmissionMask, ValidationError, WaveContext,
                       apply_thin_lens, bilinear_sample, biphoton, field, gaussian_beam,
                       propagation, safe_frequency_limit)
@@ -116,22 +117,31 @@ def test_mask_product(n, pool):
 
 
 def test_clip_table(n, pool):
+    # the power folded onto the quadrant, then ring r as the diagonal of
+    # cumsum(q, 1) plus the diagonal above it of cumsum(q, 0), byte for
+    # byte; against bincount on a ring index within 1e-14 of each ring
     spectrum = np.fft.fft2(_random_field(n))
     f = propagation._half_freqs(n, PITCH)
     i = np.arange(n)
     ring = np.minimum(i, n - i)
-    ref_rings = np.maximum(ring[None, :], ring[:, None]).ravel()
-    rings = propagation._chebyshev_rings(n)
-    assert rings.tobytes() == ref_rings.tobytes()
-    power = np.bincount(ref_rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=f.size)
+    power = np.abs(spectrum) ** 2
+    q = np.zeros((f.size, f.size))
+    for rows, q_rows in propagation._fft_runs(n):
+        for cols, q_cols in propagation._fft_runs(n):
+            q[q_rows, q_cols] += power[rows, cols]
+    folded = np.diagonal(np.cumsum(q, axis=1)).copy()
+    folded[1:] += np.diagonal(np.cumsum(q, axis=0), offset=1)
     table = propagation._ring_table(spectrum)
-    assert table.tobytes() == power.tobytes()
+    assert table.tobytes() == folded.tobytes()
+    rings = np.maximum(ring[None, :], ring[:, None]).ravel()
+    counted = np.bincount(rings, weights=power.ravel(), minlength=f.size)
+    assert np.all(np.abs(table - counted) <= 1e-14 * counted)
     clipped = propagation._clip_curve(table, f, n * PITCH, CTX.wavelength)
-    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    tail = np.append(np.cumsum(table[::-1])[::-1], 0.0)
     for z in (0.05, 0.5, 1.5, 3.0):
         f_limit = safe_frequency_limit(n * PITCH, CTX.wavelength, z)
         assert clipped(z) == tail[np.searchsorted(f, f_limit, side="right")] / tail[0]
-    pool.check()
+    assert pool.split_calls == []  # the fold is serial: only a refusal builds it
 
 
 @pytest.mark.parametrize("distance", [0.5, 1.5, 3.0])
@@ -157,18 +167,22 @@ def test_clipped_fraction(n, pool, distance):
                          ids=["samples", "spectrum"])
 def test_separable_start(n, pool, elements):
     # the grid written from the factors: outer(column, row), or after a hop,
-    # which the factors' spectra hold, ifft2(outer(fft(column), fft(row)) * T)
+    # which the factors' spectra hold, the inverse of outer(fft(column),
+    # fft(row)) * T, columns first (within 1e-14 of ifft2's rows first)
     rng = np.random.default_rng(n)
     column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     ws = propagation._Workspace(field.SeparableField(column, row, PITCH), CTX)
     for el in elements:
         propagation._apply_element(ws, el, max_clip_fraction=1.0)
     if elements:
-        assert ws.samples is None and ws.stretch is not None
+        assert ws.samples is None and ws.cone is not None
         spectrum = np.multiply.outer(np.fft.fft(column), np.fft.fft(row))
         transfer = full_grid_transfer(n, PITCH, CTX, 0.05)  # named: no elided, swapped product
         ref = spectrum * transfer
-        assert ws.field().samples.tobytes() == np.fft.ifft2(ref).tobytes()
+        out = ws.field().samples
+        assert out.tobytes() == ifft2_columns_first(ref).tobytes()
+        rows_first = np.fft.ifft2(ref)
+        assert np.max(np.abs(out - rows_first)) <= 1e-14 * np.max(np.abs(rows_first))
     else:
         assert ws.field().samples.tobytes() == np.multiply.outer(column, row).tobytes()
     pool.check()
@@ -196,7 +210,8 @@ def test_stretch_write(n, pool, distances, monkeypatch):
     spectrum = np.multiply.outer(np.fft.fft(column), np.fft.fft(row))
     product = spectrum * transfer
     ref = np.where(in_cone, product, 0.0)  # +0 outside the cone, which the write clears
-    assert ws.spectral and ws.samples.tobytes() == ref.tobytes()
+    m = np.count_nonzero(f[: n // 2 + 1] <= f_limit)
+    assert ws.cone == m and ws.samples.tobytes() == ref.tobytes()
     pool.check()
 
 
@@ -224,9 +239,10 @@ def test_finiteness_checks_pass_an_overflowing_sum(n, pool):
 
 
 def test_consecutive_hops_share_one_spectrum(n, pool):
-    # two hops in a row transform once each way: ifft2((fft2(u) * T1) * T2),
-    # operands in the order the workspace multiplies them, each one named so
-    # that numpy cannot elide it into a swapped in-place product
+    # two hops in a row transform once each way: the inverse, columns first,
+    # of (fft2(u) * T1) * T2, operands in the order the workspace multiplies
+    # them, each one named so that numpy cannot elide it into a swapped
+    # in-place product
     samples = _random_field(n)
     train = propagation.OpticalTrain((propagation.FreeSpace(0.05), propagation.FreeSpace(1.5)))
     out = propagation.propagate_train(ScalarField(samples, PITCH), CTX, train,
@@ -235,7 +251,7 @@ def test_consecutive_hops_share_one_spectrum(n, pool):
     spectrum = np.fft.fft2(samples)
     once = spectrum * t1
     twice = once * t2
-    assert out.samples.tobytes() == np.fft.ifft2(twice).tobytes()
+    assert out.samples.tobytes() == ifft2_columns_first(twice).tobytes()
     hop_by_hop = samples
     for transfer in (t1, t2):
         spectrum = np.fft.fft2(hop_by_hop)
@@ -298,7 +314,8 @@ def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
     detector_field = ScalarField(_random_field(n), PITCH)
-    monkeypatch.setattr(biphoton, "effective_detector_field", lambda scenario: detector_field)
+    monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows:
+                        detector_field.samples if rows is None else detector_field.samples[rows])
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
     scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (intensity_ncc, random_band_limited_field, rel_rms,
+from conftest import (count_inverse_lines, intensity_ncc, random_band_limited_field, rel_rms,
                       second_moment_radius, traced_peak)
-from oracles import (full_grid_transfer, lens_phase, oracle_fresnel_direct, radius_squared,
-                     resample_scaled)
+from oracles import (full_grid_transfer, ifft2_columns_first, lens_phase, oracle_fresnel_direct,
+                     radius_squared, resample_scaled)
 from twinbeam import (
     AliasingRiskError,
     FreeSpace,
@@ -101,10 +101,11 @@ class TestPropagate:
 
 
 def _full_grid_propagate(samples, pitch, ctx, distance):
-    """Angular-spectrum hop with the transfer built on every FFT-ordered sample."""
+    """Angular-spectrum hop with the transfer built on every FFT-ordered sample,
+    transformed back columns first."""
     transfer = full_grid_transfer(samples.shape[0], pitch, ctx, distance)
     spectrum = np.fft.fft2(samples)
-    return np.fft.ifft2(spectrum * transfer)
+    return ifft2_columns_first(spectrum * transfer)
 
 
 def _mask_safe_distance(fld, ctx, max_clip_fraction=0.05):
@@ -157,6 +158,10 @@ class TestMirroredBuilds:
         out = propagate(ScalarField(samples, pitch), CTX, distance, max_clip_fraction=1.0)
         ref = _full_grid_propagate(samples, pitch, CTX, distance)
         assert out.samples.tobytes() == ref.tobytes()
+        # ifft2 runs the row pass first, which rounds differently
+        spectrum = np.fft.fft2(samples) * full_grid_transfer(n, pitch, CTX, distance)
+        rows_first = np.fft.ifft2(spectrum)
+        assert np.max(np.abs(out.samples - rows_first)) <= 1e-14 * np.max(np.abs(rows_first))
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_propagate_matches_full_grid_transfer_in_a_narrow_cone(self, n):
@@ -286,7 +291,7 @@ class TestSafeDistance:
             raise AssertionError("clip table built for a hop that cannot clip")
 
         monkeypatch.setattr(propagation, "_clip_curve", fail)
-        monkeypatch.setattr(propagation, "_chebyshev_rings", fail)
+        monkeypatch.setattr(propagation, "_ring_table", fail)
         propagate(f, CTX, 0.01)
         propagate_train(f, CTX, OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01))))
 
@@ -300,7 +305,7 @@ class TestSafeDistance:
             raise AssertionError("ring table built for a hop within the clip budget")
 
         monkeypatch.setattr(propagation, "_clip_curve", fail)
-        monkeypatch.setattr(propagation, "_chebyshev_rings", fail)
+        monkeypatch.setattr(propagation, "_ring_table", fail)
         propagate(masked_beam, CTX, 2.0)
         propagate_train(masked_beam, CTX, OpticalTrain((FreeSpace(2.0), FreeSpace(1.0))))
 
@@ -446,14 +451,15 @@ class TestSpectralDomain:
 
     @staticmethod
     def _count_transforms(monkeypatch):
+        """The 2-D transforms of the trains run while it is set: False for a
+        forward transform, True for an inverse."""
         calls = []
-        fft2_inplace = propagation._fft2_inplace
+        for name, inverse in (("_fft2_inplace", False), ("_inverse", True)):
+            def counting(*args, transform=getattr(propagation, name), inverse=inverse, **kwargs):
+                calls.append(inverse)
+                return transform(*args, **kwargs)
 
-        def counting(u, inverse=False):
-            calls.append(inverse)
-            return fft2_inplace(u, inverse)
-
-        monkeypatch.setattr(propagation, "_fft2_inplace", counting)
+            monkeypatch.setattr(propagation, name, counting)
         return calls
 
     @pytest.mark.parametrize("scenario, want", [
@@ -698,6 +704,61 @@ class TestFactorHeldStretch:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+_ROW_SETS = {"wrapped": lambda n: [n - 2, n - 1, 0, 1],
+             "scattered": lambda n: [n - 5, 3, n // 2, 7, 0]}
+_WORKSPACE_STATES = {
+    # (the input, the elements, the state they leave)
+    "factors": (lambda n: SeparableField(*_random_factors(n), 20e-6),
+                lambda n: (Mask(wire_mask(0.2e-3, n, 20e-6)),), "factors"),
+    "held-stretch": (lambda n: SeparableField(*_random_factors(n), 20e-6),
+                     lambda n: (FreeSpace(0.05), FreeSpace(1.5)), "stretch"),
+    "grid-samples": (lambda n: ScalarField(np.multiply.outer(*_random_factors(n)), 20e-6),
+                     lambda n: (FreeSpace(0.05), ThinLens(0.2)), "samples"),
+    "grid-spectrum": (lambda n: ScalarField(np.multiply.outer(*_random_factors(n)), 20e-6),
+                      lambda n: (ThinLens(0.2), FreeSpace(1.5)), "spectrum"),
+}
+
+
+def _state(ws):
+    if ws.factors is not None:
+        return "factors" if ws.cone is None else "stretch"
+    return "samples" if ws.cone is None else "spectrum"
+
+
+class TestRowRead:
+    """A train's end reads only the rows asked for, equal to the field's rows
+    byte for byte, whatever state the workspace holds."""
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("state", _WORKSPACE_STATES, ids=_WORKSPACE_STATES.keys())
+    @pytest.mark.parametrize("rows", _ROW_SETS.values(), ids=_ROW_SETS.keys())
+    def test_rows_are_the_field_rows(self, n, state, rows):
+        make, elements, want = _WORKSPACE_STATES[state]
+        fld, rows = make(n), rows(n)
+        workspaces = [propagation._Workspace(fld, CTX) for _ in range(2)]
+        for ws in workspaces:
+            for el in elements(n):
+                propagation._apply_element(ws, el, max_clip_fraction=1.0)
+            assert _state(ws) == want
+        if want in ("stretch", "spectrum"):
+            assert 2 * workspaces[0].cone - 1 < n  # the cone leaves columns out
+        field_rows = workspaces[0].field().samples[rows]
+        got = workspaces[1].rows(rows)
+        assert got.shape == (len(rows), n) and got.tobytes() == field_rows.tobytes()
+
+    def test_non_finite_rows_name_the_last_element(self, monkeypatch):
+        hop = propagation._Workspace.hop
+
+        def spoiling_hop(ws, distance, max_clip_fraction):
+            hop(ws, distance, max_clip_fraction)
+            ws.samples[:, 1] = np.nan  # a column inside the cone
+
+        monkeypatch.setattr(propagation._Workspace, "hop", spoiling_hop)
+        train = OpticalTrain((ThinLens(0.2), FreeSpace(0.01)))
+        with pytest.raises(ValidationError, match=r"element 1 \(FreeSpace\(0.01 m\)\).*finite"):
+            propagation._train_rows(gaussian_beam(0.15e-3, 64, 20e-6), CTX, train, [3])
+
+
 def _propagate_in_child(f):
     return propagate(f, CTX, 0.5).samples
 
@@ -706,19 +767,51 @@ class TestSplitTransform:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 129, 257])
     def test_equals_the_numpy_transform(self, monkeypatch, n, workers):
+        # forward: fft2, rows first.  Inverse, on the full band and on a
+        # cone of 20 rings: the columns of the cone, then the rows, equal to
+        # ifft down the columns and then along the rows byte for byte, and
+        # to ifft2 to rounding
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        forward, inverse = np.fft.fft2(a), np.fft.ifftn(a, axes=(-2, -1))
+        forward = np.fft.fft2(a)
+        spectra = {}
+        for m in (n // 2 + 1, 20):
+            s = a.copy()
+            band = slice(m, n - m + 1)
+            s[band] = s[:, band] = 0.0  # zero outside the cone's square
+            spectra[m] = (s, ifft2_columns_first(s), np.fft.ifft2(s))
         monkeypatch.setattr(field, "_SPLIT_MIN_SIZE", 0)
         monkeypatch.setattr(field, "_worker_count", lambda: workers)
-        for name in ("fft2", "ifftn"):  # one worker too runs the row and column passes
+        for name in ("fft2", "ifft2", "ifftn"):  # one worker too runs the passes
             monkeypatch.setattr(np.fft, name, None)
         u = a.copy()
         assert propagation._fft2_inplace(u) is u
         assert np.array_equal(u, forward)
-        u = a.copy()
-        assert propagation._fft2_inplace(u, inverse=True) is u
-        assert np.array_equal(u, inverse)
+        rows = [n - 2, n - 1, 0, 1, n // 3, 5]  # wrapped, unordered
+        for m, (s, inverse, rows_first) in spectra.items():
+            u = s.copy()
+            assert propagation._inverse(u, m) is u
+            assert u.tobytes() == inverse.tobytes()
+            assert np.max(np.abs(u - rows_first)) <= 1e-14 * np.max(np.abs(rows_first))
+            got = propagation._inverse(s.copy(), m, rows)
+            assert got.tobytes() == inverse[rows].tobytes()
+
+    def test_inverse_transforms_the_cone_columns_and_the_rows_asked_for(self, monkeypatch):
+        # after a hop of cone m, the inverse transforms 2m - 1 columns and
+        # then the rows read: every row for the field, two for two rows
+        n, pitch = 128, 20e-6
+        f = propagation._half_freqs(n, pitch)
+        m = np.searchsorted(f, safe_frequency_limit(n * pitch, CTX.wavelength, 1.5), "right")
+        assert 2 * m - 1 < n
+        passes = count_inverse_lines(monkeypatch)
+        samples = random_band_limited_field(np.random.default_rng(3), n=n, pitch=pitch).samples
+        train = OpticalTrain((FreeSpace(1.5),))
+        full = propagate_train(ScalarField(samples, pitch), CTX, train)
+        assert passes == [("columns", 2 * m - 1), ("rows", n)]
+        passes.clear()
+        rows = propagation._train_rows(ScalarField(samples, pitch), CTX, train, [n - 1, 4])
+        assert passes == [("columns", 2 * m - 1), ("rows", 2)]
+        assert rows.tobytes() == full.samples[[n - 1, 4]].tobytes()
 
     def test_pool_starts_on_the_first_split_transform(self):
         code = ("import sys, numpy as np, twinbeam\n"

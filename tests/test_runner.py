@@ -94,17 +94,18 @@ def test_nondegenerate_distance_scales():
 
 @pytest.fixture
 def train_calls(monkeypatch):
-    """The trains ``biphoton.propagate_train`` is called with, in order."""
+    """The trains ``biphoton._train_rows``, the scans' and runs' one way to
+    the detector field, is called with, in order."""
     from twinbeam import biphoton
 
     calls = []
-    propagate_train = biphoton.propagate_train
+    train_rows = biphoton._train_rows
 
     def counting_train(*args, **kwargs):
         calls.append(args[2])
-        return propagate_train(*args, **kwargs)
+        return train_rows(*args, **kwargs)
 
-    monkeypatch.setattr(biphoton, "propagate_train", counting_train)
+    monkeypatch.setattr(biphoton, "_train_rows", counting_train)
     return calls
 
 
@@ -139,7 +140,7 @@ def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
     for module, name in ((biphoton, "_map_lines"), (runner, "_map_lines"),
                          (biphoton, "_overlap_counts")):
         def counting(*args, name=name, original=getattr(module, name)):
-            calls.append(len(args[-1]) if name == "_map_lines" else name)
+            calls.append(len(args[4]) if name == "_map_lines" else name)  # the lines
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
