@@ -22,19 +22,22 @@ what makes O = (mask-to-crystal) + (crystal-to-lens) behave as one object
 distance.
 
 The pump enters that train as the two 1-D factors of its Gaussian
-(:func:`pump_input_field`), and the train's first element, the wire mask,
-multiplies only the row factor.  The first hop then writes the spectrum
-from the factors' 1-D transforms, so no 2-D pump is built and the first
-stretch of hops makes no forward 2-D transform: fig5's train makes 5 2-D
-transforms and fig4b's 3 (see :mod:`twinbeam.propagation`).
+(:func:`pump_input_field`), and the whole train runs on low-rank factors
+``a @ b.T`` (see :mod:`twinbeam.propagation`): the wire mask multiplies the
+row factor, each lens both, and each hop multiplies the factors' 1-D spectra
+by the factors of its transfer.  Ranks are cut at 1e-13 of the largest
+singular value (``propagation.RANK_TOLERANCE``), and the presets' detector
+fields have rank 7 or less.  A hop that would need more than
+``propagation.RANK_CAP`` terms raises PhysicsError, and one whose cone
+reaches evanescent frequencies raises SamplingError, naming the pitch.
 
 A scan reads rows of the detector field, not the field: it works out the
 cells of its points first, then asks the train (:func:`_detector_rows`)
-for the rows its two map lines reach, and the train's last inverse
-transform runs its row pass on those rows only (all rows for a y scan).  A
-run asks for every row, because ``detector_field.pgm`` covers the grid;
-its profile equals the scan's byte for byte.  :func:`effective_detector_field`
-is the whole field as a ScalarField, which no scan or run calls.
+for the rows its two map lines reach, ``a[rows] @ b.T`` (all rows for a y
+scan).  A run asks for every row, because ``detector_field.pgm`` covers the
+grid; its profile equals the scan's byte for byte.
+:func:`effective_detector_field` is the whole field as a ScalarField, which
+no scan or run calls.
 
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
@@ -109,7 +112,7 @@ def _leg(lenses: tuple, length: float) -> list:
         if lens.position_m > cursor:
             elements.append(FreeSpace(lens.position_m - cursor))
             cursor = lens.position_m
-        elements.append(ThinLens(lens.focal_m, lens.aperture_radius_m))
+        elements.append(ThinLens(lens.focal_m))
     if length > cursor:
         elements.append(FreeSpace(length - cursor))
     return elements
@@ -148,15 +151,13 @@ def _detector_train(scenario: "Scenario") -> tuple:
 
 
 def effective_detector_field(scenario: "Scenario") -> ScalarField:
-    """Pump field propagated through the unfolded train to the detectors;
-    it equals the train of :func:`~twinbeam.field.gaussian_beam` to rounding."""
+    """Pump field propagated through the unfolded train to the detectors."""
     return propagate_train(*_detector_train(scenario))
 
 
 def _detector_rows(scenario: "Scenario", rows=None) -> np.ndarray:
     """Rows ``rows`` (all by default) of the detector field's samples, equal
-    to :func:`effective_detector_field`'s byte for byte: the train's last
-    inverse transform runs its row pass on those rows only."""
+    to :func:`effective_detector_field`'s byte for byte."""
     return _train_rows(*_detector_train(scenario), rows)
 
 

@@ -13,7 +13,6 @@ itself on the two map lines it reads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,79 +22,18 @@ from .errors import OutOfWindowError, SamplingError, ValidationError
 MIN_GRID = 16
 
 
-# ---------------------------------------------------------------------------
-# Full-grid passes, split across the process's cores
-# ---------------------------------------------------------------------------
-
-# Passes over fewer samples make one numpy call.  On a 2-core host the split
-# 2-D transform saved nothing at 256 x 256 (about 1.0 ms either way) and a
-# third of the time from 512 x 512 up.
-_SPLIT_MIN_SIZE = 512 * 512
-_pool = None  # (pid, workers, executor), started by the first split pass
-
-
-def _worker_count() -> int:
-    """Cores this process may run on; the affinity mask (``taskset``) limits them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _executor(workers: int):
-    """The pool the split passes share.
-
-    It is started again in a forked child, which inherits the pool object
-    but none of its threads.  Two threads that start it at once may each
-    build one; each uses its own, and the one not kept is dropped, which
-    ends its threads.
-    """
-    global _pool
-    key = (os.getpid(), workers)
-    pool = _pool
-    if pool is None or pool[:2] != key:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = _pool = (*key, ThreadPoolExecutor(workers, thread_name_prefix="twinbeam-pool"))
-    return pool[2]
-
-
-def _splits(size: int) -> bool:
-    """Whether a pass over ``size`` samples is split across the cores."""
-    return size >= _SPLIT_MIN_SIZE and _worker_count() > 1
-
-
-def _each_block(job, rows: int, size: int) -> None:
-    """Call ``job(block)`` on contiguous row blocks that cover ``range(rows)``:
-    one block per core for a pass over ``size`` samples that :func:`_splits`,
-    else one call with ``slice(0, rows)``.  A job must not call this itself:
-    a task waiting on the pool it runs on could wait forever."""
-    if _splits(size):
-        workers = _worker_count()
-        blocks = [slice(i * rows // workers, (i + 1) * rows // workers) for i in range(workers)]
-        list(_executor(workers).map(job, blocks))
-    else:
-        job(slice(0, rows))
-
-
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every sample of ``a`` is finite: a NaN or an infinity makes its
-    block's sum non-finite, so a finite sum clears the block without a mask
-    and an overflowed one is cleared by a scan.  numpy's errstate is per thread."""
-    verdicts = []
-
-    def scan(r):
-        with np.errstate(over="ignore", invalid="ignore"):
-            verdicts.append(bool(np.isfinite(a[r].sum()) or np.isfinite(a[r]).all()))
-
-    _each_block(scan, a.shape[0], a.size)
-    return all(verdicts)
+    """Whether every sample of ``a`` is finite: a NaN or an infinity makes the
+    sum non-finite, so a finite sum clears ``a`` without a mask and an
+    overflowed one is cleared by a scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
 def _abs_square(u: np.ndarray) -> np.ndarray:
     """``np.abs(u) ** 2`` in a new float array."""
-    out = np.empty(u.shape)
-    _each_block(lambda r: np.square(np.abs(u[r], out=out[r]), out=out[r]), u.shape[0], u.size)
-    return out
+    out = np.abs(u)
+    return np.square(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -122,17 +60,6 @@ class WaveContext:
 def axis_coords(n: int, pitch: float) -> np.ndarray:
     """Centered sample coordinates along one axis, in meters."""
     return (np.arange(n) - n // 2) * pitch
-
-
-def centred_runs(n: int) -> tuple:
-    """(axis slice, half-axis slice) pairs that mirror a half axis onto a centred axis.
-
-    Sample i of a centred axis lies |i - n//2| samples from the optical
-    axis, so it takes that entry of the half axis: a descending run, then
-    an ascending one.
-    """
-    c = n // 2
-    return ((slice(c, n), slice(0, n - c)), (slice(0, c), slice(c, 0, -1)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +110,13 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class SeparableField:
-    """A field whose samples are ``outer(column, row)``: sample (j, i) is
-    ``column[j] * row[i]``, on the centred square grid of a ScalarField.
-    The factors are held as read-only complex views, as ScalarField holds
-    its samples, so no train that starts from them writes the caller's arrays.
+    """A field held as low-rank factors: sample (j, i) is
+    ``sum_r column[j, r] * row[i, r]``, on the centred square grid of a
+    ScalarField, so the samples are ``column @ row.T``.  Each factor is an
+    (n, R) array of R 1-D fields; a 1-D factor is read as R = 1, the product
+    ``outer(column, row)``.  The factors are held as read-only complex
+    views, as ScalarField holds its samples, so no train that starts from
+    them writes the caller's arrays.
     """
 
     column: np.ndarray
@@ -195,16 +125,17 @@ class SeparableField:
 
     def __post_init__(self):
         for name in ("column", "row"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128).view()
+            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            if arr.ndim not in (1, 2):
+                raise ValidationError(f"{name} factors must be 1D or (n, R), got shape {arr.shape}")
+            arr = arr.reshape(arr.shape[0], -1).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} factor must be 1D, got shape {arr.shape}")
             if not _all_finite(arr):
                 raise ValidationError(f"{name} factor samples must all be finite")
-        if self.column.size != self.row.size:
-            raise ValidationError(f"factors must have one length, got {self.column.size} "
-                                  f"and {self.row.size}")
+        if self.column.shape != self.row.shape:
+            raise ValidationError(f"factors must have one length and one rank, got shapes "
+                                  f"{self.column.shape} and {self.row.shape}")
         if self.n < MIN_GRID:
             raise ValidationError(f"grid must be at least {MIN_GRID}x{MIN_GRID}, got {self.n}")
         if not (self.pitch > 0 and np.isfinite(self.pitch)):
@@ -212,7 +143,7 @@ class SeparableField:
 
     @property
     def n(self) -> int:
-        return self.row.size
+        return self.row.shape[0]
 
 
 @dataclass(frozen=True)
@@ -230,9 +161,8 @@ class TransmissionMask:
             raise ValidationError(f"mask must be square 2D, got shape {arr.shape}")
         if not (self.pitch > 0 and np.isfinite(self.pitch)):
             raise ValidationError(f"pitch must be positive, got {self.pitch}")
-        # Rows that all repeat one profile (a broadcast view, as wire_mask
-        # makes) hold no value that the first row does not.
-        values = arr[0] if arr.strides[0] == 0 else arr
+        # Rows that all repeat one profile hold no value that it does not.
+        values = arr if self.profile is None else self.profile
         if not _all_finite(values):
             raise ValidationError("mask values must be finite")
         if values.min() < 0.0 or values.max() > 1.0:
@@ -247,15 +177,15 @@ class TransmissionMask:
         if shape != self.samples.shape or pitch != self.pitch:
             raise ValidationError("mask grid does not match field grid")
 
-    def multiply_into(self, samples: np.ndarray, pitch: float) -> np.ndarray:
-        """Multiply a writable field array on this mask's grid in place."""
-        self.check_grid(samples.shape, pitch)
-        _each_block(lambda r: np.multiply(samples[r], self.samples[r], out=samples[r]),
-                    self.n, samples.size)
-        return samples
+    @property
+    def profile(self) -> np.ndarray | None:
+        """The one row every row repeats (a broadcast view, as wire_mask
+        makes), or None for a mask of independent rows."""
+        return self.samples[0] if self.samples.strides[0] == 0 else None
 
     def apply(self, fld: ScalarField) -> ScalarField:
-        return fld.with_samples(self.multiply_into(np.array(fld.samples), fld.pitch))
+        self.check_grid(fld.samples.shape, fld.pitch)
+        return fld.with_samples(fld.samples * self.samples)
 
 
 def power(fld: ScalarField) -> float:
@@ -306,7 +236,7 @@ def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
     """:func:`separable_gaussian`'s beam on the grid, ``outer(column, row)`` of its
     factors: within half an ulp of the unit peak of exp(-rho^2 / waist^2)."""
     beam = separable_gaussian(waist, n, pitch)
-    return ScalarField(np.outer(beam.column, beam.row), pitch)
+    return ScalarField(np.multiply.outer(beam.column[:, 0], beam.row[:, 0]), pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:

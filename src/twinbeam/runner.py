@@ -50,6 +50,7 @@ class RunReport:
     scenario_name: str
     scenario_digest: str
     kappa: float
+    kappa_source: str | dict
     profile: CoincidenceProfile
     counted: CountedProfile
     metrics: dict
@@ -61,6 +62,7 @@ class RunReport:
             "scenario_name": self.scenario_name,
             "scenario_digest": self.scenario_digest,
             "kappa": self.kappa,
+            "kappa_source": self.kappa_source,
             "metrics": self.metrics,
             "assumed_parameters": list(self.assumptions),
             "artifacts": self.manifest,
@@ -76,16 +78,26 @@ def scenario_digest(scenario: Scenario) -> str:
 def resolve_kappa(scenario: Scenario) -> float:
     """Calibration constant making the end of the reference chain peak at
     its configured pairs/s; 1.0 when no calibration is declared."""
+    reference = _calibration_reference(scenario)
+    if reference is None:
+        return 1.0
+    return _calibrated_kappa(reference, scan_detector(reference, kappa=1.0).peak_rate)
+
+
+def _calibration_reference(scenario: Scenario) -> Scenario | None:
+    """The scenario at the end of the reference chain, the first that declares
+    its pairs/s, as it was loaded (a run's grid override does not reach it);
+    None when the chain ends without one."""
     seen = set()
     while scenario.calibration.pairs_per_s is None:
         reference = calibration_source(scenario)
         if reference is None:
-            return 1.0
+            return None
         if reference in seen:
             raise ValidationError(f"calibration references form a cycle at {reference!r}")
         seen.add(reference)
         scenario = load_scenario(reference)
-    return _calibrated_kappa(scenario, scan_detector(scenario, kappa=1.0).peak_rate)
+    return scenario
 
 
 def _calibrated_kappa(scenario: Scenario, raw_peak: float) -> float:
@@ -132,8 +144,15 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
         scenario = dataclasses.replace(
             scenario, counting=dataclasses.replace(scenario.counting, seed=seed)
         )
+    # Where kappa comes from, for the report: given, this scenario's own scan,
+    # or the reference it names, whose name, digest and grid are recorded.
+    source = "given" if kappa is not None else "own scan"
     if kappa is None and scenario.calibration.pairs_per_s is None:
-        kappa = resolve_kappa(scenario)
+        reference = _calibration_reference(scenario)
+        kappa = 1.0 if reference is None else resolve_kappa(reference)
+        source = "none" if reference is None else {
+            "reference": reference.name, "scenario_digest": scenario_digest(reference),
+            "grid_n": reference.grid.n}
 
     scale = None if kappa is None else _rate_scale(scenario, kappa)
     scan_coords, samples, raw = _scan_stage(scenario, every_row=True)
@@ -183,6 +202,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
         scenario_name=scenario.name,
         scenario_digest=scenario_digest(scenario),
         kappa=kappa,
+        kappa_source=source,
         profile=profile,
         counted=counted,
         metrics=metrics,

@@ -80,15 +80,12 @@ class MaskSpec:
 class LensElement:
     focal_m: float
     position_m: float  # from the input plane (pump side) or crystal (twin side)
-    aperture_radius_m: float | None = None
 
     def __post_init__(self):
         if self.focal_m == 0:
             raise ValidationError("lens focal_m must be nonzero")
         if self.position_m < 0:
             raise ValidationError("lens position must be >= 0")
-        if self.aperture_radius_m is not None and self.aperture_radius_m <= 0:
-            raise ValidationError("lens aperture_radius_m must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -191,11 +188,7 @@ def _schema() -> dict:
 
 def _lens_list(entries, position_key) -> tuple:
     return tuple(
-        LensElement(
-            focal_m=e["focal_m"],
-            position_m=e[position_key],
-            aperture_radius_m=e.get("aperture_radius_m"),
-        )
+        LensElement(focal_m=e["focal_m"], position_m=e[position_key])
         for e in entries
     )
 
@@ -300,10 +293,7 @@ def _prune(obj):
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     def lens_entry(lens: LensElement, position_key: str) -> dict:
-        entry = {"focal_m": lens.focal_m, position_key: lens.position_m}
-        if lens.aperture_radius_m is not None:
-            entry["aperture_radius_m"] = lens.aperture_radius_m
-        return entry
+        return {"focal_m": lens.focal_m, position_key: lens.position_m}
 
     doc = {
         "name": scenario.name,

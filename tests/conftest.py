@@ -1,6 +1,12 @@
 """Shared builders and measurement helpers for the test suite."""
 
+import contextlib
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +72,65 @@ def count_inverse_lines(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft", counting)
     return passes
+
+
+def count_transforms(monkeypatch):
+    """The domain changes of the trains run while it is set: False for a
+    forward transform, True for an inverse.  The 1-D transforms of a factor
+    pair, one after the other, count as one change; a 2-D transform as one."""
+    calls = []
+    for name, inverse in (("fft", False), ("ifft", True), ("fft2", False), ("ifft2", True)):
+        def counting(*args, transform=getattr(np.fft, name), inverse=inverse, two_d=name[-1] == "2",
+                     **kwargs):
+            if two_d or not calls or calls[-1] != inverse:
+                calls.append(inverse)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def _openblas_threads():
+    """The (set, get) thread-count functions of numpy's OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS limited to ``count`` threads; skip
+    the test where numpy's OpenBLAS cannot be found."""
+    functions = _openblas_threads()
+    if functions is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    setter, getter = functions
+    before = getter()
+    setter(count)
+    try:
+        assert getter() == count
+        yield
+    finally:
+        setter(before)
+
+
+def run_child(code: str, **env) -> bytes:
+    """Standard output of ``python -c code`` in a new process, with the
+    checkout's ``src`` first on its path and ``env`` added to its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env)).stdout
 
 
 def rel_rms(a: np.ndarray, b: np.ndarray) -> float:

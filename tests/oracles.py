@@ -15,9 +15,12 @@ it checks:
 * :func:`read_pgm` decodes the PGM files the writer encodes;
 * :func:`full_grid_transfer`, :func:`lens_phase` and :func:`disk_kernel`
   build the transfer function, the lens phase and the disk on the whole
-  grid in one numpy call each, where the model builds them on quadrants
-  and blocks, in place; :func:`ifft2_columns_first` transforms the whole
-  grid where the model transforms the cone's columns and the rows read;
+  grid in one numpy call each, where the model builds the transfer on one
+  quadrant or factors it; :func:`ifft2_columns_first` inverts the whole grid
+  down the columns first;
+* :func:`oracle_angular_spectrum_train` runs a train on the whole grid, one
+  ``fft2``, transfer product and ``ifft2`` per hop, where the model runs it
+  on low-rank 1-D factors (exact kz, square cone, no clip check);
 * :func:`composite_kernel` counts the aperture kernel pair by pair of
   lattice points, where the model counts it by a small FFT convolution;
   :func:`aperture_map_formula` convolves with it on the whole grid, and
@@ -31,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from twinbeam import (OutOfWindowError, ScalarField, ValidationError, WaveContext, propagate,
-                      safe_frequency_limit)
+from twinbeam import (FreeSpace, OutOfWindowError, ScalarField, ThinLens, TransmissionMask,
+                      ValidationError, WaveContext, propagate, safe_frequency_limit)
 from twinbeam.field import axis_coords
 
 
@@ -115,6 +118,29 @@ def lens_phase(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarr
     chirp exp(-i k x^2 / 2f) on the centred axis with itself, rows first."""
     p = np.exp(-1j * ctx.wavenumber * axis_coords(n, pitch) ** 2 / (2.0 * focal))
     return p[:, None] * p[None, :]
+
+
+def disk_mask(n: int, pitch: float, radius: float) -> TransmissionMask:
+    """Centred disk of ``radius``: transmission 1 inside, 0 outside.  A lens
+    stop, which has no low-rank form."""
+    return TransmissionMask((radius_squared(n, pitch) <= radius**2).astype(np.float64), pitch)
+
+
+def oracle_angular_spectrum_train(samples: np.ndarray, pitch: float, ctx: WaveContext,
+                                  elements) -> np.ndarray:
+    """A train's elements on the whole n x n grid, out of place: a hop is
+    ``ifft2(fft2(u) * full_grid_transfer)`` (exact kz on its square cone), a
+    lens ``u * lens_phase``, a mask ``u * transmission``."""
+    u = np.asarray(samples, dtype=np.complex128)
+    n = u.shape[0]
+    for el in elements:
+        if isinstance(el, FreeSpace):
+            u = np.fft.ifft2(np.fft.fft2(u) * full_grid_transfer(n, pitch, ctx, el.distance))
+        elif isinstance(el, ThinLens):
+            u = u * lens_phase(n, pitch, ctx, el.focal)
+        else:
+            u = u * el.transmission.samples
+    return u
 
 
 def disk_kernel(n: int, pitch: float, radius: float) -> np.ndarray:

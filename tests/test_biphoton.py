@@ -26,7 +26,7 @@ from twinbeam import (
     unfolded_pump_train,
     wire_mask,
 )
-from twinbeam import biphoton
+from twinbeam import biphoton, propagation
 from twinbeam.biphoton import CoincidenceProfile, pump_input_field
 from twinbeam.field import _bilinear_cells
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
@@ -201,7 +201,8 @@ class TestSeparablePump:
         pump = pump_input_field(free_scenario())
         beam = gaussian_beam(0.5e-3, 256, 20e-6)
         assert isinstance(pump, SeparableField) and pump.pitch == beam.pitch
-        outer = np.multiply.outer(pump.column, pump.row)
+        assert pump.column.shape == pump.row.shape == (256, 1)
+        outer = np.multiply.outer(pump.column[:, 0], pump.row[:, 0])
         assert np.max(np.abs(outer - beam.samples)) <= 1e-15
 
 
@@ -525,13 +526,14 @@ class TestLineRead:
 
 
 class TestScanRows:
-    """A scan transforms only what it reads: its train's last inverse covers
-    the cone's columns and the rows its apertures reach."""
+    """A scan transforms only what it reads: its train inverts the 1-D
+    factors, and reads the rows its apertures reach as ``a[rows] @ b.T``."""
 
     def test_free_sweep_row_makes_no_grid(self, monkeypatch):
-        # the free 0.5 m row ends in its first stretch of hops, cone 247:
-        # 493 columns, then the 202 rows that K (0.5 mm apertures, offsets
-        # -100..100) reaches from two lines, and no n x n complex array
+        # the free 0.5 m row ends at rank 3: its inverse transforms the 6
+        # columns of its two factors, no row, and it reads the 202 rows that
+        # K (0.5 mm apertures, offsets -100..100) reaches from two lines,
+        # with no n x n complex array
         from twinbeam import counting, with_free_twin_side
 
         scenario = load_scenario("fig4b")
@@ -540,7 +542,7 @@ class TestScanRows:
         biphoton._kernel_row_spectra.cache_clear()
         peak = traced_peak(lambda: counting.sweep_distance(scenario, [0.5], collimated=False,
                                                            kappa=1.0))
-        assert passes == [("columns", 493), ("rows", 202)]
+        assert passes == [("columns", 6)]
         assert peak < n * n * np.dtype(np.complex128).itemsize
         # the rows read give the profile of the whole field
         derived = with_free_twin_side(scenario, 0.5, 0.5e-3)
@@ -550,12 +552,26 @@ class TestScanRows:
         assert raw.tobytes() == whole.tobytes()
 
     def test_fig5_inverse_after_the_long_hop_covers_its_cone(self, monkeypatch):
-        # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m at 2048: the first
-        # stretch is written whole, the 2.25 m hop's cone keeps 439 of 2048
-        # columns, and the scan reads the 42 rows of two lines
+        # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m at 2048: each lens
+        # and the end invert the factors, rank 3, 3 and 7, 26 transforms of
+        # 2048 samples and no row; the 2.25 m hop's factors are zero outside
+        # its cone's 439 of 2048 frequencies; the scan reads 42 rows
         passes = count_inverse_lines(monkeypatch)
+        ranks = []
+        hop = propagation._Factors.hop
+
+        def recording_hop(state, distance, max_clip_fraction):
+            hop(state, distance, max_clip_fraction)
+            ranks.append(state.a.shape[1])
+            if distance == 2.25:
+                assert np.count_nonzero(np.abs(state.a).sum(axis=1)) == 439
+
+        monkeypatch.setattr(propagation._Factors, "hop", recording_hop)
+        rows = []
+        detector_rows = biphoton._detector_rows
+        monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, r=None: rows.append(
+            len(r)) or detector_rows(scenario, r))
         scan_detector(load_scenario("fig5"), kappa=1.0)
-        assert passes[:4] == [("columns", 2048), ("rows", 2048), ("columns", 439),
-                              ("rows", 2048)]
-        assert passes[-1] == ("rows", 42)
+        assert passes == [("columns", 26)]
+        assert ranks == [2, 3, 3, 7] and rows == [42]
 

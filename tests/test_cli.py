@@ -6,7 +6,7 @@ import pytest
 
 from twinbeam import fileio, scan_detector
 from twinbeam.cli import main
-from twinbeam.runner import resolve_kappa, run
+from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import load_scenario
 
 
@@ -187,3 +187,29 @@ def test_out_of_window_scan_exit_code(tmp_path, fast_scenario_path):
     bad = tmp_path / "oow.json"
     bad.write_text(json.dumps(doc))
     assert main(["scan", str(bad), "--out-dir", str(tmp_path), "--kappa", "1.0"]) == 3
+
+
+def test_grid_override_does_not_reach_the_calibration_reference(tmp_path):
+    # fig5 at 1024 calibrates kappa on fig4b as loaded, at its own grid, and
+    # report.json names that reference, its digest and its grid
+    assert main(["run", "fig5", "--grid-n", "1024", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fig5" / "report.json").read_text())
+    fig4b = load_scenario("fig4b")
+    assert report["kappa_source"] == {"reference": "fig4b",
+                                      "scenario_digest": scenario_digest(fig4b),
+                                      "grid_n": fig4b.grid.n}
+    assert report["kappa"] == resolve_kappa(fig4b)
+    assert json.loads((tmp_path / "fig5" / "scenario.json").read_text())["grid"]["n"] == 1024
+
+
+def test_bounded_lens_is_a_schema_error(fast_scenario_path, tmp_path, capsys):
+    # a lens takes no aperture: a circular stop has no low-rank form
+    doc = json.loads(fast_scenario_path.read_text())
+    doc["twin_side_elements"] = [{"focal_m": 0.2, "distance_from_crystal_m": 0.2,
+                                  "aperture_radius_m": 1e-3}]
+    bounded = tmp_path / "bounded.json"
+    bounded.write_text(json.dumps(doc))
+    assert main(["run", str(bounded), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "aperture_radius_m" in err
+    assert not (tmp_path / "out").exists()

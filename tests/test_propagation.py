@@ -1,20 +1,20 @@
 import multiprocessing
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_inverse_lines, intensity_ncc, random_band_limited_field, rel_rms,
-                      second_moment_radius, traced_peak)
-from oracles import (full_grid_transfer, ifft2_columns_first, lens_phase, oracle_fresnel_direct,
-                     radius_squared, resample_scaled)
+from conftest import (blas_threads, count_inverse_lines, count_transforms, intensity_ncc,
+                      random_band_limited_field, rel_rms, run_child, second_moment_radius,
+                      traced_peak)
+from oracles import (disk_mask, full_grid_transfer, ifft2_columns_first, lens_phase,
+                     oracle_angular_spectrum_train, oracle_fresnel_direct, radius_squared,
+                     resample_scaled)
 from twinbeam import (
     AliasingRiskError,
+    PhysicsError,
+    SamplingError,
     FreeSpace,
     Mask,
     OpticalTrain,
@@ -101,11 +101,10 @@ class TestPropagate:
 
 
 def _full_grid_propagate(samples, pitch, ctx, distance):
-    """Angular-spectrum hop with the transfer built on every FFT-ordered sample,
-    transformed back columns first."""
+    """Angular-spectrum hop with the transfer built on every FFT-ordered sample."""
     transfer = full_grid_transfer(samples.shape[0], pitch, ctx, distance)
     spectrum = np.fft.fft2(samples)
-    return ifft2_columns_first(spectrum * transfer)
+    return np.fft.ifft2(spectrum * transfer)
 
 
 def _mask_safe_distance(fld, ctx, max_clip_fraction=0.05):
@@ -138,13 +137,14 @@ def _mask_safe_distance(fld, ctx, max_clip_fraction=0.05):
 
 
 class TestMirroredBuilds:
-    """The transfer and the lens phase, built on one quadrant and mirrored,
-    equal the full-grid expressions byte for byte.
+    """On the grid, the transfer built on one quadrant and mirrored, and the
+    lens phase built as outer(p, p), equal the full-grid expressions byte for
+    byte.
 
     The grids are at least 128 wide so that their complex arrays reach
-    numpy's 256 KiB temporary-elision threshold: a mirrored array used
-    unnamed in the product is then multiplied in place, which rounds
-    differently and fails these tests.
+    numpy's 256 KiB temporary-elision threshold: a transfer or phase used
+    unnamed in the product is then multiplied in place with its operands
+    swapped, which rounds differently and fails these tests.
     """
 
     @pytest.mark.parametrize("n", [128, 129])
@@ -158,10 +158,10 @@ class TestMirroredBuilds:
         out = propagate(ScalarField(samples, pitch), CTX, distance, max_clip_fraction=1.0)
         ref = _full_grid_propagate(samples, pitch, CTX, distance)
         assert out.samples.tobytes() == ref.tobytes()
-        # ifft2 runs the row pass first, which rounds differently
+        # an inverse down the columns first rounds differently
         spectrum = np.fft.fft2(samples) * full_grid_transfer(n, pitch, CTX, distance)
-        rows_first = np.fft.ifft2(spectrum)
-        assert np.max(np.abs(out.samples - rows_first)) <= 1e-14 * np.max(np.abs(rows_first))
+        columns_first = ifft2_columns_first(spectrum)
+        assert np.max(np.abs(out.samples - columns_first)) <= 1e-14 * np.max(np.abs(columns_first))
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_propagate_matches_full_grid_transfer_in_a_narrow_cone(self, n):
@@ -203,21 +203,21 @@ class TestMirroredBuilds:
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_train_matches_out_of_place_chain(self, n):
-        # mask -> full-band hop -> bounded lens -> band-limited hop, on one
-        # working array, against the formulas chained by hand
+        # mask -> full-band hop -> lens and its stop (a disk mask) ->
+        # band-limited hop on the grid, against the formulas chained by hand
         pitch, focal, stop = 20e-6, 0.2, 0.8e-3
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         transmission = rng.uniform(size=(n, n))
+        disk = disk_mask(n, pitch, stop)
         train = OpticalTrain((Mask(TransmissionMask(transmission, pitch)), FreeSpace(0.05),
-                              ThinLens(focal, aperture_radius=stop), FreeSpace(1.5)))
+                              ThinLens(focal), Mask(disk), FreeSpace(1.5)))
         out = propagate_train(ScalarField(samples, pitch), CTX, train, max_clip_fraction=1.0)
         u = samples * transmission
         u = _full_grid_propagate(u, pitch, CTX, 0.05)
-        rho2 = radius_squared(n, pitch)
         phase = lens_phase(n, pitch, CTX, focal)
         u = u * phase
-        u = np.where(rho2 <= stop**2, u, 0.0)
+        u = u * disk.samples
         u = _full_grid_propagate(u, pitch, CTX, 1.5)
         assert out.samples.tobytes() == u.tobytes()
 
@@ -227,7 +227,8 @@ _CALLS = {
     "propagate": lambda f: propagate(f, CTX, 0.01),
     "lens": lambda f: apply_thin_lens(f, CTX, 0.2),
     "train": lambda f: propagate_train(f, CTX, OpticalTrain(
-        (_WIRE_64, FreeSpace(0.01), ThinLens(0.2, aperture_radius=0.3e-3), FreeSpace(0.01)))),
+        (_WIRE_64, FreeSpace(0.01), ThinLens(0.2), Mask(disk_mask(64, 20e-6, 0.3e-3)),
+         FreeSpace(0.01)))),
 }
 _REFUSED_CALLS = {
     "propagate": lambda f: propagate(f, CTX, 2.0),
@@ -236,7 +237,7 @@ _REFUSED_CALLS = {
 
 
 class TestCallerField:
-    """Every element works on one copy: the caller's field is never written."""
+    """Every element makes new arrays: the caller's field is never written."""
 
     @pytest.mark.parametrize("call", _CALLS.values(), ids=_CALLS.keys())
     def test_result_is_a_new_read_only_field(self, call):
@@ -259,14 +260,15 @@ class TestCallerField:
 
 
 def test_train_holds_one_working_array():
-    # the field's copy, the transfer quadrant (a quarter field) and its
-    # cone-sized temporaries: about 1.6 fields; with a mirrored scratch
-    # array and full-quadrant temporaries, about 3.4
+    # from the pump's factors the train holds only 1-D factors: the one n x n
+    # array is the field it returns, about 1.05 fields with the factors and
+    # the finiteness check; a 2-D hop on the grid alone takes about 4
     n, pitch = 512, 20e-6
-    f = gaussian_beam(1e-3, n, pitch)
+    f = field.separable_gaussian(1e-3, n, pitch)
     train = OpticalTrain((Mask(wire_mask(0.2e-3, n, pitch)), FreeSpace(0.005), FreeSpace(0.05),
                           ThinLens(0.15), FreeSpace(0.1)))
-    assert traced_peak(lambda: propagate_train(f, CTX, train)) / f.samples.nbytes < 2.5
+    nbytes = n * n * np.dtype(complex).itemsize
+    assert traced_peak(lambda: propagate_train(f, CTX, train)) / nbytes < 1.5
 
 
 class TestSafeDistance:
@@ -283,42 +285,46 @@ class TestSafeDistance:
 
     def test_full_cone_hop_builds_no_clip_table(self, monkeypatch):
         # every frequency of the grid lies in the 0.01 m cone, so nothing can
-        # be clipped and the ring table is never built
+        # be clipped and no ring table is built, on the grid or the factors
         f = gaussian_beam(60e-6, 64, 20e-6)
         assert safe_frequency_limit(f.window, CTX.wavelength, 0.01) >= 0.5 / f.pitch
 
         def fail(*args, **kwargs):
             raise AssertionError("clip table built for a hop that cannot clip")
 
-        monkeypatch.setattr(propagation, "_clip_curve", fail)
-        monkeypatch.setattr(propagation, "_ring_table", fail)
+        for name in ("_clip_curve", "_ring_table", "_gram_ring_table"):
+            monkeypatch.setattr(propagation, name, fail)
+        train = OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01)))
         propagate(f, CTX, 0.01)
-        propagate_train(f, CTX, OpticalTrain((FreeSpace(0.005), ThinLens(0.2), FreeSpace(0.01))))
+        propagate_train(f, CTX, train)
+        propagate_train(field.separable_gaussian(60e-6, 64, 20e-6), CTX, train)
 
     def test_clipping_hop_within_budget_builds_no_ring_table(self, monkeypatch, masked_beam):
-        # the 2 m cone clips the wire's spectrum, by less than the budget: the
-        # clipped fraction is one pass, and only a refusal builds the rings
+        # the 2 m cone clips the wire's spectrum, by less than the budget: from
+        # the pump's factors, the clip is read off the factors' Gram table,
+        # and no 2-D ring table is built
         f_limit = safe_frequency_limit(masked_beam.window, CTX.wavelength, 2.0)
         assert f_limit < 0.5 / masked_beam.pitch
 
         def fail(*args, **kwargs):
-            raise AssertionError("ring table built for a hop within the clip budget")
+            raise AssertionError("2-D ring table built for a factor train")
 
-        monkeypatch.setattr(propagation, "_clip_curve", fail)
         monkeypatch.setattr(propagation, "_ring_table", fail)
-        propagate(masked_beam, CTX, 2.0)
-        propagate_train(masked_beam, CTX, OpticalTrain((FreeSpace(2.0), FreeSpace(1.0))))
+        pump = field.separable_gaussian(1e-3, 512, 20e-6)
+        wire = Mask(wire_mask(0.2e-3, 512, 20e-6))
+        propagate_train(pump, CTX, OpticalTrain((wire, FreeSpace(2.0))))
+        propagate_train(pump, CTX, OpticalTrain((wire, FreeSpace(2.0), FreeSpace(1.0))))
 
     def test_refusal_transforms_the_field_once(self, monkeypatch):
         # a hop's own transform, or max_safe_distance's out-of-place one
         f = gaussian_beam(60e-6, 64, 20e-6)
         calls = []
-        for module, name in ((propagation, "_fft2_inplace"), (np.fft, "fft2")):
-            def counting(u, *args, transform=getattr(module, name), **kwargs):
-                calls.append(u.shape)
-                return transform(u, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+        def counting(u, *args, transform=np.fft.fft2, **kwargs):
+            calls.append(u.shape)
+            return transform(u, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting)
         with pytest.raises(AliasingRiskError) as err:
             propagate(f, CTX, 2.0)
         assert calls == [(64, 64)]
@@ -382,13 +388,14 @@ class TestTrains:
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
                                      [complex(0.0, np.nan)]])
     def test_each_non_finite_sample_names_the_element(self, monkeypatch, bad):
-        lens = propagation._Workspace.lens
+        lens = propagation._Grid.lens
 
         def spoiling_lens(ws, focal):
             lens(ws, focal)
-            ws.samples.flat[[5, 700][:len(bad)]] = bad
+            ws.u = ws.u.copy()
+            ws.u.flat[[5, 700][:len(bad)]] = bad
 
-        monkeypatch.setattr(propagation._Workspace, "lens", spoiling_lens)
+        monkeypatch.setattr(propagation._Grid, "lens", spoiling_lens)
         f = gaussian_beam(0.15e-3, 64, 20e-6)
         train = OpticalTrain((FreeSpace(0.01), ThinLens(0.2), FreeSpace(0.01)))
         with pytest.raises(ValidationError, match=r"element 1 \(ThinLens.*finite"):
@@ -438,73 +445,72 @@ class TestTrains:
             propagate_train(f, CTX, OpticalTrain((bad,)))
 
     def test_bounded_lens_aperture_clips_power(self):
+        # a lens has no stop of its own: a bounded lens is a lens and a disk
+        # mask, which only the grid takes
         f = gaussian_beam(0.4e-3, 128, 20e-6)
-        clipped = propagate_train(
-            f, CTX, OpticalTrain((ThinLens(0.5, aperture_radius=0.3e-3),))
-        )
+        with pytest.raises(TypeError):
+            ThinLens(0.5, aperture_radius=0.3e-3)
+        bounded = OpticalTrain((ThinLens(0.5), Mask(disk_mask(128, 20e-6, 0.3e-3))))
+        clipped = propagate_train(f, CTX, bounded)
         assert power(clipped) < power(f)
+        with pytest.raises(ValidationError, match=r"^element 1 \(Mask\).*rows repeat one profile"):
+            propagate_train(field.separable_gaussian(0.4e-3, 128, 20e-6), CTX, bounded)
 
 
 class TestSpectralDomain:
-    """A train transforms only where the domain changes: a hop leaves the
-    working array a spectrum, and the next hop starts from it."""
-
-    @staticmethod
-    def _count_transforms(monkeypatch):
-        """The 2-D transforms of the trains run while it is set: False for a
-        forward transform, True for an inverse."""
-        calls = []
-        for name, inverse in (("_fft2_inplace", False), ("_inverse", True)):
-            def counting(*args, transform=getattr(propagation, name), inverse=inverse, **kwargs):
-                calls.append(inverse)
-                return transform(*args, **kwargs)
-
-            monkeypatch.setattr(propagation, name, counting)
-        return calls
+    """A factor train transforms only where the domain changes: a hop leaves
+    the factors as spectra, and the next hop starts from them."""
 
     @pytest.mark.parametrize("scenario, want", [
         # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m
-        (lambda: load_scenario("fig5"), [True, False, True, False, True]),
+        (lambda: load_scenario("fig5"), [False, True, False, True, False, True]),
         # mask, 0.005 m, 0.22 m, lens, 0.45 m
-        (lambda: load_scenario("fig4b"), [True, False, True]),
+        (lambda: load_scenario("fig4b"), [False, True, False, True]),
         # a free sweep row: mask, 0.005 m, 0.5 m
-        (lambda: with_free_twin_side(load_scenario("fig4b"), 0.5), [True]),
+        (lambda: with_free_twin_side(load_scenario("fig4b"), 0.5), [False, True]),
         # a collimated sweep row: mask, 0.005 m, 0.1 m, lens, 0.9 m, lens, 0.1 m
         (lambda: with_telescope(load_scenario("fig4b"),
                                 design_telescope(1.1, -1.0, (0.1, 0.15, 0.25, 0.5))),
-         [True, False, True, False, True]),
+         [False, True, False, True, False, True]),
     ], ids=["fig5", "fig4b", "fig4b-free-0.5m", "fig4b-collimated-1.1m"])
     def test_preset_trains_transform_once_per_stretch_of_hops(self, monkeypatch, scenario, want):
-        # the pump enters as its 1-D factors: the first stretch of hops starts
-        # from their spectra and makes only its inverse transform
+        # the pump enters as its 1-D factors, and each stretch of hops
+        # transforms them forward once and back once, with no 2-D transform
         scenario = scenario()
-        calls = self._count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
+        fft2 = []
+        monkeypatch.setattr(np.fft, "fft2", lambda *args, **kwargs: fft2.append(1))
+        monkeypatch.setattr(np.fft, "ifft2", lambda *args, **kwargs: fft2.append(1))
         effective_detector_field(scenario)
-        assert calls == want
+        assert calls == want and fft2 == []
 
     def test_non_finite_spectrum_names_the_hop(self, monkeypatch):
-        # the hop leaves a spectrum, checked before the next hop runs on it
-        hop = propagation._Workspace.hop
+        # the hop leaves the factors' spectra, checked before the next hop
+        # runs on them
+        hop = propagation._Factors.hop
 
         def spoiling_hop(ws, distance, max_clip_fraction):
             hop(ws, distance, max_clip_fraction)
             if distance == 0.01:
-                ws.samples[0, 0] = np.nan
+                ws.a = np.where(np.arange(ws.n)[:, None] == 0, np.nan, ws.a)
 
-        monkeypatch.setattr(propagation._Workspace, "hop", spoiling_hop)
+        monkeypatch.setattr(propagation._Factors, "hop", spoiling_hop)
         train = OpticalTrain((FreeSpace(0.01), FreeSpace(0.02), ThinLens(0.2)))
         with pytest.raises(ValidationError, match=r"element 0 \(FreeSpace\(0.01 m\).*finite"):
-            propagate_train(gaussian_beam(0.15e-3, 64, 20e-6), CTX, train)
+            propagate_train(field.separable_gaussian(0.15e-3, 64, 20e-6), CTX, train)
 
     def test_lone_hop_transforms_twice(self, monkeypatch):
-        calls = self._count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
         propagate(gaussian_beam(60e-6, 64, 20e-6), CTX, 0.01)
+        assert calls == [False, True]
+        calls.clear()
+        propagate(field.separable_gaussian(60e-6, 64, 20e-6), CTX, 0.01)
         assert calls == [False, True]
 
     def test_refusal_on_the_second_of_two_hops_matches_hop_by_hop(self, masked_beam):
         # the first hop's cone clips, so the second hop's clip table is built
-        # from a clipped spectrum that was never transformed back; the clip
-        # moves the safe distance from 5.36 m to 6.49 m
+        # from a clipped spectrum; the clip moves the safe distance from
+        # 5.36 m to 6.49 m
         f_limit = safe_frequency_limit(masked_beam.window, CTX.wavelength, 2.0)
         assert f_limit < 0.5 / masked_beam.pitch
         with pytest.raises(AliasingRiskError) as hop_by_hop:
@@ -523,24 +529,40 @@ _SEPARABLE_TRAINS = {
     "mask": (_WIRE,),
     "mask-hops": (_WIRE, FreeSpace(0.005), FreeSpace(0.1)),
     "lens-first": (ThinLens(0.2), FreeSpace(0.05)),
-    "bounded-lens-first": (ThinLens(0.2, aperture_radius=0.4e-3), FreeSpace(0.05)),
+    # a bounded lens is a lens and a disk mask, which has no low-rank form
+    "bounded-lens-first": (ThinLens(0.2), Mask(disk_mask(_N, _PITCH, 0.4e-3)), FreeSpace(0.05)),
     "hop-then-mask": (FreeSpace(0.05), _WIRE, FreeSpace(0.05)),
     "full-mask": (Mask(TransmissionMask(np.random.default_rng(7).uniform(size=(_N, _N)), _PITCH)),
                   FreeSpace(0.05)),
 }
 
 
+def _holds_a_2d_mask(elements) -> bool:
+    return any(isinstance(el, Mask) and el.transmission.profile is None for el in elements)
+
+
 class TestSeparableInput:
-    """A train that starts from a SeparableField writes the grid at the first
-    element that needs it, and otherwise runs as it does from the 2-D field."""
+    """A train that starts from a SeparableField runs on its factors and agrees
+    with the 2-D oracle and with the train of the 2-D field; a mask of
+    independent rows, which has no low-rank form, is refused."""
 
     @pytest.mark.parametrize("elements", _SEPARABLE_TRAINS.values(),
                              ids=_SEPARABLE_TRAINS.keys())
     def test_equals_the_train_of_the_2d_beam(self, elements):
         train = OpticalTrain(elements)
-        want = propagate_train(gaussian_beam(_WAIST, _N, _PITCH), CTX, train).samples
-        got = propagate_train(field.separable_gaussian(_WAIST, _N, _PITCH), CTX, train).samples
+        beam = gaussian_beam(_WAIST, _N, _PITCH)
+        want = oracle_angular_spectrum_train(beam.samples, _PITCH, CTX, elements)
+        grid = propagate_train(beam, CTX, train).samples
+        assert np.max(np.abs(grid - want)) <= 1e-13 * np.max(np.abs(want))
+        pump = field.separable_gaussian(_WAIST, _N, _PITCH)
+        if _holds_a_2d_mask(elements):
+            index = next(i for i, el in enumerate(elements) if isinstance(el, Mask))
+            with pytest.raises(ValidationError, match=rf"^element {index} \(Mask\).*one profile"):
+                propagate_train(pump, CTX, train)
+            return
+        got = propagate_train(pump, CTX, train).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - grid)) <= 1e-13 * np.max(np.abs(want))
 
     def test_never_writes_the_callers_arrays(self):
         column = np.exp(-field.axis_coords(_N, _PITCH) ** 2 / _WAIST**2).astype(complex)
@@ -549,6 +571,8 @@ class TestSeparableInput:
         fld = SeparableField(column, row, _PITCH)
         assert np.shares_memory(fld.column, column) and not fld.column.flags.writeable
         for elements in _SEPARABLE_TRAINS.values():
+            if _holds_a_2d_mask(elements):
+                continue
             out = propagate_train(fld, CTX, OpticalTrain(elements))
             assert not np.shares_memory(out.samples, column)
             assert not np.shares_memory(out.samples, row)
@@ -559,7 +583,7 @@ class TestSeparableInput:
         (np.full(64, np.nan), np.ones(64), 20e-6, "column factor samples must all be finite"),
         (np.ones(64), np.r_[np.ones(63), np.inf], 20e-6, "row factor samples must all be finite"),
         (np.ones(64), np.ones(65), 20e-6, "one length"),
-        (np.ones((64, 1)), np.ones(64), 20e-6, "column factor must be 1D"),
+        (np.ones((64, 2)), np.ones(64), 20e-6, "one rank"),
         (np.ones(8), np.ones(8), 20e-6, "at least 16x16"),
         (np.ones(64), np.ones(64), 0.0, "pitch must be positive"),
     ], ids=["nan-column", "inf-row", "lengths", "2d", "small", "pitch"])
@@ -575,14 +599,13 @@ class TestSeparableInput:
             propagate_train(field.separable_gaussian(0.15e-3, 64, 20e-6), CTX, train)
 
     def test_non_finite_factor_names_the_element(self, monkeypatch):
-        mask = propagation._Workspace.mask
+        mask = propagation._Factors.mask
 
         def spoiling_mask(ws, transmission):
-            mask(ws, transmission)
-            column, row = ws.factors  # the wire multiplied the row factor
-            ws.factors = (column, np.where(np.arange(row.size) == 5, np.nan, row))
+            mask(ws, transmission)  # the wire multiplied the row factor
+            ws.b = np.where(np.arange(ws.n)[:, None] == 5, np.nan, ws.b)
 
-        monkeypatch.setattr(propagation._Workspace, "mask", spoiling_mask)
+        monkeypatch.setattr(propagation._Factors, "mask", spoiling_mask)
         train = OpticalTrain((_WIRE, FreeSpace(0.01)))
         with pytest.raises(ValidationError, match=r"element 0 \(Mask\).*finite"):
             propagate_train(field.separable_gaussian(_WAIST, _N, _PITCH), CTX, train)
@@ -612,25 +635,31 @@ def _free_row(distance):
 
 
 class TestFactorHeldStretch:
-    """From a SeparableField, the first stretch of hops is held as the factors'
-    spectra: each hop's clip check and refusal read the ring table of the two
-    1-D powers, and the stretch is written once, with one transfer, when an
-    element needs the grid."""
+    """From a SeparableField, every stretch of hops is held as the factors'
+    spectra: each hop's clip check and refusal read the ring table of the
+    factors' folded Gram matrices, and each hop multiplies the factors by
+    those of its transfer."""
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("cone", [None, 20], ids=["no-cone", "cone-20"])
     def test_ring_table_from_the_factors(self, n, cone):
-        column, row = _random_factors(n)
-        spectrum = np.fft.fft2(np.multiply.outer(column, row))
+        # rank-1 factors, as the pump holds them, and factors of rank 3; a
+        # spectrum a hop has clipped is zero outside its cone's square
         i = np.arange(n)
         fold = np.minimum(i, n - i)
-        rings = np.maximum(fold[None, :], fold[:, None]).ravel()
-        want = np.bincount(rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=n // 2 + 1)
         cone = n // 2 + 1 if cone is None else cone
-        want[cone:] = 0.0
-        got = propagation._separable_ring_table(np.fft.fft(column), np.fft.fft(row), cone)
-        assert got.shape == want.shape and not got[cone:].any()
-        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        rings = np.maximum(fold[None, :], fold[:, None]).ravel()
+        rng = np.random.default_rng(n)
+        for rank in (1, 3):
+            a, b = (np.where(fold[:, None] < cone, np.fft.fft(
+                rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)), axis=0), 0.0)
+                for _ in range(2))
+            spectrum = a @ b.T
+            want = np.bincount(rings, weights=(np.abs(spectrum) ** 2).ravel(),
+                               minlength=n // 2 + 1)
+            got = propagation._gram_ring_table(a, b)
+            assert got.shape == want.shape and not got[cone:].any()
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("make", [
         lambda: (field.separable_gaussian(1e-3, 512, 20e-6), gaussian_beam(1e-3, 512, 20e-6),
@@ -649,43 +678,46 @@ class TestFactorHeldStretch:
         assert str(held.value) == str(grid.value)
 
     def test_refused_row_builds_no_grid(self, monkeypatch):
-        # the free 2 m row refuses at its second hop, from the 1-D spectra
+        # the free 2 m row refuses at its second hop, from the 1-D spectra:
+        # the factors are transformed forward and never back
         pump, _, train, ctx = _free_row(2.0)
-        calls = TestSpectralDomain._count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
 
         def refuse():
             with pytest.raises(AliasingRiskError, match=r"^element 2 \(FreeSpace\(2 m\)\)"):
                 propagate_train(pump, ctx, train)
 
         peak = traced_peak(refuse)
-        assert calls == []
+        assert calls == [False]
         assert peak < 0.05 * pump.n**2 * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("n", [128, 129, 1024])
     @pytest.mark.parametrize("distances", [(0.005, 0.1), (0.01, 0.02, 0.3)],
                              ids=["2-hops", "3-hops"])
     def test_stretch_equals_hop_by_hop(self, monkeypatch, n, distances):
-        # the 2-D field runs the hops one by one on its spectrum; the factors'
-        # stretch applies one transfer for the total distance on its cone
+        # the 2-D oracle runs the hops one by one, each transformed forward and
+        # back; the factors' stretch is transformed once each way
         pitch = 20e-6
         column, row = _random_factors(n)
         train = OpticalTrain((Mask(wire_mask(0.2e-3, n, pitch)),
                               *(FreeSpace(z) for z in distances)))
-        want = propagate_train(ScalarField(np.multiply.outer(column, row), pitch), CTX, train,
-                               max_clip_fraction=1.0).samples
-        calls = TestSpectralDomain._count_transforms(monkeypatch)
+        want = oracle_angular_spectrum_train(np.multiply.outer(column, row), pitch, CTX,
+                                             train.elements)
+        calls = count_transforms(monkeypatch)
         got = propagate_train(SeparableField(column, row, pitch), CTX, train,
                               max_clip_fraction=1.0).samples
-        assert calls == [True]
+        assert calls == [False, True]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("distances, want_calls", [
-        ((1e-6, 20e-6), [False, True]),  # the first hop's cone holds evanescent samples
-        ((20e-6, 1e-6), [True]),  # the second's: the stretch of one hop is written
+    @pytest.mark.parametrize("distances, element", [
+        ((1e-6, 20e-6), 0),  # the first hop's cone holds evanescent samples
+        ((20e-6, 1e-6), 1),  # the second's
     ], ids=["first-hop", "second-hop"])
-    def test_evanescent_cone_runs_on_the_grid(self, monkeypatch, distances, want_calls):
+    def test_evanescent_cone_runs_on_the_grid(self, monkeypatch, distances, element):
         # at a pitch below lambda / sqrt(2) the cone of a short hop reaches
-        # evanescent frequencies, where the transfer's zeros are not separable
+        # evanescent frequencies, where the transfer's zeros make a step of
+        # high rank: the factors refuse that hop, naming the pitch, and the
+        # grid runs it as the 2-D oracle does
         n, pitch = 128, 0.2e-6
         assert pitch <= CTX.wavelength / np.sqrt(2.0)
         f = propagation._half_freqs(n, pitch)
@@ -695,13 +727,14 @@ class TestFactorHeldStretch:
             == [z > 1e-5 for z in distances]
         column, row = _random_factors(n)
         train = OpticalTrain(tuple(FreeSpace(z) for z in distances))
-        want = propagate_train(ScalarField(np.multiply.outer(column, row), pitch), CTX, train,
-                               max_clip_fraction=1.0).samples
-        calls = TestSpectralDomain._count_transforms(monkeypatch)
-        got = propagate_train(SeparableField(column, row, pitch), CTX, train,
+        want = oracle_angular_spectrum_train(np.multiply.outer(column, row), pitch, CTX,
+                                             train.elements)
+        got = propagate_train(ScalarField(np.multiply.outer(column, row), pitch), CTX, train,
                               max_clip_fraction=1.0).samples
-        assert calls == want_calls
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(SamplingError, match=rf"^element {element} \(FreeSpace.*pitch 2e-07 m"):
+            propagate_train(SeparableField(column, row, pitch), CTX, train,
+                            max_clip_fraction=1.0)
 
 
 _ROW_SETS = {"wrapped": lambda n: [n - 2, n - 1, 0, 1],
@@ -711,23 +744,24 @@ _WORKSPACE_STATES = {
     "factors": (lambda n: SeparableField(*_random_factors(n), 20e-6),
                 lambda n: (Mask(wire_mask(0.2e-3, n, 20e-6)),), "factors"),
     "held-stretch": (lambda n: SeparableField(*_random_factors(n), 20e-6),
-                     lambda n: (FreeSpace(0.05), FreeSpace(1.5)), "stretch"),
+                     lambda n: (FreeSpace(0.05), FreeSpace(1.5)), "spectra"),
     "grid-samples": (lambda n: ScalarField(np.multiply.outer(*_random_factors(n)), 20e-6),
-                     lambda n: (FreeSpace(0.05), ThinLens(0.2)), "samples"),
+                     lambda n: (FreeSpace(0.05), ThinLens(0.2)), "grid"),
     "grid-spectrum": (lambda n: ScalarField(np.multiply.outer(*_random_factors(n)), 20e-6),
-                      lambda n: (ThinLens(0.2), FreeSpace(1.5)), "spectrum"),
+                      lambda n: (ThinLens(0.2), FreeSpace(1.5)), "grid"),
 }
 
 
 def _state(ws):
-    if ws.factors is not None:
-        return "factors" if ws.cone is None else "stretch"
-    return "samples" if ws.cone is None else "spectrum"
+    if isinstance(ws, propagation._Grid):
+        return "grid"
+    return "spectra" if ws.spectral else "factors"
 
 
 class TestRowRead:
     """A train's end reads only the rows asked for, equal to the field's rows
-    byte for byte, whatever state the workspace holds."""
+    byte for byte, whatever state the train holds: a factor train's rows are
+    ``a[rows] @ b.T``, the grid's are its rows."""
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("state", _WORKSPACE_STATES, ids=_WORKSPACE_STATES.keys())
@@ -735,25 +769,24 @@ class TestRowRead:
     def test_rows_are_the_field_rows(self, n, state, rows):
         make, elements, want = _WORKSPACE_STATES[state]
         fld, rows = make(n), rows(n)
-        workspaces = [propagation._Workspace(fld, CTX) for _ in range(2)]
+        workspaces = [propagation._state(fld, CTX) for _ in range(2)]
         for ws in workspaces:
             for el in elements(n):
                 propagation._apply_element(ws, el, max_clip_fraction=1.0)
             assert _state(ws) == want
-        if want in ("stretch", "spectrum"):
-            assert 2 * workspaces[0].cone - 1 < n  # the cone leaves columns out
-        field_rows = workspaces[0].field().samples[rows]
+        field_rows = workspaces[0].rows()[rows]
         got = workspaces[1].rows(rows)
         assert got.shape == (len(rows), n) and got.tobytes() == field_rows.tobytes()
 
     def test_non_finite_rows_name_the_last_element(self, monkeypatch):
-        hop = propagation._Workspace.hop
+        hop = propagation._Grid.hop
 
         def spoiling_hop(ws, distance, max_clip_fraction):
             hop(ws, distance, max_clip_fraction)
-            ws.samples[:, 1] = np.nan  # a column inside the cone
+            ws.u = ws.u.copy()
+            ws.u[:, 1] = np.nan
 
-        monkeypatch.setattr(propagation._Workspace, "hop", spoiling_hop)
+        monkeypatch.setattr(propagation._Grid, "hop", spoiling_hop)
         train = OpticalTrain((ThinLens(0.2), FreeSpace(0.01)))
         with pytest.raises(ValidationError, match=r"element 1 \(FreeSpace\(0.01 m\)\).*finite"):
             propagation._train_rows(gaussian_beam(0.15e-3, 64, 20e-6), CTX, train, [3])
@@ -764,79 +797,136 @@ def _propagate_in_child(f):
 
 
 class TestSplitTransform:
+    """A factor train replaces the 2-D transform with 1-D transforms of its
+    factors' columns, runs in the calling thread and gives the same bytes on
+    any number of BLAS threads and in a forked child."""
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 129, 257])
     def test_equals_the_numpy_transform(self, monkeypatch, n, workers):
-        # forward: fft2, rows first.  Inverse, on the full band and on a
-        # cone of 20 rings: the columns of the cone, then the rows, equal to
-        # ifft down the columns and then along the rows byte for byte, and
-        # to ifft2 to rounding
+        # forward: fft2(a @ b.T) = fft(a) @ fft(b).T.  Inverse, on the full
+        # band and on a cone of 20 rings: rows of ifft2 of the factors'
+        # spectra, read as a[rows] @ b.T of their inverses.  Both to rounding,
+        # with no 2-D transform, and the bytes of one BLAS thread
         rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        forward = np.fft.fft2(a)
-        spectra = {}
-        for m in (n // 2 + 1, 20):
-            s = a.copy()
-            band = slice(m, n - m + 1)
-            s[band] = s[:, band] = 0.0  # zero outside the cone's square
-            spectra[m] = (s, ifft2_columns_first(s), np.fft.ifft2(s))
-        monkeypatch.setattr(field, "_SPLIT_MIN_SIZE", 0)
-        monkeypatch.setattr(field, "_worker_count", lambda: workers)
-        for name in ("fft2", "ifft2", "ifftn"):  # one worker too runs the passes
-            monkeypatch.setattr(np.fft, name, None)
-        u = a.copy()
-        assert propagation._fft2_inplace(u) is u
-        assert np.array_equal(u, forward)
+        a, b = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)) for _ in range(2))
+        forward = np.fft.fft2(a @ b.T)
+        fold = np.minimum(np.arange(n), n - np.arange(n))
         rows = [n - 2, n - 1, 0, 1, n // 3, 5]  # wrapped, unordered
-        for m, (s, inverse, rows_first) in spectra.items():
-            u = s.copy()
-            assert propagation._inverse(u, m) is u
-            assert u.tobytes() == inverse.tobytes()
-            assert np.max(np.abs(u - rows_first)) <= 1e-14 * np.max(np.abs(rows_first))
-            got = propagation._inverse(s.copy(), m, rows)
-            assert got.tobytes() == inverse[rows].tobytes()
+        spectra = {m: tuple(np.where(fold[:, None] < m, x, 0.0) for x in (a, b))
+                   for m in (n // 2 + 1, 20)}
+        inverses = {m: np.fft.ifft2(sa @ sb.T) for m, (sa, sb) in spectra.items()}
+
+        def run():
+            state = propagation._Factors(SeparableField(a, b, 20e-6), CTX)
+            state._domain(True)
+            out = [state.a @ state.b.T]
+            for sa, sb in spectra.values():
+                state.a, state.b, state.spectral = sa, sb, True
+                out.append(state.rows(rows))
+            return out
+
+        with blas_threads(1):
+            want = run()
+        for name in ("fft2", "ifft2", "ifftn"):
+            monkeypatch.setattr(np.fft, name, None)
+        with blas_threads(workers):
+            got = run()
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert np.max(np.abs(got[0] - forward)) <= 1e-13 * np.max(np.abs(forward))
+        for g, inverse in zip(got[1:], inverses.values()):
+            assert np.max(np.abs(g - inverse[rows])) <= 1e-14 * np.max(np.abs(inverse))
 
     def test_inverse_transforms_the_cone_columns_and_the_rows_asked_for(self, monkeypatch):
-        # after a hop of cone m, the inverse transforms 2m - 1 columns and
-        # then the rows read: every row for the field, two for two rows
+        # after a hop, the inverse transforms the 2R columns of the factors and
+        # no row; the rows asked for are those rows of the field
         n, pitch = 128, 20e-6
-        f = propagation._half_freqs(n, pitch)
-        m = np.searchsorted(f, safe_frequency_limit(n * pitch, CTX.wavelength, 1.5), "right")
-        assert 2 * m - 1 < n
         passes = count_inverse_lines(monkeypatch)
-        samples = random_band_limited_field(np.random.default_rng(3), n=n, pitch=pitch).samples
+        a, b = _random_factors(n)
         train = OpticalTrain((FreeSpace(1.5),))
-        full = propagate_train(ScalarField(samples, pitch), CTX, train)
-        assert passes == [("columns", 2 * m - 1), ("rows", n)]
+        full = propagate_train(SeparableField(a, b, pitch), CTX, train, max_clip_fraction=1.0)
+        assert len(passes) == 1 and passes[0][0] == "columns"
+        rank = passes[0][1] // 2
+        assert passes == [("columns", 2 * rank)] and 1 <= rank <= propagation.RANK_CAP
         passes.clear()
-        rows = propagation._train_rows(ScalarField(samples, pitch), CTX, train, [n - 1, 4])
-        assert passes == [("columns", 2 * m - 1), ("rows", 2)]
+        rows = propagation._train_rows(SeparableField(a, b, pitch), CTX, train, [n - 1, 4],
+                                       max_clip_fraction=1.0)
+        assert passes == [("columns", 2 * rank)]
         assert rows.tobytes() == full.samples[[n - 1, 4]].tobytes()
 
     def test_pool_starts_on_the_first_split_transform(self):
-        code = ("import sys, numpy as np, twinbeam\n"
-                "from twinbeam import field, propagation\n"
+        # there is no pool: a train at 512 x 512 starts no thread of its own
+        # and imports no executor
+        code = ("import sys, threading, twinbeam\n"
+                "from twinbeam import FreeSpace, OpticalTrain, field\n"
+                "before = threading.active_count()\n"
+                "pump = field.separable_gaussian(1e-3, 512, 20e-6)\n"
+                "twinbeam.propagate_train(pump, twinbeam.WaveContext(1.5e7),\n"
+                "                         OpticalTrain((FreeSpace(0.5),)))\n"
                 "assert 'concurrent.futures' not in sys.modules\n"
-                "propagation._fft2_inplace(np.zeros((64, 64), complex))\n"
-                "assert 'concurrent.futures' not in sys.modules and field._pool is None\n")
-        src = str(Path(propagation.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
-                       env=dict(os.environ, PYTHONPATH=path))
+                "assert threading.active_count() == before == 1\n")
+        run_child(code)
 
     # Python 3.12+ warns that forking a process that runs threads may deadlock
-    # the child: that hazard is what this test checks the program avoids.
+    # the child: OpenBLAS keeps threads of its own.
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the platform cannot fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        monkeypatch.setattr(field, "_worker_count", lambda: 2)
-        f = gaussian_beam(1e-3, 512, 20e-6)
-        want = propagate(f, CTX, 0.5).samples  # the parent's pool is running
-        assert field._pool is not None
+        # a forked child, which inherits OpenBLAS's state but none of its
+        # threads, computes the parent's bytes
+        f = field.separable_gaussian(1e-3, 512, 20e-6)
+        want = propagate(f, CTX, 0.5).samples
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_propagate_in_child, (f,)).get(timeout=60)
         assert np.array_equal(got, want)
+
+
+class TestFactorGuards:
+    """The factor path refuses what its factors cannot hold, naming the hop
+    and what it refuses."""
+
+    def test_transfer_rank_cap_names_the_hop_and_the_rank(self, monkeypatch):
+        # the 5 mm hop's transfer takes 5 ACA terms at n = 256
+        monkeypatch.setattr(propagation, "RANK_CAP", 2)
+        pump = field.separable_gaussian(0.3e-3, 256, 20e-6)
+        train = OpticalTrain((Mask(wire_mask(0.2e-3, 256, 20e-6)), FreeSpace(0.005)))
+        with pytest.raises(PhysicsError,
+                           match=r"^element 1 \(FreeSpace\(0.005 m\)\): the transfer needs "
+                                 r"more than 2 terms at tolerance 1e-13"):
+            propagate_train(pump, CTX, train)
+
+    def test_field_rank_cap_names_the_hop_and_the_rank(self, monkeypatch):
+        # a rank-3 field times a 3-term transfer (a 10 um hop) recompresses to
+        # rank 6, past a cap of 4
+        monkeypatch.setattr(propagation, "RANK_CAP", 4)
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=(256, 3)) + 1j * rng.normal(size=(256, 3)) for _ in range(2))
+        train = OpticalTrain((ThinLens(0.2), FreeSpace(1e-5)))
+        with pytest.raises(PhysicsError,
+                           match=r"^element 1 \(FreeSpace\(1e-05 m\)\): the field's rank "
+                                 r"would be 6, past the cap of 4 at tolerance 1e-13"):
+            propagate_train(SeparableField(a, b, 20e-6), CTX, train, max_clip_fraction=1.0)
+        monkeypatch.setattr(propagation, "RANK_CAP", 6)  # the cap holds it
+        out = propagate_train(SeparableField(a, b, 20e-6), CTX, train, max_clip_fraction=1.0)
+        want = oracle_angular_spectrum_train(a @ b.T, 20e-6, CTX, train.elements)
+        assert np.max(np.abs(out.samples - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_evanescent_corner_names_the_pitch(self):
+        # at 0.25 um, below lambda / sqrt(2) = 0.3 um, a 5 um hop's cone
+        # holds every frequency, and its corner is evanescent
+        pitch, distance = 0.25e-6, 5e-6
+        f, m = propagation._cone(128, pitch, CTX.wavelength, distance)
+        assert m == f.size and not propagation._propagates(CTX.wavenumber, f, m)
+        pump = field.separable_gaussian(2e-6, 128, pitch)
+        with pytest.raises(SamplingError, match=r"^pitch 2.5e-07 m is at most lambda / sqrt\(2\) "
+                                                r"\(3.005\d*e-07 m\)"):
+            propagate(pump, CTX, distance)
+        # the grid takes it, zeroing the evanescent samples, as the oracle does
+        beam = gaussian_beam(2e-6, 128, pitch)
+        want = oracle_angular_spectrum_train(beam.samples, pitch, CTX, (FreeSpace(distance),))
+        got = propagate(beam, CTX, distance).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestOracle:

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_scenario
-from twinbeam import PhysicsError, ValidationError, field, fileio
+from conftest import make_scenario, run_child
+from twinbeam import PhysicsError, ValidationError, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
@@ -22,6 +22,22 @@ def test_kappa_inherited_from_reference(fig4a_report):
     _, report = fig4a_report
     kappa_ref = resolve_kappa(load_scenario("fig4b"))
     assert report.kappa == pytest.approx(kappa_ref, rel=1e-12)
+
+
+def test_report_names_where_kappa_came_from(fig4a_report, tmp_path):
+    # fig4a calibrates on fig4b as loaded; fig4b on its own scan; a given
+    # kappa is recorded as given
+    out, report = fig4a_report
+    fig4b = load_scenario("fig4b")
+    want = {"reference": "fig4b", "scenario_digest": scenario_digest(fig4b), "grid_n": 1024}
+    assert report.kappa_source == want
+    assert json.loads((out / "report.json").read_text())["kappa_source"] == want
+    assert run(fig4b, tmp_path / "own").kappa_source == "own scan"
+    assert run(fig4b, tmp_path / "given", kappa=2.0).kappa_source == "given"
+    uncalibrated = dataclasses.replace(
+        make_scenario(waist=0.5e-3, n=256, scan=(-1e-3, 1e-3, 1e-4)),
+        calibration=CalibrationSpec())
+    assert run(uncalibrated, tmp_path / "none").kappa_source == "none"
 
 
 def test_reference_peak_calibrates_to_configured_rate(tmp_path):
@@ -53,12 +69,26 @@ def test_digest_stable_under_round_trip(fig4a_report):
     assert scenario_digest(again) == report.scenario_digest
 
 
-def test_one_core_run_writes_the_same_artifacts(fig4a_report, tmp_path, monkeypatch):
-    # every full-grid pass of the run is split across the cores, or not split
-    # at all on one, and the artifacts are the same byte for byte
-    monkeypatch.setattr(field, "_worker_count", lambda: 1)
+def test_one_core_run_writes_the_same_artifacts(fig4a_report, tmp_path):
+    # a run in a process held to one core, with OpenBLAS on one thread,
+    # writes the same artifacts byte for byte as this process
     _, report = fig4a_report
-    assert run(load_scenario("fig4a"), tmp_path).manifest == report.manifest
+    code = ("import json, os, twinbeam\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"report = twinbeam.run(twinbeam.load_scenario('fig4a'), {str(tmp_path)!r})\n"
+            "print(json.dumps(report.manifest))\n")
+    out = run_child(code, OPENBLAS_NUM_THREADS="1")
+    assert json.loads(out) == report.manifest
+
+
+def test_fig5_scan_is_the_same_bytes_on_one_and_two_blas_threads():
+    # fig5's profile in two processes, OpenBLAS on one thread and on two
+    code = ("import sys, twinbeam\n"
+            "profile = twinbeam.scan_detector(twinbeam.load_scenario('fig5'))\n"
+            "sys.stdout.buffer.write(profile.rates.tobytes())\n")
+    one, two = (run_child(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert len(one) == 121 * 8 and one == two
 
 
 def test_seed_override_changes_counts_only(tmp_path):
