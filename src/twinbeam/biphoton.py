@@ -33,9 +33,10 @@ reaches evanescent frequencies raises SamplingError, naming the pitch.
 
 A scan reads rows of the detector field, not the field: it works out the
 cells of its points first, then asks the train (:func:`_detector_rows`)
-for the rows its two map lines reach, ``a[rows] @ b.T`` (all rows for a y
-scan).  A run asks for every row, because ``detector_field.pgm`` covers the
-grid; its profile equals the scan's byte for byte.
+for the rows its two map lines reach, ``a[rows] @ b.T``; a y scan, for
+rows of the transpose ``b @ a.T``, whose map is the map's transpose.  A run
+asks once, for its scan's rows and its map crop's, and its profile equals
+the scan's byte for byte.
 :func:`effective_detector_field` is the whole field as a ScalarField, which
 no scan or run calls.
 
@@ -62,8 +63,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfWindowError, SamplingError, ValidationError
-from .field import (ScalarField, SeparableField, WaveContext, _bilinear_cells, _bilinear_gather,
-                    separable_gaussian, wire_mask)
+from .field import (ScalarField, SeparableField, WaveContext, _abs_square, _bilinear_cells,
+                    _bilinear_gather, separable_gaussian, wire_mask)
 from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _train_rows, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -155,10 +156,10 @@ def effective_detector_field(scenario: "Scenario") -> ScalarField:
     return propagate_train(*_detector_train(scenario))
 
 
-def _detector_rows(scenario: "Scenario", rows=None) -> np.ndarray:
-    """Rows ``rows`` (all by default) of the detector field's samples, equal
-    to :func:`effective_detector_field`'s byte for byte."""
-    return _train_rows(*_detector_train(scenario), rows)
+def _detector_rows(scenario: "Scenario", rows=slice(None), transposed: bool = False) -> np.ndarray:
+    """Rows ``rows`` (all by default) of the detector field's samples, or of
+    their transpose, equal to :func:`effective_detector_field`'s byte for byte."""
+    return _train_rows(*_detector_train(scenario), rows, transposed=transposed)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +301,12 @@ def _reached_rows(n: int, pitch: float, radii: tuple, lines) -> np.ndarray:
     return np.unique((lines[:, None] - _kernel_offsets(n, pitch, radii)) % n)
 
 
-def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
-               lines, rows=None) -> np.ndarray:
-    """Lines ``lines`` of the aperture-integrated rate map of the field
-    ``samples``, with ``radii`` positive and checked: rows for ``axis`` "x",
-    columns for "y", each returned as a row.  ``samples`` holds the field's
-    rows ``rows``, ascending, at least those :func:`_reached_rows` names
-    (an x scan's); by default it holds them all.
+def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, lines,
+               rows=None) -> np.ndarray:
+    """Rows ``lines`` of the aperture-integrated rate map of the field
+    ``samples``, with ``radii`` positive and checked.  ``samples`` holds the
+    field's rows ``rows``, ascending, at least those :func:`_reached_rows`
+    names; by default it holds them all.
 
     The map is I = |samples|^2 convolved with the composite kernel K of
     :func:`_kernel_row_spectra`, circularly.  Line j is
@@ -317,10 +317,7 @@ def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
     n = samples.shape[1]
 
     def intensity(idx):
-        if rows is not None:
-            idx = np.searchsorted(rows, idx)
-        block = np.ascontiguousarray(np.abs(samples[idx] if axis == "x" else samples[:, idx].T))
-        return np.square(block, out=block)
+        return _abs_square(samples[idx if rows is None else np.searchsorted(rows, idx)])
 
     if not radii:
         return intensity(lines)
@@ -336,42 +333,40 @@ def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
     return np.maximum(out, 0.0, out=out)
 
 
-def _scanned_lines(cells: tuple, axis: str) -> list:
-    """The two map lines the scan's ``cells`` (of :func:`_bilinear_cells`)
-    read, around the one cell they share on the axis not scanned."""
-    i0, j0 = cells[:2]
-    first = int((j0 if axis == "x" else i0).flat[0])
+def _scanned_lines(cells: tuple) -> list:
+    """The two map rows the scan's ``cells`` (of :func:`_bilinear_cells`)
+    read, around the one row of cells they share."""
+    first = int(cells[1].flat[0])
     return [first, first + 1]
 
 
-def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, axis: str,
-                cells: tuple, rows=None) -> np.ndarray:
+def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, cells: tuple,
+                rows=None) -> np.ndarray:
     """The rate map read bilinearly on ``cells`` (of :func:`_bilinear_cells`),
-    which share one cell on the axis not scanned: only that cell's two lines
-    are convolved, by :func:`_map_lines` (from the field's rows ``rows``,
-    as there), and the gather reads them as the map's."""
+    which share one row of cells: only its two lines are convolved, by
+    :func:`_map_lines` (from the field's rows ``rows``, as there), and the
+    gather reads them as the map's."""
     i0, j0, tx, ty = cells
-    lines = _scanned_lines(cells, axis)
-    pair = _map_lines(samples, pitch, radii, axis, lines, rows)
-    if axis == "x":
-        return _bilinear_gather(pair, i0, j0 - lines[0], tx, ty)
-    return _bilinear_gather(pair.T, i0 - lines[0], j0, tx, ty)
+    lines = _scanned_lines(cells)
+    pair = _map_lines(samples, pitch, radii, lines, rows)
+    return _bilinear_gather(pair, i0, j0 - lines[0], tx, ty)
 
 
-def _scan_stage(scenario: "Scenario", every_row: bool = False):
+def _scan_stage(scenario: "Scenario", lines=()):
     """The one path from a scenario to its scan, before kappa and P: the
-    scanned coordinates, rows of the detector field and the rates at every
-    scan point, read by :func:`_read_lines`.
+    scanned coordinates, the rows read, those rows of the detector field
+    and the rates at every scan point, read by :func:`_read_lines`.
 
-    The cells of the scan points come first: an x scan asks the train only
-    for the rows its two map lines reach (:func:`_reached_rows`), a y scan,
-    or ``every_row``, for all rows, and the rows come back in ascending
-    order.  A point whose apertures reach R = ceil((a_s + a_i) / pitch) + 1
-    samples around its cell past the grid raises OutOfWindowError: the map
-    is circular, so its rate would hold intensity from the opposite edge.
+    The cells of the scan points come first, then the train is asked for
+    the rows that the scan's two map lines and the map rows ``lines`` reach
+    (:func:`_reached_rows`), ascending; a y scan's are the transpose's, read
+    on the transposed cells.  A point whose apertures reach R = ceil((a_s +
+    a_i) / pitch) + 1 samples around its cell past the grid raises
+    OutOfWindowError: the map is circular, so its rate would hold intensity
+    from the opposite edge.
     """
     coords, (x, y), apertures = scan_points(scenario)
-    n, pitch, axis = scenario.grid.n, scenario.grid.pitch_m, scenario.scan.axis
+    n, pitch, transposed = scenario.grid.n, scenario.grid.pitch_m, scenario.scan.axis == "y"
     radii = _resolved_radii(pitch, apertures)
     cells = _bilinear_cells(n, pitch, x, y)
     if radii:
@@ -386,11 +381,10 @@ def _scan_stage(scenario: "Scenario", every_row: bool = False):
                 f"around it, past the grid window [{-(n // 2) * pitch:g}, "
                 f"{(n - 1 - n // 2) * pitch:g}] m, where the rate map wraps"
             )
-    rows = None
-    if axis == "x" and not every_row:
-        rows = _reached_rows(n, pitch, radii, _scanned_lines(cells, axis))
-    samples = _detector_rows(scenario, rows)
-    return coords, samples, _read_lines(samples, pitch, radii, axis, cells, rows)
+    cells = (cells[1], cells[0], cells[3], cells[2]) if transposed else cells
+    rows = _reached_rows(n, pitch, radii, _scanned_lines(cells) + list(lines))
+    samples = _detector_rows(scenario, rows, transposed)
+    return coords, rows, samples, _read_lines(samples, pitch, radii, cells, rows)
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:
@@ -402,5 +396,5 @@ def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfil
     evaluation order cannot change the result.
     """
     scale = _rate_scale(scenario, kappa)
-    coords, _, raw = _scan_stage(scenario)
+    coords, _, _, raw = _scan_stage(scenario)
     return CoincidenceProfile(coords, scale * raw)

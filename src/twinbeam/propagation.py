@@ -321,18 +321,20 @@ def _orthonormal(x: np.ndarray) -> tuple:
     """``(q, r)`` with ``x = q @ r``, q's columns orthonormal and r upper
     triangular: classical Gram-Schmidt, each column projected twice."""
     n, p = x.shape
-    q = np.zeros((n, p), np.complex128)
+    q = np.zeros((p, n), np.complex128)  # q's columns, as rows
+    q_conj = np.zeros((p, n), np.complex128)
     r = np.zeros((p, p), np.complex128)
     for j in range(p):
         w = x[:, j].copy()
         for _ in range(2):
-            h = np.einsum("ij,i->j", q[:, :j].conj(), w, optimize=False)
-            w -= np.einsum("ij,j->i", q[:, :j], h, optimize=False)
+            h = np.einsum("ji,i->j", q_conj[:j], w, optimize=False)
+            w -= np.einsum("ji,j->i", q[:j], h, optimize=False)
             r[:j, j] += h
         r[j, j] = norm = np.sqrt(np.sum(_abs_square(w)))
         if norm > 0.0:
-            q[:, j] = w / norm
-    return q, r
+            q[j] = w / norm
+            np.conjugate(q[j], out=q_conj[j])
+    return q.T, r
 
 
 def _recompress(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -408,12 +410,12 @@ class _Factors:
         if not (_all_finite(self.a) and _all_finite(self.b)):
             raise ValidationError("field samples must all be finite")
 
-    def rows(self, rows=None) -> np.ndarray:
-        """Rows ``rows`` (all by default) of the samples ``a @ b.T``, checked
-        for finiteness."""
+    def rows(self, rows=slice(None), transposed: bool = False) -> np.ndarray:
+        """Rows ``rows`` (all by default) of the samples ``a @ b.T``, or of
+        their transpose ``b @ a.T``, checked for finiteness."""
         self._domain(False)
-        a = self.a if rows is None else self.a[rows]
-        out = np.einsum("jr,ir->ji", a, self.b, optimize=False)
+        a, b = (self.b, self.a) if transposed else (self.a, self.b)
+        out = np.einsum("jr,ir->ji", a[rows], b, optimize=False)
         if not _all_finite(out):
             raise ValidationError("field samples must all be finite")
         return out
@@ -454,8 +456,8 @@ class _Grid:
         if not _all_finite(self.u):
             raise ValidationError("field samples must all be finite")
 
-    def rows(self, rows=None) -> np.ndarray:
-        out = self.u if rows is None else self.u[rows]
+    def rows(self, rows=slice(None), transposed: bool = False) -> np.ndarray:
+        out = (self.u.T if transposed else self.u)[rows]
         if not _all_finite(out):
             raise ValidationError("field samples must all be finite")
         return out
@@ -578,8 +580,9 @@ def _apply_element(state, el: OpticalElement, max_clip_fraction: float) -> None:
 
 
 def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
-                rows=None, max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> np.ndarray:
-    """Rows ``rows`` (all by default) of :func:`propagate_train`'s samples.
+                rows=slice(None), max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION,
+                transposed: bool = False) -> np.ndarray:
+    """Rows ``rows`` (all by default) of :func:`propagate_train`'s samples or their transpose.
 
     Each element's output is checked for finiteness (on the factors, in
     O(n R)), the last one's on the rows read.  Element errors are re-raised
@@ -592,7 +595,7 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
         try:
             _apply_element(state, el, max_clip_fraction)
             if i == last:
-                return state.rows(rows)
+                return state.rows(rows, transposed)
             state.check_finite()
         except AliasingRiskError as exc:
             raise AliasingRiskError(
@@ -600,7 +603,7 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
             ) from exc
         except (ValidationError, PhysicsError) as exc:
             raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
-    return state.rows(rows)
+    return state.rows(rows, transposed)
 
 
 def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,

@@ -1,12 +1,12 @@
 """Config-driven experiment runs: profile, counts, metrics, artifacts.
 
 A run propagates the unfolded train once, also when it calibrates kappa on
-its own scan.  The profile, Poisson counts and dip/peak metrics come from the
-scan's read of two lines of the rate map.  The map artifacts come from the
-same line convolution (:func:`twinbeam.biphoton._map_lines`), on the kept
-rows of the scan region only: no whole map is built.  The CSV/PGM artifacts
-and a JSON report are written.  Identical scenario and seed give
-byte-identical artifacts.
+its own scan, and reads only the rows its scan and scan-region crop reach.
+The profile, Poisson counts and dip/peak metrics come from the scan's read
+of two lines of the rate map, the map artifacts from the same line
+convolution (:func:`twinbeam.biphoton._map_lines`) on the kept rows, and
+``detector_field.pgm`` is |u|^2 on that crop.  The CSV/PGM artifacts and a
+JSON report are written, byte-identical for an identical scenario and seed.
 """
 
 from __future__ import annotations
@@ -154,8 +154,16 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
             "reference": reference.name, "scenario_digest": scenario_digest(reference),
             "grid_n": reference.grid.n}
 
+    # The scan region: the rows and columns within 1 mm of the scan range,
+    # thinned to at most ~256 per axis.  The scan reads the rows they reach.
+    pitch = scenario.grid.pitch_m
+    coords = axis_coords(scenario.grid.n, pitch)
+    margin = 1e-3
+    keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)
+                          & (coords <= scenario.scan.stop_m + margin))
+    keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
     scale = None if kappa is None else _rate_scale(scenario, kappa)
-    scan_coords, samples, raw = _scan_stage(scenario, every_row=True)
+    scan_coords, rows, samples, raw = _scan_stage(scenario, keep)
     if scale is None:
         # The scenario is its own calibration reference: its scan at
         # kappa = 1 calibrates it, so the train is made once.
@@ -166,18 +174,13 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     metrics = profile_metrics(profile, counted)
     metrics["divergence_loss_distance_m"] = divergence_loss_distance(scenario)
 
-    # The rate map on the scan region: the rows and columns within 1 mm of
-    # the scan range, thinned to at most ~256 per axis.  It is read from the
-    # map lines of the kept rows, as the scan reads its two, and written as
-    # PGM, normalised to its own peak, and in pairs/s as CSV.
-    pitch = scenario.grid.pitch_m
-    coords = axis_coords(scenario.grid.n, pitch)
-    margin = 1e-3
-    keep = np.flatnonzero((coords >= scenario.scan.start_m - margin)
-                          & (coords <= scenario.scan.stop_m + margin))
-    keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
+    # |u|^2 and the rate map on the scan region (a y scan read the transpose's
+    # rows), each written as PGM normalised to its own peak, the map as CSV.
     radii = _resolved_radii(pitch, scan_points(scenario)[2])
-    crop = _map_lines(samples, pitch, radii, "x", keep)[:, keep]
+    crop = _map_lines(samples, pitch, radii, keep, rows)[:, keep]
+    intensity = _abs_square(samples[np.searchsorted(rows, keep)][:, keep])
+    if scenario.scan.axis == "y":
+        crop, intensity = crop.T, intensity.T
 
     # The output directory is made only once every number is computed, so a
     # run refused on the way writes nothing.
@@ -194,7 +197,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     emit("profile.csv", fileio.profile_to_csv(profile.coordinates, profile.rates))
     emit("counts.csv", fileio.counted_to_csv(counted.coordinates, counted.expected_rates,
                                              counted.counts, counted.accidental_rates))
-    emit("detector_field.pgm", fileio.intensity_to_pgm(_abs_square(samples)))
+    emit("detector_field.pgm", fileio.intensity_to_pgm(intensity))
     emit("rate_map.pgm", fileio.intensity_to_pgm(crop))
     emit("rate_map.csv", fileio.map_to_csv(coords[keep], coords[keep], scale * crop))
 

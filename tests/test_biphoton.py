@@ -260,15 +260,20 @@ class TestScanDetector:
             scan_detector(scenario)
 
     def test_rate_map_matches_scan(self):
+        # an x scan reads the map's rows, a y scan its columns
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         w = effective_detector_field(scenario)
         # the map carries no kappa and no P: they scale what is read from it
-        rate_map = biphoton._map_lines(w.samples, w.pitch, (1e-4, 1e-4), "x", np.arange(w.n))
+        rate_map = biphoton._map_lines(w.samples, w.pitch, (1e-4, 1e-4), np.arange(w.n))
         scale = 2.0 * divergence_prefactor(K_P, divergence_loss_distance(scenario))
-        profile = scan_detector(scenario, kappa=2.0)
-        mid = [scale * bilinear_sample(rate_map, w.pitch, x, 0.0) for x in profile.coordinates]
-        assert np.allclose(profile.rates, mid, rtol=1e-12)
+        for axis in ("x", "y"):
+            scanned = dataclasses.replace(scenario,
+                                          scan=dataclasses.replace(scenario.scan, axis=axis))
+            profile = scan_detector(scanned, kappa=2.0)
+            points = [(c, 0.0) if axis == "x" else (0.0, c) for c in profile.coordinates]
+            mid = [scale * bilinear_sample(rate_map, w.pitch, *point) for point in points]
+            assert np.allclose(profile.rates, mid, rtol=1e-12)
 
 
 class TestProfileInvariants:
@@ -284,8 +289,8 @@ class TestProfileInvariants:
         # with point detectors the map lines are |samples|^2, byte for byte
         fld = gaussian_beam(0.15e-3, 64, 20e-6)
         lines = [0, 5, 32, 63]
-        rows = biphoton._map_lines(fld.samples, fld.pitch, (), "x", lines)
-        columns = biphoton._map_lines(fld.samples, fld.pitch, (), "y", lines)
+        rows = biphoton._map_lines(fld.samples, fld.pitch, (), lines)
+        columns = biphoton._map_lines(fld.samples.T, fld.pitch, (), lines)
         assert rows.tobytes() == fld.intensity()[lines].tobytes()
         assert columns.tobytes() == np.ascontiguousarray(fld.intensity()[:, lines].T).tobytes()
 
@@ -302,7 +307,7 @@ class TestProfileInvariants:
         positive = tuple(r for r in radii if r > 0)
         kernel = np.fft.fftshift(composite_kernel(n, pitch, positive))
         assert kernel[n // 2, n // 2] == center * pitch ** (2 * len(positive))
-        out = biphoton._map_lines(intensity, pitch, positive, "x", np.arange(n))
+        out = biphoton._map_lines(intensity, pitch, positive, np.arange(n))
         assert np.max(np.abs(out - kernel)) <= 1e-13 * kernel.max()
 
     @pytest.mark.parametrize("n", [128, 129])
@@ -316,7 +321,7 @@ class TestProfileInvariants:
         samples = np.random.default_rng(n).uniform(size=(n, n))
         samples[:, : n // 2] = 0.0
         intensity = np.square(samples)
-        out = biphoton._map_lines(samples, pitch, radii, "x", np.arange(n))
+        out = biphoton._map_lines(samples, pitch, radii, np.arange(n))
         assert out.min() == 0.0
         for ref in (aperture_map_formula(intensity, pitch, radii),
                     aperture_map_per_disk(intensity, pitch, radii)):
@@ -330,7 +335,7 @@ class TestProfileInvariants:
         pitch = 20e-6
         samples = np.random.default_rng(n).uniform(size=(n, n))
         ref = aperture_map_formula(np.square(samples), pitch, radii, real_input=False)
-        out = biphoton._map_lines(samples, pitch, radii, "x", np.arange(n))
+        out = biphoton._map_lines(samples, pitch, radii, np.arange(n))
         assert np.max(np.abs(out - ref)) <= 1e-14 * ref.max()
 
     @pytest.mark.parametrize("n", [128, 129])
@@ -363,7 +368,7 @@ class TestProfileInvariants:
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
-        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4), "x",
+        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4),
                                                _bilinear_cells(w.n, w.pitch, x, 0.0))
                           for x in profile.coordinates[::-1]]
         scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
@@ -387,14 +392,15 @@ class TestLineRead:
     def test_map_lines_are_the_map_lines(self, n, radii, axis):
         # the lines at both edges, whose kernel reach wraps, and a thinned
         # set like a run's, against the oracle's map within 1e-13 of its
-        # peak; with point detectors, |samples|^2 byte for byte
+        # peak; with point detectors, |samples|^2 byte for byte.  The map's
+        # columns (a y scan's) are the rows of the transposed samples' map
         pitch = 20e-6
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         intensity = ScalarField(samples, pitch).intensity()
         lines = np.concatenate([[0, 1, 2], np.arange(n // 4, 3 * n // 4, 3), [n - 2, n - 1]])
         positive = tuple(r for r in radii if r > 0)
-        out = biphoton._map_lines(samples, pitch, positive, axis, lines)
+        out = biphoton._map_lines(samples if axis == "x" else samples.T, pitch, positive, lines)
         rate_map = aperture_map_formula(intensity, pitch, positive) if positive else intensity
         ref = rate_map[lines] if axis == "x" else rate_map[:, lines].T
         if positive:
@@ -409,7 +415,8 @@ class TestLineRead:
     def test_line_read_is_the_map_read(self, n, radii, axis, where):
         # within 1e-13 of the map's peak; with point detectors the map is
         # |samples|^2 itself and the read equals it byte for byte.  The read
-        # of the last cell reaches past the edge and wraps, as the map does
+        # of the last cell reaches past the edge and wraps, as the map does.
+        # A y scan reads the transposed samples at the transposed points
         pitch = 20e-6
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -417,31 +424,31 @@ class TestLineRead:
         fixed = _fixed_coordinate(n, pitch, where)
         points = (moving, fixed) if axis == "x" else (fixed, moving)
         positive = tuple(r for r in radii if r > 0)
-        out = biphoton._read_lines(samples, pitch, positive, axis,
-                                   _bilinear_cells(n, pitch, *points))
+        read = samples if axis == "x" else samples.T
+        out = biphoton._read_lines(read, pitch, positive, _bilinear_cells(n, pitch, moving, fixed))
         if positive:
             rate_map = aperture_map_formula(np.abs(samples) ** 2, pitch, positive)
             ref = bilinear_sample(rate_map, pitch, *points)
             assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
         else:
-            rate_map = ScalarField(samples, pitch).intensity()
-            assert out.tobytes() == bilinear_sample(rate_map, pitch, *points).tobytes()
+            rate_map = ScalarField(read, pitch).intensity()
+            assert out.tobytes() == bilinear_sample(rate_map, pitch, moving, fixed).tobytes()
 
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (5e-4, 5e-4)])
     def test_line_read_holds_no_grid(self, radii):
         # a scan's read at n = 1024, K's build included, peaks below one
         # n x n float array: the line slab, the kernel's rows and spectra
         # and one line's products are each a few hundred lines at most
-        # (measured 0.16 and 0.79 of it for an x scan, 0.12 and 0.59 for a
-        # y scan, which finds K cached)
+        # (measured 0.18 and 0.79 of it for an x scan, 0.12 and 0.59 for a
+        # y scan, which reads the transposed samples and finds K cached)
         n, pitch = 1024, 1e-5
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         moving = np.linspace(-1e-3, 1e-3, 21)
+        cells = _bilinear_cells(n, pitch, moving, 0.3e-3)
         biphoton._kernel_row_spectra.cache_clear()
-        for axis, points in (("x", (moving, 0.3e-3)), ("y", (0.3e-3, moving))):
-            cells = _bilinear_cells(n, pitch, *points)
-            peak = traced_peak(lambda: biphoton._read_lines(samples, pitch, radii, axis, cells))
+        for read in (samples, samples.T):  # an x scan's, then a y scan's
+            peak = traced_peak(lambda: biphoton._read_lines(read, pitch, radii, cells))
             assert peak < n * n * np.dtype(np.float64).itemsize
 
     @pytest.mark.parametrize("radii", [(5e-5,), (5e-5, 5e-5), (5e-5, 7e-5), (6.1e-5, 4e-5)])
@@ -480,7 +487,7 @@ class TestLineRead:
         calls = []
         lines = biphoton._map_lines
         monkeypatch.setattr(biphoton, "_map_lines",
-                            lambda *args: calls.append(len(args[4])) or lines(*args))
+                            lambda *args: calls.append(len(args[3])) or lines(*args))
         count = biphoton._overlap_counts
         monkeypatch.setattr(biphoton, "_overlap_counts",
                             lambda *args: calls.append("_overlap_counts") or count(*args))
@@ -525,6 +532,17 @@ class TestLineRead:
             scan_detector(scenario)
 
 
+def _whole_field_read(scenario, samples):
+    """The scan's rates read by ``_read_lines`` from every row of ``samples``,
+    the detector field (its transpose for a y scan)."""
+    _, (x, y), apertures = biphoton.scan_points(scenario)
+    n, pitch = scenario.grid.n, scenario.grid.pitch_m
+    if scenario.scan.axis == "y":
+        x, y = y, x
+    return biphoton._read_lines(samples, pitch, biphoton._resolved_radii(pitch, apertures),
+                                _bilinear_cells(n, pitch, x, y))
+
+
 class TestScanRows:
     """A scan transforms only what it reads: its train inverts the 1-D
     factors, and reads the rows its apertures reach as ``a[rows] @ b.T``."""
@@ -544,12 +562,26 @@ class TestScanRows:
                                                            kappa=1.0))
         assert passes == [("columns", 6)]
         assert peak < n * n * np.dtype(np.complex128).itemsize
-        # the rows read give the profile of the whole field
+        # the rows read are the whole field's, and give its profile
         derived = with_free_twin_side(scenario, 0.5, 0.5e-3)
-        _, rows, raw = biphoton._scan_stage(derived)
-        _, samples, whole = biphoton._scan_stage(derived, every_row=True)
-        assert rows.shape == (202, n) and samples.shape == (n, n)
-        assert raw.tobytes() == whole.tobytes()
+        _, rows, samples, raw = biphoton._scan_stage(derived)
+        whole = biphoton._detector_rows(derived)
+        assert samples.shape == (202, n) and whole.shape == (n, n)
+        assert samples.tobytes() == whole[rows].tobytes()
+        assert raw.tobytes() == _whole_field_read(derived, whole).tobytes()
+
+    @pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig5"])
+    def test_y_scan_reads_the_columns_it_reaches(self, preset):
+        # a y scan asks the train for the columns its two map columns reach,
+        # as rows of the transpose b[columns] @ a.T: the whole field's
+        # columns byte for byte, and the profile of its transpose
+        scenario = load_scenario(preset)
+        scenario = dataclasses.replace(scenario, scan=dataclasses.replace(scenario.scan, axis="y"))
+        _, columns, samples, raw = biphoton._scan_stage(scenario)
+        whole = biphoton._detector_rows(scenario)
+        assert samples.shape == (42, scenario.grid.n)
+        assert samples.tobytes() == np.ascontiguousarray(whole[:, columns].T).tobytes()
+        assert raw.tobytes() == _whole_field_read(scenario, whole.T).tobytes()
 
     def test_fig5_inverse_after_the_long_hop_covers_its_cone(self, monkeypatch):
         # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m at 2048: each lens
@@ -569,8 +601,8 @@ class TestScanRows:
         monkeypatch.setattr(propagation._Factors, "hop", recording_hop)
         rows = []
         detector_rows = biphoton._detector_rows
-        monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, r=None: rows.append(
-            len(r)) or detector_rows(scenario, r))
+        monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, r, transposed: rows.append(
+            len(r)) or detector_rows(scenario, r, transposed))
         scan_detector(load_scenario("fig5"), kappa=1.0)
         assert passes == [("columns", 26)]
         assert ranks == [2, 3, 3, 7] and rows == [42]

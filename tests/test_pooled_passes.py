@@ -291,7 +291,7 @@ def test_aperture_map(n, pool, radii):
     # them, which the clamp must zero
     samples = np.random.default_rng(n).uniform(size=(n, n))
     samples[:, : n // 2] = 0.0
-    out = pool.run(lambda: biphoton._map_lines(samples, PITCH, radii, "x", np.arange(n)))
+    out = pool.run(lambda: biphoton._map_lines(samples, PITCH, radii, np.arange(n)))
     ref = aperture_map_formula(np.square(samples), PITCH, radii)
     assert np.max(np.abs(out - ref)) <= 1e-13 * ref.max() and out.min() == 0.0
 
@@ -301,13 +301,13 @@ def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
     detector_field = ScalarField(_random_field(n), PITCH)
-    monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows:
-                        detector_field.samples if rows is None else detector_field.samples[rows])
+    monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows, transposed:
+                        detector_field.samples[rows])
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
     scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
     profile = pool.run(lambda: biphoton.scan_detector(scenario, kappa=kappa).rates)
-    _, _, raw = biphoton._scan_stage(scenario)
+    _, _, _, raw = biphoton._scan_stage(scenario)
     assert profile.tobytes() == (scale * raw).tobytes()
     rate_map = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4))
     coords = biphoton.scan_points(scenario)[0]

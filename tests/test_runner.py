@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_scenario, run_child
-from twinbeam import PhysicsError, ValidationError, fileio
+from conftest import make_scenario, run_child, traced_peak
+from twinbeam import PhysicsError, ValidationError, biphoton, effective_detector_field, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
@@ -170,7 +170,7 @@ def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
     for module, name in ((biphoton, "_map_lines"), (runner, "_map_lines"),
                          (biphoton, "_overlap_counts")):
         def counting(*args, name=name, original=getattr(module, name)):
-            calls.append(len(args[4]) if name == "_map_lines" else name)  # the lines
+            calls.append(len(args[3]) if name == "_map_lines" else name)  # the lines
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
@@ -183,12 +183,73 @@ def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
 
 @pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig5"])
 def test_map_artifacts_are_the_scan_region_crop(tmp_path, preset):
-    # both map artifacts hold the 251 x 251 kept samples of the scan region,
-    # not the n x n grid
+    # both map artifacts and the detector field's image hold the 251 x 251
+    # kept samples of the scan region, not the n x n grid
     run(load_scenario(preset), tmp_path, seed=0)
-    assert (tmp_path / "rate_map.pgm").read_bytes().startswith(b"P5\n251 251\n65535\n")
+    for name in ("rate_map.pgm", "detector_field.pgm"):
+        assert (tmp_path / name).read_bytes().startswith(b"P5\n251 251\n65535\n")
     rows = (tmp_path / "rate_map.csv").read_text().splitlines()
     assert rows[0] == "x_m,y_m,rate_pairs_per_s" and len(rows) == 1 + 251 ** 2
+
+
+def _y_scan(scenario):
+    return dataclasses.replace(scenario, scan=dataclasses.replace(scenario.scan, axis="y"))
+
+
+@pytest.mark.parametrize("scan", [lambda s: s, _y_scan], ids=["x", "y"])
+def test_detector_field_image_is_the_intensity_on_the_crop(tmp_path, scan):
+    # detector_field.pgm is |u|^2 on the kept rows and columns of rate_map.csv,
+    # normalised to the crop's peak; a y scan's run reads the field's columns
+    # and writes the same image, and the same map within 1e-13 of its peak
+    scenario = scan(load_scenario("fig4a"))
+    run(scenario, tmp_path, seed=0)
+    raw = (tmp_path / "detector_field.pgm").read_bytes()
+    header = b"P5\n251 251\n65535\n"
+    assert raw.startswith(header)
+    pixels = np.frombuffer(raw[len(header):], ">u2").reshape(251, 251)
+    table = np.loadtxt(tmp_path / "rate_map.csv", delimiter=",", skiprows=1)
+    pitch, n = scenario.grid.pitch_m, scenario.grid.n
+    keep = np.rint(table[:251, 0] / pitch).astype(int) + n // 2
+    assert np.array_equal(np.rint(table[::251, 1] / pitch).astype(int) + n // 2, keep)
+    intensity = effective_detector_field(scenario).intensity()[np.ix_(keep, keep)]
+    assert np.array_equal(pixels, np.round(intensity / intensity.max() * 65535.0))
+    x_scan = run(load_scenario("fig4a"), tmp_path / "x", seed=0)
+    assert x_scan.manifest["detector_field.pgm"] == hashlib.sha256(raw).hexdigest()
+    x_table = np.loadtxt(tmp_path / "x" / "rate_map.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(x_table[:, :2], table[:, :2])
+    assert np.max(np.abs(x_table[:, 2] - table[:, 2])) <= 1e-13 * x_table[:, 2].max()
+
+
+def test_a_run_holds_no_grid(tmp_path):
+    # fig5 at n = 2048, with fig4b's calibration at 1024, reads 541 rows of
+    # its detector field and peaks below one n x n complex array (64 MiB;
+    # measured 42.5 MiB, and 152.5 MiB when the run read every row)
+    scenario = load_scenario("fig5")
+    rows = []
+    detector_rows = biphoton._detector_rows
+
+    def counting(scenario, r, transposed):
+        rows.append(len(r))
+        return detector_rows(scenario, r, transposed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biphoton, "_detector_rows", counting)
+        run(scenario, tmp_path / "warm")
+    assert rows == [42, 541]
+    peak = traced_peak(lambda: run(scenario, tmp_path / "traced"))
+    assert peak < scenario.grid.n ** 2 * np.dtype(np.complex128).itemsize
+
+
+def test_a_y_scan_run_holds_no_grid(tmp_path):
+    # a y scan's run reads the columns it reaches as rows of the transpose:
+    # at n = 1024 it peaks below one n x n complex array (16 MiB; measured
+    # 12.5 MiB, most of it the map's CSV text, and 38.3 MiB when the run
+    # read every row)
+    scenario = _y_scan(make_scenario(n=1024, aperture=1e-4, waist=0.5e-3,
+                                     scan=(-1e-3, 1e-3, 1e-4)))
+    run(scenario, tmp_path / "warm")
+    peak = traced_peak(lambda: run(scenario, tmp_path / "traced"))
+    assert peak < scenario.grid.n ** 2 * np.dtype(np.complex128).itemsize
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
