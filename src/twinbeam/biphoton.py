@@ -31,27 +31,29 @@ fields have rank 7 or less.  A hop that would need more than
 ``propagation.RANK_CAP`` terms raises PhysicsError, and one whose cone
 reaches evanescent frequencies raises SamplingError, naming the pitch.
 
-A scan reads rows of the detector field, not the field: it works out the
-cells of its points first, then asks the train (:func:`_detector_rows`)
-for the rows its two map lines reach, ``a[rows] @ b.T``; a y scan, for
-rows of the transpose ``b @ a.T``, whose map is the map's transpose.  A run
-asks once, for its scan's rows and its map crop's, and its profile equals
-the scan's byte for byte.
+A scan reads a patch of the detector field, not the field: it works out
+the cells of its points first, then asks the train (:func:`_detector_rows`)
+once for the rows and columns its two map lines reach, ``a[rows] @
+b[cols].T``; a y scan, for a patch of the transpose ``b @ a.T``, whose map
+is the map's transpose.  A run asks once, for the patch that holds its
+scan's and its map crop's, and reads each map from its own patch within
+it, so its profile equals the scan's byte for byte.
 :func:`effective_detector_field` is the whole field as a ScalarField, which
 no scan or run calls.
 
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
 their composite kernel K = disk(a_s) * disk(a_i), built from exact integer
-overlap counts and cached per grid and radii.  The map is never built
-whole: one function, :func:`_map_lines`, convolves the lines that are
-read, each a sum over K's rows of 1-D transforms of the |W|^2 lines K
-reaches.  A scan samples two neighbouring lines and gathers its bilinear
-reads from them; a run's map artifacts read the kept rows of the scan
-region (:mod:`twinbeam.runner`).  kappa * P is applied to what is read, the
-scan's rates (and, in :mod:`twinbeam.runner`, the map excerpt written as
-CSV), by one function that also validates kappa.  A run that calibrates on
-its own scan takes kappa from the same read.
+overlap counts.  The map is never built whole: one function,
+:func:`_map_patch`, convolves a patch by one linear 2-D FFT convolution
+with K's spectrum, cached per grid, radii and padded shape, and keeps the
+map points whose reach the patch holds.  Rows and columns are taken modulo
+n, so the map stays circular.  A scan samples its two neighbouring lines
+and gathers its bilinear reads from them; a run's map artifacts read the
+scan region's crop (:mod:`twinbeam.runner`).  kappa * P is applied to what
+is read, the scan's rates (and, in :mod:`twinbeam.runner`, the map excerpt
+written as CSV), by one function that also validates kappa.  A run that
+calibrates on its own scan takes kappa from the same read.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def effective_detector_field(scenario: "Scenario") -> ScalarField:
     return propagate_train(*_detector_train(scenario))
 
 
-def _detector_rows(scenario: "Scenario", rows=slice(None), transposed: bool = False) -> np.ndarray:
-    """Rows ``rows`` (all by default) of the detector field's samples, or of
-    their transpose, equal to :func:`effective_detector_field`'s byte for byte."""
-    return _train_rows(*_detector_train(scenario), rows, transposed=transposed)
+def _detector_rows(scenario: "Scenario", rows=slice(None), cols=slice(None),
+                   transposed: bool = False) -> np.ndarray:
+    """The patch ``rows`` x ``cols`` (all by default) of the detector field's
+    samples, or of their transpose, equal to :func:`effective_detector_field`'s
+    byte for byte."""
+    return _train_rows(*_detector_train(scenario), rows, cols, transposed=transposed)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +236,15 @@ def _overlap_counts(n: int, pitch: float, radii: tuple):
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel_row_spectra(n: int, pitch: float, radii: tuple):
-    """The composite kernel K = disk(a_s) * disk(a_i) pitch^4 (one disk
-    times pitch^2 for one radius) row by row: its offsets e and the ``rfft``
-    of each row written into FFT order on n samples, read-only.  K equals its
-    transpose, so these are its column spectra too.  A sweep reads the same
-    kernel row after row; at n = 1024 and a = 0.5 mm one entry is 1.7 MB."""
-    e, counts = _overlap_counts(n, pitch, radii)
-    rows = np.zeros((e.size, n))
-    np.add.at(rows, (slice(None), e % n), counts * pitch ** (2 * len(radii)))
-    spectra = np.fft.rfft(rows, axis=-1)
-    spectra.setflags(write=False)
-    return e, spectra
+def _kernel_spectrum(n: int, pitch: float, radii: tuple, shape: tuple) -> np.ndarray:
+    """The ``rfft2`` at the padded ``shape`` of the composite kernel K =
+    disk(a_s) * disk(a_i) pitch^4 (one disk times pitch^2 for one radius),
+    its offset e[0] at index 0, read-only.  A run reads three shapes: its
+    scan's, its crop's and its calibration scan's."""
+    _, counts = _overlap_counts(n, pitch, radii)
+    spectrum = np.fft.rfft2(counts * pitch ** (2 * len(radii)), shape)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _resolved_radii(pitch: float, radii: tuple) -> tuple:
@@ -287,83 +288,58 @@ def scan_points(scenario: "Scenario"):
     return coords, points, (moving_spec.aperture_radius_m, fixed.aperture_radius_m)
 
 
-def _reached_rows(n: int, pitch: float, radii: tuple, lines) -> np.ndarray:
-    """The rows of the field that map rows ``lines`` read, ascending: those
-    K reaches from them, modulo n (the lines themselves without radii).
+def _patch(n: int, pitch: float, radii: tuple, rows, cols) -> tuple:
+    """The patch of the field that the map points ``rows`` x ``cols`` read,
+    as two slices of indices taken modulo n: K reaches offsets e[0] to e[-1]
+    from each point (the point itself without radii).
 
-    It builds no kernel: a scan asks for these rows before its train runs,
+    It builds no kernel: a scan asks for this patch before its train runs,
     and K's cached spectra, built first, left a fig5 run's peak RSS 6-10 MiB
     higher (C heap that a later free could not return).
     """
-    lines = np.asarray(lines)
-    if not radii:
-        return np.unique(lines)
-    return np.unique((lines[:, None] - _kernel_offsets(n, pitch, radii)) % n)
+    first, last = _kernel_offsets(n, pitch, radii)[[0, -1]] if radii else (0, 0)
+    return tuple(slice(int(np.min(x)) - last, int(np.max(x)) - first + 1) for x in (rows, cols))
 
 
-def _map_lines(samples: np.ndarray, pitch: float, radii: tuple, lines,
-               rows=None) -> np.ndarray:
-    """Rows ``lines`` of the aperture-integrated rate map of the field
-    ``samples``, with ``radii`` positive and checked.  ``samples`` holds the
-    field's rows ``rows``, ascending, at least those :func:`_reached_rows`
-    names; by default it holds them all.
+def _map_patch(patch: np.ndarray, n: int, pitch: float, radii: tuple) -> np.ndarray:
+    """The aperture-integrated rate map on ``patch``, rows x columns of the
+    n x n field's samples, at the points whose kernel reach the patch holds:
+    the patch :func:`_patch` names for some map points gives those points.
+    ``radii`` are positive and checked.
 
-    The map is I = |samples|^2 convolved with the composite kernel K of
-    :func:`_kernel_row_spectra`, circularly.  Line j is
-    ``max(irfft(sum_a rfft(I[j - e_a]) rfft(K[a]), n), 0)``; I is transformed
-    once, on the lines K reaches from ``lines``, indexed modulo n.  Without
-    radii the lines are I itself.
+    The map is I = |patch|^2 convolved with the composite kernel K, by one
+    linear 2-D FFT convolution ``irfft2(rfft2(I, s) * rfft2(K, s), s)``,
+    each side of s the patch's rounded up to a multiple of 64; its valid
+    region is kept and clamped at 0.  Taken modulo n, the patch's rows and
+    columns make the map circular, as the whole grid's map is.  Without
+    radii the map is I itself.
     """
-    n = samples.shape[1]
-
-    def intensity(idx):
-        return _abs_square(samples[idx if rows is None else np.searchsorted(rows, idx)])
-
+    intensity = _abs_square(patch)
     if not radii:
-        return intensity(lines)
-    e, spectra = _kernel_row_spectra(n, pitch, radii)
-    sources = (np.asarray(lines)[:, None] - e) % n
-    reached, slab_rows = np.unique(sources, return_inverse=True)
-    slab = np.fft.rfft(intensity(reached), axis=-1)
-    out = np.empty((sources.shape[0], n))
-    for k, lines_read in enumerate(slab_rows.reshape(sources.shape)):
-        terms = slab[lines_read]
-        np.multiply(terms, spectra, out=terms)
-        np.fft.irfft(terms.sum(axis=0), n, out=out[k])
-    return np.maximum(out, 0.0, out=out)
+        return intensity
+    shape = tuple(-(-size // 64) * 64 for size in patch.shape)
+    spectrum = np.fft.rfft2(intensity, shape)
+    spectrum *= _kernel_spectrum(n, pitch, radii, shape)
+    reach = _kernel_offsets(n, pitch, radii).size - 1
+    return np.maximum(np.fft.irfft2(spectrum, shape)[reach:patch.shape[0], reach:patch.shape[1]],
+                      0.0)
 
 
-def _scanned_lines(cells: tuple) -> list:
-    """The two map rows the scan's ``cells`` (of :func:`_bilinear_cells`)
-    read, around the one row of cells they share."""
-    first = int(cells[1].flat[0])
-    return [first, first + 1]
-
-
-def _read_lines(samples: np.ndarray, pitch: float, radii: tuple, cells: tuple,
-                rows=None) -> np.ndarray:
-    """The rate map read bilinearly on ``cells`` (of :func:`_bilinear_cells`),
-    which share one row of cells: only its two lines are convolved, by
-    :func:`_map_lines` (from the field's rows ``rows``, as there), and the
-    gather reads them as the map's."""
-    i0, j0, tx, ty = cells
-    lines = _scanned_lines(cells)
-    pair = _map_lines(samples, pitch, radii, lines, rows)
-    return _bilinear_gather(pair, i0, j0 - lines[0], tx, ty)
-
-
-def _scan_stage(scenario: "Scenario", lines=()):
+def _scan_stage(scenario: "Scenario", keep=None):
     """The one path from a scenario to its scan, before kappa and P: the
-    scanned coordinates, the rows read, those rows of the detector field
-    and the rates at every scan point, read by :func:`_read_lines`.
+    scanned coordinates, the rates at every scan point and, for the map
+    rows and columns ``keep``, the map and |u|^2 on ``keep`` x ``keep``
+    (else None).
 
-    The cells of the scan points come first, then the train is asked for
-    the rows that the scan's two map lines and the map rows ``lines`` reach
-    (:func:`_reached_rows`), ascending; a y scan's are the transpose's, read
-    on the transposed cells.  A point whose apertures reach R = ceil((a_s +
-    a_i) / pitch) + 1 samples around its cell past the grid raises
-    OutOfWindowError: the map is circular, so its rate would hold intensity
-    from the opposite edge.
+    The cells of the scan points come first.  They share one row of cells,
+    so the scan reads two map lines over the span of its cells' columns.
+    The train is then asked once for the patch (:func:`_patch`) that those
+    points and ``keep`` x ``keep`` reach, ``a[rows] @ b[cols].T``; a y scan's
+    is the transpose's, read on the transposed cells.  The scan's map comes
+    from its own patch within it, so a run's profile is a scan's byte for
+    byte.  A point whose apertures reach R = ceil((a_s + a_i) / pitch) + 1
+    samples around its cell past the grid raises OutOfWindowError: the map is
+    circular, so its rate would hold intensity from the opposite edge.
     """
     coords, (x, y), apertures = scan_points(scenario)
     n, pitch, transposed = scenario.grid.n, scenario.grid.pitch_m, scenario.scan.axis == "y"
@@ -381,10 +357,26 @@ def _scan_stage(scenario: "Scenario", lines=()):
                 f"around it, past the grid window [{-(n // 2) * pitch:g}, "
                 f"{(n - 1 - n // 2) * pitch:g}] m, where the rate map wraps"
             )
-    cells = (cells[1], cells[0], cells[3], cells[2]) if transposed else cells
-    rows = _reached_rows(n, pitch, radii, _scanned_lines(cells) + list(lines))
-    samples = _detector_rows(scenario, rows, transposed)
-    return coords, rows, samples, _read_lines(samples, pitch, radii, cells, rows)
+    i0, j0, tx, ty = (cells[1], cells[0], cells[3], cells[2]) if transposed else cells
+    line, column = int(j0.flat[0]), int(np.min(i0))
+    patches = [_patch(n, pitch, radii, [line, line + 1], [column, np.max(i0) + 1])]
+    if keep is not None:
+        patches.append(_patch(n, pitch, radii, keep, keep))
+    read = [slice(min(p[k].start for p in patches), max(p[k].stop for p in patches))
+            for k in (0, 1)]
+    samples = _detector_rows(scenario, *(np.arange(r.start, r.stop) % n for r in read),
+                             transposed)
+
+    def map_of(patch):
+        view = tuple(slice(p.start - r.start, p.stop - r.start) for p, r in zip(patch, read))
+        return _map_patch(samples[view], n, pitch, radii)
+
+    raw = _bilinear_gather(map_of(patches[0]), i0 - column, j0 - line, tx, ty)
+    if keep is None:
+        return coords, raw, None
+    crop = map_of(patches[1])[np.ix_(keep - np.min(keep), keep - np.min(keep))]
+    return coords, raw, (crop, _abs_square(samples[np.ix_(keep - read[0].start,
+                                                           keep - read[1].start)]))
 
 
 def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfile:
@@ -396,5 +388,5 @@ def scan_detector(scenario: "Scenario", kappa: float = 1.0) -> CoincidenceProfil
     evaluation order cannot change the result.
     """
     scale = _rate_scale(scenario, kappa)
-    coords, _, _, raw = _scan_stage(scenario)
+    coords, raw, _ = _scan_stage(scenario)
     return CoincidenceProfile(coords, scale * raw)

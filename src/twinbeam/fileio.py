@@ -87,11 +87,12 @@ def map_to_csv(x_coords: np.ndarray, y_coords: np.ndarray, values: np.ndarray) -
     """2D map as (x_m, y_m, rate) rows, row-major.
 
     The text :func:`_table_csv` writes for the meshgrid's three columns, but
-    each distinct coordinate is formatted once, into a row template, and
-    the rates by one ``%`` call on the joined templates.
+    each distinct coordinate is formatted once, each map row's templates
+    are one ``str.join`` of its x values, and the rates are formatted by one
+    ``%`` call on the joined templates.
     """
     xs, ys = ([FLOAT_FMT % c for c in np.asarray(a, np.float64).tolist()]
               for a in (x_coords, y_coords))
-    rows = "".join([f"{x},{y},{FLOAT_FMT}\n" for y in ys for x in xs])
+    rows = "".join([(s := f",{y},{FLOAT_FMT}\n").join(xs) + s for y in ys]) if xs else ""
     rates = np.asarray(values, np.float64).ravel().tolist()
     return "x_m,y_m,rate_pairs_per_s\n" + rows % tuple(rates)

@@ -410,12 +410,13 @@ class _Factors:
         if not (_all_finite(self.a) and _all_finite(self.b)):
             raise ValidationError("field samples must all be finite")
 
-    def rows(self, rows=slice(None), transposed: bool = False) -> np.ndarray:
-        """Rows ``rows`` (all by default) of the samples ``a @ b.T``, or of
-        their transpose ``b @ a.T``, checked for finiteness."""
+    def rows(self, rows=slice(None), cols=slice(None), transposed: bool = False) -> np.ndarray:
+        """The patch ``rows`` x ``cols`` (all by default) of the samples
+        ``a @ b.T``, or of their transpose ``b @ a.T``, checked for finiteness:
+        ``a[rows] @ b[cols].T``."""
         self._domain(False)
         a, b = (self.b, self.a) if transposed else (self.a, self.b)
-        out = np.einsum("jr,ir->ji", a[rows], b, optimize=False)
+        out = np.einsum("jr,ir->ji", a[rows], b[cols], optimize=False)
         if not _all_finite(out):
             raise ValidationError("field samples must all be finite")
         return out
@@ -456,8 +457,8 @@ class _Grid:
         if not _all_finite(self.u):
             raise ValidationError("field samples must all be finite")
 
-    def rows(self, rows=slice(None), transposed: bool = False) -> np.ndarray:
-        out = (self.u.T if transposed else self.u)[rows]
+    def rows(self, rows=slice(None), cols=slice(None), transposed: bool = False) -> np.ndarray:
+        out = (self.u.T if transposed else self.u)[rows][:, cols]
         if not _all_finite(out):
             raise ValidationError("field samples must all be finite")
         return out
@@ -580,12 +581,14 @@ def _apply_element(state, el: OpticalElement, max_clip_fraction: float) -> None:
 
 
 def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
-                rows=slice(None), max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION,
+                rows=slice(None), cols=slice(None),
+                max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION,
                 transposed: bool = False) -> np.ndarray:
-    """Rows ``rows`` (all by default) of :func:`propagate_train`'s samples or their transpose.
+    """The patch ``rows`` x ``cols`` (all by default) of :func:`propagate_train`'s
+    samples or of their transpose.
 
     Each element's output is checked for finiteness (on the factors, in
-    O(n R)), the last one's on the rows read.  Element errors are re-raised
+    O(n R)), the last one's on the patch read.  Element errors are re-raised
     with the element index prepended so a failing stage of a long train is
     identifiable.
     """
@@ -595,7 +598,7 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
         try:
             _apply_element(state, el, max_clip_fraction)
             if i == last:
-                return state.rows(rows, transposed)
+                return state.rows(rows, cols, transposed)
             state.check_finite()
         except AliasingRiskError as exc:
             raise AliasingRiskError(
@@ -603,7 +606,7 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
             ) from exc
         except (ValidationError, PhysicsError) as exc:
             raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
-    return state.rows(rows, transposed)
+    return state.rows(rows, cols, transposed)
 
 
 def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,

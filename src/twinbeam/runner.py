@@ -1,10 +1,11 @@
 """Config-driven experiment runs: profile, counts, metrics, artifacts.
 
 A run propagates the unfolded train once, also when it calibrates kappa on
-its own scan, and reads only the rows its scan and scan-region crop reach.
-The profile, Poisson counts and dip/peak metrics come from the scan's read
-of two lines of the rate map, the map artifacts from the same line
-convolution (:func:`twinbeam.biphoton._map_lines`) on the kept rows, and
+its own scan, and reads from it one patch of the detector field: the rows
+and columns its scan and its scan-region crop reach.  The profile, Poisson
+counts and dip/peak metrics come from the scan's two lines of the rate map,
+the map artifacts from the crop's map, each convolved on its own patch
+within the read (:func:`twinbeam.biphoton._map_patch`), and
 ``detector_field.pgm`` is |u|^2 on that crop.  The CSV/PGM artifacts and a
 JSON report are written, byte-identical for an identical scenario and seed.
 """
@@ -23,15 +24,12 @@ import numpy as np
 from . import fileio
 from .biphoton import (
     CoincidenceProfile,
-    _map_lines,
     _rate_scale,
-    _resolved_radii,
     _scan_stage,
     divergence_loss_distance,
     scan_detector,
-    scan_points,
 )
-from .field import _abs_square, axis_coords
+from .field import axis_coords
 from .counting import CountedProfile, sample_counts, snr
 from .errors import PhysicsError, ValidationError
 from .scenario import (
@@ -155,7 +153,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
             "grid_n": reference.grid.n}
 
     # The scan region: the rows and columns within 1 mm of the scan range,
-    # thinned to at most ~256 per axis.  The scan reads the rows they reach.
+    # thinned to at most ~256 per axis.  The scan reads the patch they reach.
     pitch = scenario.grid.pitch_m
     coords = axis_coords(scenario.grid.n, pitch)
     margin = 1e-3
@@ -163,7 +161,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
                           & (coords <= scenario.scan.stop_m + margin))
     keep = keep[::max(1, int(np.ceil(keep.size / 256)))]
     scale = None if kappa is None else _rate_scale(scenario, kappa)
-    scan_coords, rows, samples, raw = _scan_stage(scenario, keep)
+    scan_coords, raw, (crop, intensity) = _scan_stage(scenario, keep)
     if scale is None:
         # The scenario is its own calibration reference: its scan at
         # kappa = 1 calibrates it, so the train is made once.
@@ -175,10 +173,7 @@ def run(scenario: Scenario, out_dir: str | Path, kappa: float | None = None,
     metrics["divergence_loss_distance_m"] = divergence_loss_distance(scenario)
 
     # |u|^2 and the rate map on the scan region (a y scan read the transpose's
-    # rows), each written as PGM normalised to its own peak, the map as CSV.
-    radii = _resolved_radii(pitch, scan_points(scenario)[2])
-    crop = _map_lines(samples, pitch, radii, keep, rows)[:, keep]
-    intensity = _abs_square(samples[np.searchsorted(rows, keep)][:, keep])
+    # patch), each written as PGM normalised to its own peak, the map as CSV.
     if scenario.scan.axis == "y":
         crop, intensity = crop.T, intensity.T
 

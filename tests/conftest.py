@@ -74,6 +74,18 @@ def count_inverse_lines(monkeypatch):
     return passes
 
 
+def patch_map(samples: np.ndarray, pitch: float, radii: tuple, rows, cols) -> np.ndarray:
+    """``biphoton._map_patch`` of the field ``samples`` at the map points
+    ``rows[0]..rows[-1]`` x ``cols[0]..cols[-1]`` (ascending, and taken
+    modulo n), from the patch ``biphoton._patch`` names for them."""
+    from twinbeam import biphoton
+
+    n = samples.shape[0]
+    spans = biphoton._patch(n, pitch, radii, rows, cols)
+    patch = samples[np.ix_(*(np.arange(s.start, s.stop) % n for s in spans))]
+    return biphoton._map_patch(patch, n, pitch, radii)
+
+
 def count_transforms(monkeypatch):
     """The domain changes of the trains run while it is set: False for a
     forward transform, True for an inverse.  The 1-D transforms of a factor

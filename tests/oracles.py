@@ -188,6 +188,18 @@ def aperture_map_formula(point_map: np.ndarray, pitch: float, radii: tuple,
     return np.maximum(np.fft.ifft2(spec).real, 0.0)
 
 
+def circular_rate_map(samples: np.ndarray, pitch: float, radii: tuple) -> np.ndarray:
+    """The aperture-integrated rate map of the field ``samples`` on the whole
+    n x n grid, circular: ``max(ifft2(fft2(|u|^2) * fft2(K)).real, 0)`` with K
+    the :func:`composite_kernel` of the positive ``radii`` on the grid, and
+    |u|^2 itself without radii."""
+    intensity = np.abs(samples) ** 2
+    if not radii:
+        return intensity
+    kernel = composite_kernel(samples.shape[0], pitch, radii)
+    return np.maximum(np.fft.ifft2(np.fft.fft2(intensity) * np.fft.fft2(kernel)).real, 0.0)
+
+
 def aperture_map_per_disk(point_map: np.ndarray, pitch: float, radii: tuple) -> np.ndarray:
     """``np.maximum(irfft2(k2 * (k1 * rfft2(I)), s), 0)``: the map convolved
     with each aperture's :func:`disk_kernel` in turn, one spectrum product

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (PUMP_WAVELENGTH, count_inverse_lines, intensity_ncc, make_scenario,
-                      traced_peak)
-from oracles import (aperture_map_formula, aperture_map_per_disk, coincidence_imaged,
-                     composite_kernel, disk_kernel, rate_from_intensity)
+                      patch_map, traced_peak)
+from oracles import (aperture_map_formula, aperture_map_per_disk, circular_rate_map,
+                     coincidence_imaged, composite_kernel, disk_kernel, rate_from_intensity)
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
@@ -28,7 +28,7 @@ from twinbeam import (
 )
 from twinbeam import biphoton, propagation
 from twinbeam.biphoton import CoincidenceProfile, pump_input_field
-from twinbeam.field import _bilinear_cells
+from twinbeam.field import _bilinear_cells, _bilinear_gather
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
@@ -265,7 +265,7 @@ class TestScanDetector:
                                  scan=(-1e-3, 1e-3, 1e-4))
         w = effective_detector_field(scenario)
         # the map carries no kappa and no P: they scale what is read from it
-        rate_map = biphoton._map_lines(w.samples, w.pitch, (1e-4, 1e-4), np.arange(w.n))
+        rate_map = circular_rate_map(w.samples, w.pitch, (1e-4, 1e-4))
         scale = 2.0 * divergence_prefactor(K_P, divergence_loss_distance(scenario))
         for axis in ("x", "y"):
             scanned = dataclasses.replace(scenario,
@@ -286,13 +286,15 @@ class TestProfileInvariants:
             CoincidenceProfile(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_aperture_map_point_limit_is_identity(self):
-        # with point detectors the map lines are |samples|^2, byte for byte
+        # with point detectors the map of a patch is |patch|^2, byte for
+        # byte, and the patch is the map points themselves
         fld = gaussian_beam(0.15e-3, 64, 20e-6)
-        lines = [0, 5, 32, 63]
-        rows = biphoton._map_lines(fld.samples, fld.pitch, (), lines)
-        columns = biphoton._map_lines(fld.samples.T, fld.pitch, (), lines)
-        assert rows.tobytes() == fld.intensity()[lines].tobytes()
-        assert columns.tobytes() == np.ascontiguousarray(fld.intensity()[:, lines].T).tobytes()
+        assert biphoton._patch(64, fld.pitch, (), [5, 32], [0, 63]) == (slice(5, 33),
+                                                                         slice(0, 64))
+        rows = patch_map(fld.samples, fld.pitch, (), [5, 32], [0, 63])
+        columns = patch_map(fld.samples.T, fld.pitch, (), [5, 32], [0, 63])
+        assert rows.tobytes() == fld.intensity()[5:33].tobytes()
+        assert columns.tobytes() == np.ascontiguousarray(fld.intensity()[:, 5:33].T).tobytes()
 
     @pytest.mark.parametrize("radii, center", [((1e-4, 1e-4), 73), ((1e-4, 2e-4), 73),
                                                ((1e-4, 0.0), 1)])
@@ -307,21 +309,21 @@ class TestProfileInvariants:
         positive = tuple(r for r in radii if r > 0)
         kernel = np.fft.fftshift(composite_kernel(n, pitch, positive))
         assert kernel[n // 2, n // 2] == center * pitch ** (2 * len(positive))
-        out = biphoton._map_lines(intensity, pitch, positive, np.arange(n))
+        out = patch_map(intensity, pitch, positive, [0, n - 1], [0, n - 1])
         assert np.max(np.abs(out - kernel)) <= 1e-13 * kernel.max()
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_matches_out_of_place_formula(self, n, radii):
-        # every line of the map against np.maximum(irfft2(rfft2(K) *
-        # rfft2(I), s), 0) and against the map convolved with each disk in
-        # turn (measured at most 6.0e-16 and 8.8e-16 of the peak); the dark
-        # left half rounds to negatives the clamp zeroes
+        # the whole map, from a patch that wraps past every edge, against
+        # np.maximum(irfft2(rfft2(K) * rfft2(I), s), 0) and against the map
+        # convolved with each disk in turn; the dark left half rounds to
+        # negatives the clamp zeroes
         pitch = 20e-6
         samples = np.random.default_rng(n).uniform(size=(n, n))
         samples[:, : n // 2] = 0.0
         intensity = np.square(samples)
-        out = biphoton._map_lines(samples, pitch, radii, np.arange(n))
+        out = patch_map(samples, pitch, radii, [0, n - 1], [0, n - 1])
         assert out.min() == 0.0
         for ref in (aperture_map_formula(intensity, pitch, radii),
                     aperture_map_per_disk(intensity, pitch, radii)):
@@ -330,47 +332,55 @@ class TestProfileInvariants:
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
     def test_aperture_map_is_the_complex_formula_up_to_round_off(self, n, radii):
-        # real-input transforms round differently from complex ones; the
-        # deviation measured here is at most 1.9e-15 of the peak
+        # real-input transforms round differently from complex ones
         pitch = 20e-6
         samples = np.random.default_rng(n).uniform(size=(n, n))
         ref = aperture_map_formula(np.square(samples), pitch, radii, real_input=False)
-        out = biphoton._map_lines(samples, pitch, radii, np.arange(n))
+        out = patch_map(samples, pitch, radii, [0, n - 1], [0, n - 1])
         assert np.max(np.abs(out - ref)) <= 1e-14 * ref.max()
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("radius", [1e-4, 0.37e-3, 1.5e-3])  # the last exceeds half the window
     def test_disk_kernel_matches_shifted_full_grid_disk(self, n, radius):
-        # the kernel of one radius is the disk, clipped to the grid: its row
-        # spectra are those of the shifted full-grid disk's rows, and every
-        # other row of that disk is empty
+        # the kernel of one radius is the disk, clipped to the grid: at its
+        # offsets e it is the shifted full-grid disk, every other sample of
+        # that disk is empty, and its padding is zero
         pitch = 20e-6
-        ref = np.fft.rfft(disk_kernel(n, pitch, radius), axis=-1)
-        e, out = biphoton._kernel_row_spectra(n, pitch, (radius,))
-        assert out.tobytes() == ref[e % n].tobytes()
-        assert not np.delete(ref, e % n, axis=0).any()
+        ref = disk_kernel(n, pitch, radius)
+        e = biphoton._kernel_offsets(n, pitch, (radius,))
+        shape = (e.size + 3, e.size + 64)
+        out = np.fft.irfft2(biphoton._kernel_spectrum(n, pitch, (radius,), shape), shape)
+        want = np.zeros(shape)
+        want[:e.size, :e.size] = ref[np.ix_(e % n, e % n)]
+        assert np.max(np.abs(out - want)) <= 1e-13 * pitch**2
+        inside = np.zeros((n, n), bool)
+        inside[np.ix_(e % n, e % n)] = True
+        assert not ref[~inside].any()
 
     def test_disk_kernel_is_built_in_its_own_array(self):
-        # K is built on its own rows only, never on the grid: its rows and
-        # their spectra take a few hundredths of a complex field (measured
-        # 0.042, and 0.072 on a first call, which also plans numpy's FFTs);
-        # one n x (n//2 + 1) half spectrum alone would be 0.5
+        # K's spectrum is built at the padded shape of the patch it
+        # convolves, never on the grid: for a scan's 64 x 384 it takes a
+        # few hundredths of a complex field; one n x (n//2 + 1) half
+        # spectrum alone would be 0.5
         n, pitch = 512, 20e-6
-        build = biphoton._kernel_row_spectra.__wrapped__
-        peak = traced_peak(lambda: build(n, pitch, (1e-4, 1e-4)))
+        build = biphoton._kernel_spectrum.__wrapped__
+        peak = traced_peak(lambda: build(n, pitch, (1e-4, 1e-4), (64, 384)))
         assert peak / (n * n * np.dtype(np.complex128).itemsize) < 0.25
 
     def test_scan_points_independent_of_evaluation_order(self):
         # every point is a pure read of the same two lines of the map, so
-        # reading the coordinates one by one in reverse must reproduce the
-        # profile exactly
+        # reading the coordinates one by one in reverse from those lines must
+        # reproduce the profile exactly
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
-        reversed_rates = [biphoton._read_lines(w.samples, w.pitch, (1e-4, 1e-4),
-                                               _bilinear_cells(w.n, w.pitch, x, 0.0))
-                          for x in profile.coordinates[::-1]]
+        cells = _bilinear_cells(w.n, w.pitch, profile.coordinates, 0.0)
+        i0, j0 = cells[:2]
+        lines = patch_map(w.samples, w.pitch, (1e-4, 1e-4), [j0[0], j0[0] + 1],
+                          [i0[0], i0[-1] + 1])
+        reversed_rates = [_bilinear_gather(lines, i - i0[0], j - j0[0], tx, ty)
+                          for i, j, tx, ty in zip(*(c[::-1] for c in cells))]
         scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
         assert np.array_equal(scale * np.array(reversed_rates)[::-1], profile.rates)
 
@@ -382,73 +392,116 @@ def _fixed_coordinate(n, pitch, where):
             "last": (n - 1 - n // 2) * pitch}[where]
 
 
+def _scan_scenario(n, pitch, radii, axis, start, step, fixed):
+    """A scan of 37 points from ``start`` by ``step`` along ``axis``, with
+    the signal aperture ``radii[0]`` moving and the idler's ``radii[1]``
+    fixed at ``fixed`` on the other axis."""
+    scenario = make_scenario(n=n, pitch=pitch, waist=n * pitch / 7,
+                             scan=(start, start + 36 * step, step))
+    detectors = scenario.detectors
+    signal = dataclasses.replace(detectors.signal, aperture_radius_m=radii[0])
+    idler = dataclasses.replace(detectors.idler, aperture_radius_m=radii[1],
+                                **{"y_m" if axis == "x" else "x_m": fixed})
+    return dataclasses.replace(
+        scenario, detectors=dataclasses.replace(detectors, signal=signal, idler=idler),
+        scan=dataclasses.replace(scenario.scan, axis=axis))
+
+
+def _recorded_reads(monkeypatch, samples=None):
+    """Every read of ``biphoton._detector_rows`` as (rows, cols, patch): the
+    train's, or the patch of the field ``samples`` (its transpose for a y
+    scan) when given."""
+    reads = []
+    detector_rows = biphoton._detector_rows
+
+    def read(scenario, rows, cols, transposed):
+        if samples is None:
+            patch = detector_rows(scenario, rows, cols, transposed)
+        else:
+            patch = (samples.T if transposed else samples)[np.ix_(rows, cols)]
+        reads.append((rows, cols, patch))
+        return patch
+
+    monkeypatch.setattr(biphoton, "_detector_rows", read)
+    return reads
+
+
 class TestLineRead:
-    """The rate map is convolved line by line, only on the lines read: a scan
-    its two, a run the kept rows of its map artifacts."""
+    """The rate map is convolved on patches of the field, only where it is
+    read: a scan its two lines, a run its scan-region crop, each by one 2-D
+    FFT convolution."""
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4), (1e-4, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_map_lines_are_the_map_lines(self, n, radii, axis):
-        # the lines at both edges, whose kernel reach wraps, and a thinned
-        # set like a run's, against the oracle's map within 1e-13 of its
-        # peak; with point detectors, |samples|^2 byte for byte.  The map's
-        # columns (a y scan's) are the rows of the transposed samples' map
+        # patches of the map against the circular oracle's map within 1e-13
+        # of its peak; with point detectors, |samples|^2 byte for byte.  The
+        # lines at both edges, whose reach wraps past row 0, a crop whose
+        # patch wraps past row 0 and column 0, and a patch inside.  The
+        # map's columns (a y scan's) are the rows of the transposed
+        # samples' map
         pitch = 20e-6
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        intensity = ScalarField(samples, pitch).intensity()
-        lines = np.concatenate([[0, 1, 2], np.arange(n // 4, 3 * n // 4, 3), [n - 2, n - 1]])
         positive = tuple(r for r in radii if r > 0)
-        out = biphoton._map_lines(samples if axis == "x" else samples.T, pitch, positive, lines)
-        rate_map = aperture_map_formula(intensity, pitch, positive) if positive else intensity
-        ref = rate_map[lines] if axis == "x" else rate_map[:, lines].T
-        if positive:
-            assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
-        else:
-            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+        rate_map = circular_rate_map(samples, pitch, positive)
+        read, ref_map = (samples, rate_map) if axis == "x" else (samples.T, rate_map.T)
+        for rows, cols in (([n - 2, n + 2], [0, n - 1]), ([n - 7, n + 9], [-11, 40]),
+                           ([n // 4, 3 * n // 4], [n // 3, n // 2])):
+            out = patch_map(read, pitch, positive, rows, cols)
+            ref = ref_map[np.ix_(*(np.arange(a, b + 1) % n for a, b in (rows, cols)))]
+            if positive:
+                assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
+            else:
+                assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("n", [128, 129, 257])
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4), (1e-4, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("where", ["node", "between", "last"])
-    def test_line_read_is_the_map_read(self, n, radii, axis, where):
-        # within 1e-13 of the map's peak; with point detectors the map is
-        # |samples|^2 itself and the read equals it byte for byte.  The read
-        # of the last cell reaches past the edge and wraps, as the map does.
-        # A y scan reads the transposed samples at the transposed points
+    def test_line_read_is_the_map_read(self, monkeypatch, n, radii, axis, where):
+        # the scan's rates, read from a random field, within 1e-13 of the
+        # circular oracle's map read bilinearly at the scan points; with point
+        # detectors the map is |samples|^2 itself and the read equals it byte
+        # for byte.  With apertures, a read of the last cell would reach past
+        # the edge, where the map wraps: the scan refuses it before it reads
         pitch = 20e-6
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        moving = np.linspace(-0.9, 0.9, 37) * (n // 2) * pitch
+        step = (n // 2) * pitch / 36
         fixed = _fixed_coordinate(n, pitch, where)
-        points = (moving, fixed) if axis == "x" else (fixed, moving)
+        scenario = _scan_scenario(n, pitch, radii, axis, -18 * step, step, fixed)
+        reads = _recorded_reads(monkeypatch, samples)
         positive = tuple(r for r in radii if r > 0)
-        read = samples if axis == "x" else samples.T
-        out = biphoton._read_lines(read, pitch, positive, _bilinear_cells(n, pitch, moving, fixed))
+        if positive and where == "last":
+            with pytest.raises(OutOfWindowError, match="the apertures reach"):
+                biphoton._scan_stage(scenario)
+            assert reads == []
+            return
+        coords, raw, _ = biphoton._scan_stage(scenario)
         if positive:
-            rate_map = aperture_map_formula(np.abs(samples) ** 2, pitch, positive)
-            ref = bilinear_sample(rate_map, pitch, *points)
-            assert np.max(np.abs(out - ref)) <= 1e-13 * rate_map.max()
+            rate_map = circular_rate_map(samples, pitch, positive)
+            ref = bilinear_sample(rate_map, pitch, *((coords, fixed) if axis == "x"
+                                                     else (fixed, coords)))
+            assert np.max(np.abs(raw - ref)) <= 1e-13 * rate_map.max()
         else:
-            rate_map = ScalarField(read, pitch).intensity()
-            assert out.tobytes() == bilinear_sample(rate_map, pitch, moving, fixed).tobytes()
+            rate_map = ScalarField(samples if axis == "x" else samples.T, pitch).intensity()
+            assert raw.tobytes() == bilinear_sample(rate_map, pitch, coords, fixed).tobytes()
 
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (5e-4, 5e-4)])
-    def test_line_read_holds_no_grid(self, radii):
+    def test_line_read_holds_no_grid(self, monkeypatch, radii):
         # a scan's read at n = 1024, K's build included, peaks below one
-        # n x n float array: the line slab, the kernel's rows and spectra
-        # and one line's products are each a few hundred lines at most
-        # (measured 0.18 and 0.79 of it for an x scan, 0.12 and 0.59 for a
-        # y scan, which reads the transposed samples and finds K cached)
+        # n x n float array: its patch is a few hundred samples a side, for
+        # an x scan and for a y scan, which reads the transposed samples
         n, pitch = 1024, 1e-5
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        moving = np.linspace(-1e-3, 1e-3, 21)
-        cells = _bilinear_cells(n, pitch, moving, 0.3e-3)
-        biphoton._kernel_row_spectra.cache_clear()
-        for read in (samples, samples.T):  # an x scan's, then a y scan's
-            peak = traced_peak(lambda: biphoton._read_lines(read, pitch, radii, cells))
+        _recorded_reads(monkeypatch, samples)
+        biphoton._kernel_spectrum.cache_clear()
+        for axis in ("x", "y"):
+            scenario = _scan_scenario(n, pitch, radii, axis, -1.8e-3, 1e-4, 0.3e-3)
+            peak = traced_peak(lambda: biphoton._scan_stage(scenario))
             assert peak < n * n * np.dtype(np.float64).itemsize
 
     @pytest.mark.parametrize("radii", [(5e-5,), (5e-5, 5e-5), (5e-5, 7e-5), (6.1e-5, 4e-5)])
@@ -475,31 +528,37 @@ class TestLineRead:
         # the offsets end at the outermost pairs: no row or column is empty
         assert out[0].any() and out[-1].any() and out[:, 0].any() and out[:, -1].any()
 
-    def test_kernel_row_spectra_are_read_only_and_kept(self):
-        e, spectra = biphoton._kernel_row_spectra(128, 20e-6, (1e-4, 1e-4))
-        assert not spectra.flags.writeable
-        assert biphoton._kernel_row_spectra(128, 20e-6, (1e-4, 1e-4))[1] is spectra
+    def test_kernel_spectrum_is_read_only_and_kept(self):
+        spectrum = biphoton._kernel_spectrum(128, 20e-6, (1e-4, 1e-4), (64, 128))
+        assert not spectrum.flags.writeable
+        assert biphoton._kernel_spectrum(128, 20e-6, (1e-4, 1e-4), (64, 128)) is spectrum
 
     def test_scan_and_sweep_row_build_no_map(self, monkeypatch):
         from twinbeam import counting
 
-        # each builds K once, on an empty cache, and convolves two lines
+        # each builds K once, on an empty cache, and convolves one patch,
+        # whose map is the scan's two lines
         calls = []
-        lines = biphoton._map_lines
-        monkeypatch.setattr(biphoton, "_map_lines",
-                            lambda *args: calls.append(len(args[3])) or lines(*args))
+        map_patch = biphoton._map_patch
+
+        def counting_map(*args):
+            out = map_patch(*args)
+            calls.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(biphoton, "_map_patch", counting_map)
         count = biphoton._overlap_counts
         monkeypatch.setattr(biphoton, "_overlap_counts",
                             lambda *args: calls.append("_overlap_counts") or count(*args))
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
                                  scan=(-1e-3, 1e-3, 1e-4))
-        biphoton._kernel_row_spectra.cache_clear()
+        biphoton._kernel_spectrum.cache_clear()
         assert scan_detector(scenario).peak_rate > 0
-        assert calls == [2, "_overlap_counts"]
-        biphoton._kernel_row_spectra.cache_clear()
+        assert calls == ["_overlap_counts", 2]
+        biphoton._kernel_spectrum.cache_clear()
         row, = counting.sweep_distance(scenario, [0.3], collimated=False,
                                        aperture_radius_m=1e-4)
-        assert row.peak_rate > 0 and calls == [2, "_overlap_counts"] * 2
+        assert row.peak_rate > 0 and calls == ["_overlap_counts", 2] * 2
 
     def test_aperture_reach_past_the_window_raises(self):
         # R = ceil(2e-4 / 2e-5) + 1 = 11 samples, 0.22 mm; the window of 256
@@ -519,8 +578,8 @@ class TestLineRead:
         assert scan_detector(point).peak_rate > 0
 
     def test_aperture_reach_is_checked_before_the_train_runs(self, monkeypatch):
-        # the scan asks the train for the rows its lines reach, so the guard
-        # that keeps those rows inside the window runs first
+        # the scan asks the train for the patch its lines reach, so the guard
+        # that keeps that patch inside the window runs first
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4, n=256, waist=0.4e-3,
                                  scan=(-2.4e-3, 0.0, 1e-4))
 
@@ -532,62 +591,54 @@ class TestLineRead:
             scan_detector(scenario)
 
 
-def _whole_field_read(scenario, samples):
-    """The scan's rates read by ``_read_lines`` from every row of ``samples``,
-    the detector field (its transpose for a y scan)."""
-    _, (x, y), apertures = biphoton.scan_points(scenario)
-    n, pitch = scenario.grid.n, scenario.grid.pitch_m
-    if scenario.scan.axis == "y":
-        x, y = y, x
-    return biphoton._read_lines(samples, pitch, biphoton._resolved_radii(pitch, apertures),
-                                _bilinear_cells(n, pitch, x, y))
-
-
 class TestScanRows:
     """A scan transforms only what it reads: its train inverts the 1-D
-    factors, and reads the rows its apertures reach as ``a[rows] @ b.T``."""
+    factors, and reads the patch its apertures reach as
+    ``a[rows] @ b[cols].T``."""
 
     def test_free_sweep_row_makes_no_grid(self, monkeypatch):
         # the free 0.5 m row ends at rank 3: its inverse transforms the 6
-        # columns of its two factors, no row, and it reads the 202 rows that
-        # K (0.5 mm apertures, offsets -100..100) reaches from two lines,
-        # with no n x n complex array
+        # columns of its two factors, no row, and it reads the 202 x 502
+        # patch that K (0.5 mm apertures, offsets -100..100) reaches from
+        # its two lines, with no n x n complex array
         from twinbeam import counting, with_free_twin_side
 
         scenario = load_scenario("fig4b")
         n = scenario.grid.n
         passes = count_inverse_lines(monkeypatch)
-        biphoton._kernel_row_spectra.cache_clear()
+        biphoton._kernel_spectrum.cache_clear()
         peak = traced_peak(lambda: counting.sweep_distance(scenario, [0.5], collimated=False,
                                                            kappa=1.0))
         assert passes == [("columns", 6)]
         assert peak < n * n * np.dtype(np.complex128).itemsize
-        # the rows read are the whole field's, and give its profile
+        # the patch read is the whole field's, byte for byte
         derived = with_free_twin_side(scenario, 0.5, 0.5e-3)
-        _, rows, samples, raw = biphoton._scan_stage(derived)
-        whole = biphoton._detector_rows(derived)
-        assert samples.shape == (202, n) and whole.shape == (n, n)
-        assert samples.tobytes() == whole[rows].tobytes()
-        assert raw.tobytes() == _whole_field_read(derived, whole).tobytes()
+        reads = _recorded_reads(monkeypatch)
+        biphoton._scan_stage(derived)
+        (rows, cols, patch), = reads
+        whole = effective_detector_field(derived).samples
+        assert patch.shape == (202, 502)
+        assert patch.tobytes() == whole[np.ix_(rows, cols)].tobytes()
 
     @pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig5"])
-    def test_y_scan_reads_the_columns_it_reaches(self, preset):
-        # a y scan asks the train for the columns its two map columns reach,
-        # as rows of the transpose b[columns] @ a.T: the whole field's
-        # columns byte for byte, and the profile of its transpose
+    def test_y_scan_reads_the_columns_it_reaches(self, monkeypatch, preset):
+        # a y scan asks the train for the patch its two map columns reach, as
+        # rows of the transpose b[columns] @ a[rows].T: the whole field's
+        # patch byte for byte, 42 of its columns by 342 of its rows
         scenario = load_scenario(preset)
         scenario = dataclasses.replace(scenario, scan=dataclasses.replace(scenario.scan, axis="y"))
-        _, columns, samples, raw = biphoton._scan_stage(scenario)
-        whole = biphoton._detector_rows(scenario)
-        assert samples.shape == (42, scenario.grid.n)
-        assert samples.tobytes() == np.ascontiguousarray(whole[:, columns].T).tobytes()
-        assert raw.tobytes() == _whole_field_read(scenario, whole.T).tobytes()
+        reads = _recorded_reads(monkeypatch)
+        biphoton._scan_stage(scenario)
+        (columns, rows, patch), = reads
+        whole = effective_detector_field(scenario).samples
+        assert patch.shape == (42, 342)
+        assert patch.tobytes() == np.ascontiguousarray(whole[np.ix_(rows, columns)].T).tobytes()
 
     def test_fig5_inverse_after_the_long_hop_covers_its_cone(self, monkeypatch):
         # mask, 0.005 m, 0.25 m, lens, 2.25 m, lens, 0.5 m at 2048: each lens
         # and the end invert the factors, rank 3, 3 and 7, 26 transforms of
         # 2048 samples and no row; the 2.25 m hop's factors are zero outside
-        # its cone's 439 of 2048 frequencies; the scan reads 42 rows
+        # its cone's 439 of 2048 frequencies; the scan reads a 42 x 342 patch
         passes = count_inverse_lines(monkeypatch)
         ranks = []
         hop = propagation._Factors.hop
@@ -599,11 +650,7 @@ class TestScanRows:
                 assert np.count_nonzero(np.abs(state.a).sum(axis=1)) == 439
 
         monkeypatch.setattr(propagation._Factors, "hop", recording_hop)
-        rows = []
-        detector_rows = biphoton._detector_rows
-        monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, r, transposed: rows.append(
-            len(r)) or detector_rows(scenario, r, transposed))
+        reads = _recorded_reads(monkeypatch)
         scan_detector(load_scenario("fig5"), kappa=1.0)
         assert passes == [("columns", 26)]
-        assert ranks == [2, 3, 3, 7] and rows == [42]
-
+        assert ranks == [2, 3, 3, 7] and [patch.shape for *_, patch in reads] == [(42, 342)]

@@ -94,10 +94,11 @@ def test_map_csv_matches_savetxt(values):
     assert fileio.map_to_csv(x, y, values) == ref
 
 
-@pytest.mark.parametrize("shape", [(37, 41), (250, 250), (256, 1), (0, 3)])
+@pytest.mark.parametrize("shape", [(37, 41), (250, 250), (256, 1), (0, 3), (251, 251), (3, 0)])
 def test_map_csv_matches_the_meshgrid_table(shape):
-    # the runner's map excerpt is up to 256 x 256: each coordinate formatted
-    # once gives the text of the three meshgrid columns
+    # the runner's map excerpt is up to 256 x 256 (251 x 251 for the
+    # presets): each coordinate formatted once, and each row's templates
+    # joined from them, give the text of the three meshgrid columns
     values = np.exp(np.random.default_rng(8).normal(scale=30.0, size=shape))
     x = np.linspace(-1.5e-3, 1.5e-3, shape[1])
     y = np.linspace(-1.5e-3, 1.5e-3, shape[0]) + 1e-9

@@ -12,7 +12,7 @@ differently.
 import numpy as np
 import pytest
 
-from conftest import PUMP_WAVELENGTH, blas_threads, count_transforms, make_scenario
+from conftest import PUMP_WAVELENGTH, blas_threads, count_transforms, make_scenario, patch_map
 from oracles import (aperture_map_formula, disk_mask, full_grid_transfer, lens_phase,
                      oracle_angular_spectrum_train, radius_squared)
 from twinbeam import (FreeSpace, Mask, OpticalTrain, ScalarField, SeparableField,
@@ -286,12 +286,12 @@ def test_intensity(n, pool):
 
 @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
 def test_aperture_map(n, pool, radii):
-    # the map is convolved line by line by 1-D transforms.  The left half is
-    # dark: there the convolution rounds to tiny negatives, thousands of
-    # them, which the clamp must zero
+    # the whole map, from a patch that wraps past every edge, by one 2-D
+    # transform.  The left half is dark: there the convolution rounds to tiny
+    # negatives, thousands of them, which the clamp must zero
     samples = np.random.default_rng(n).uniform(size=(n, n))
     samples[:, : n // 2] = 0.0
-    out = pool.run(lambda: biphoton._map_lines(samples, PITCH, radii, np.arange(n)))
+    out = pool.run(lambda: patch_map(samples, PITCH, radii, [0, n - 1], [0, n - 1]))
     ref = aperture_map_formula(np.square(samples), PITCH, radii)
     assert np.max(np.abs(out - ref)) <= 1e-13 * ref.max() and out.min() == 0.0
 
@@ -301,13 +301,13 @@ def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
     detector_field = ScalarField(_random_field(n), PITCH)
-    monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows, transposed:
-                        detector_field.samples[rows])
+    monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows, cols, transposed:
+                        detector_field.samples[np.ix_(rows, cols)])
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
     scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
     profile = pool.run(lambda: biphoton.scan_detector(scenario, kappa=kappa).rates)
-    _, _, _, raw = biphoton._scan_stage(scenario)
+    _, raw, _ = biphoton._scan_stage(scenario)
     assert profile.tobytes() == (scale * raw).tobytes()
     rate_map = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4))
     coords = biphoton.scan_points(scenario)[0]

@@ -759,9 +759,9 @@ def _state(ws):
 
 
 class TestRowRead:
-    """A train's end reads only the rows asked for, equal to the field's rows
-    byte for byte, whatever state the train holds: a factor train's rows are
-    ``a[rows] @ b.T``, the grid's are its rows."""
+    """A train's end reads only the rows and columns asked for, equal to the
+    field's byte for byte, whatever state the train holds: a factor train's
+    patch is ``a[rows] @ b[cols].T``, the grid's is its patch."""
 
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("state", _WORKSPACE_STATES, ids=_WORKSPACE_STATES.keys())
@@ -774,9 +774,11 @@ class TestRowRead:
             for el in elements(n):
                 propagation._apply_element(ws, el, max_clip_fraction=1.0)
             assert _state(ws) == want
-        field_rows = workspaces[0].rows()[rows]
+        field = workspaces[0].rows()
         got = workspaces[1].rows(rows)
-        assert got.shape == (len(rows), n) and got.tobytes() == field_rows.tobytes()
+        assert got.shape == (len(rows), n) and got.tobytes() == field[rows].tobytes()
+        patch = workspaces[1].rows(rows, rows[::-1])
+        assert patch.tobytes() == field[np.ix_(rows, rows[::-1])].tobytes()
 
     def test_non_finite_rows_name_the_last_element(self, monkeypatch):
         hop = propagation._Grid.hop

@@ -159,26 +159,31 @@ def test_self_calibrating_run_propagates_the_train_once(tmp_path, train_calls):
 
 @pytest.mark.parametrize("preset, maps", [("fig4b", 1), ("fig5", 1)])
 def test_a_run_convolves_once_per_scenario(tmp_path, monkeypatch, preset, maps):
-    # fig4b calibrates on its own scan, fig5 on fig4b's; each scan reads two
-    # lines of the map, and the run's map artifacts read the kept rows of
-    # the scan region, 251 for the presets, from the same line convolution.
-    # Scans and map share one cached kernel, so K is counted once per grid:
-    # fig4b's, and for fig5 its own as well
-    from twinbeam import biphoton, runner
-
+    # fig4b calibrates on its own scan, fig5 on fig4b's; each scan convolves
+    # the 42 x 342 patch of its two map lines, and the run's map artifacts
+    # the 541 x 541 patch of the scan region, from the same read.  K's
+    # spectrum is counted once per grid and padded shape, and the cache
+    # holds the three of a fig5 run, so a second run counts none
     calls = []
-    for module, name in ((biphoton, "_map_lines"), (runner, "_map_lines"),
-                         (biphoton, "_overlap_counts")):
-        def counting(*args, name=name, original=getattr(module, name)):
-            calls.append(len(args[3]) if name == "_map_lines" else name)  # the lines
-            return original(*args)
+    map_patch = biphoton._map_patch
 
-        monkeypatch.setattr(module, name, counting)
-    biphoton._kernel_row_spectra.cache_clear()
+    def counting_map(patch, *args):
+        calls.append(patch.shape)
+        return map_patch(patch, *args)
+
+    monkeypatch.setattr(biphoton, "_map_patch", counting_map)
+    count = biphoton._overlap_counts
+    monkeypatch.setattr(biphoton, "_overlap_counts",
+                        lambda *args: calls.append("_overlap_counts") or count(*args))
+    biphoton._kernel_spectrum.cache_clear()
     run(load_scenario(preset), tmp_path)
     scans = 1 if preset == "fig4b" else 2
-    assert sorted(c for c in calls if c != "_overlap_counts") == [2] * scans + [251] * maps
-    assert calls.count("_overlap_counts") == scans
+    patches = [c for c in calls if c != "_overlap_counts"]
+    assert sorted(patches) == [(42, 342)] * scans + [(541, 541)] * maps
+    assert calls.count("_overlap_counts") == scans + maps
+    calls.clear()
+    run(load_scenario(preset), tmp_path)
+    assert "_overlap_counts" not in calls and len(calls) == scans + maps
 
 
 @pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig5"])
@@ -223,14 +228,15 @@ def test_detector_field_image_is_the_intensity_on_the_crop(tmp_path, scan):
 def test_a_run_holds_no_grid(tmp_path):
     # fig5 at n = 2048, with fig4b's calibration at 1024, reads 541 rows of
     # its detector field and peaks below one n x n complex array (64 MiB;
-    # measured 42.5 MiB, and 152.5 MiB when the run read every row)
+    # measured 14.4 MiB, 42.5 MiB when the run read full-width rows, and
+    # 152.5 MiB when it read every row)
     scenario = load_scenario("fig5")
     rows = []
     detector_rows = biphoton._detector_rows
 
-    def counting(scenario, r, transposed):
+    def counting(scenario, r, c, transposed):
         rows.append(len(r))
-        return detector_rows(scenario, r, transposed)
+        return detector_rows(scenario, r, c, transposed)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(biphoton, "_detector_rows", counting)
@@ -250,6 +256,42 @@ def test_a_y_scan_run_holds_no_grid(tmp_path):
     run(scenario, tmp_path / "warm")
     peak = traced_peak(lambda: run(scenario, tmp_path / "traced"))
     assert peak < scenario.grid.n ** 2 * np.dtype(np.complex128).itemsize
+
+
+def test_a_run_reads_one_patch_per_train(tmp_path, monkeypatch):
+    # no read of a train is wider than its patch: a fig5 run reads one
+    # 541 x 541 patch of its field, after 42 x 342 for fig4b's calibration
+    # scan, and a fig4b scan reads the same 42 x 342
+    from twinbeam import scan_detector
+
+    shapes = []
+    detector_rows = biphoton._detector_rows
+
+    def recording(scenario, rows, cols, transposed):
+        out = detector_rows(scenario, rows, cols, transposed)
+        shapes.append((scenario.name, out.shape))
+        return out
+
+    monkeypatch.setattr(biphoton, "_detector_rows", recording)
+    run(load_scenario("fig5"), tmp_path)
+    assert shapes == [("fig4b", (42, 342)), ("fig5", (541, 541))]
+    shapes.clear()
+    scan_detector(load_scenario("fig4b"))
+    assert shapes == [("fig4b", (42, 342))]
+
+
+@pytest.mark.parametrize("scan", [lambda s: s, _y_scan], ids=["x", "y"])
+def test_run_profile_is_the_scan_profile(tmp_path, scan):
+    # a run's profile is read from the scan's own patch within the run's
+    # read, so it equals scan_detector's byte for byte, also for a y scan
+    from twinbeam import scan_detector
+
+    for preset in ("fig4a", "fig4b"):
+        scenario = scan(load_scenario(preset))
+        report = run(scenario, tmp_path / preset)
+        profile = scan_detector(scenario, kappa=report.kappa)
+        assert report.profile.coordinates.tobytes() == profile.coordinates.tobytes()
+        assert report.profile.rates.tobytes() == profile.rates.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
