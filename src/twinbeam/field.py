@@ -148,7 +148,9 @@ class SeparableField:
 
 @dataclass(frozen=True)
 class TransmissionMask:
-    """Real amplitude transmission in [0, 1] on the ScalarField grid."""
+    """Real amplitude transmission in [0, 1] of each of the n columns of the
+    ScalarField grid, held as that 1-D profile: a mask multiplies every row
+    of a field by it."""
 
     samples: np.ndarray
     pitch: float
@@ -157,34 +159,27 @@ class TransmissionMask:
         arr = np.asarray(self.samples, dtype=np.float64).view()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"mask must be square 2D, got shape {arr.shape}")
+        if arr.ndim != 1 or arr.size < MIN_GRID:
+            raise ValidationError(f"mask must be the 1D profile of at least {MIN_GRID} column "
+                                  f"transmissions, got shape {arr.shape}")
         if not (self.pitch > 0 and np.isfinite(self.pitch)):
             raise ValidationError(f"pitch must be positive, got {self.pitch}")
-        # Rows that all repeat one profile hold no value that it does not.
-        values = arr if self.profile is None else self.profile
-        if not _all_finite(values):
+        if not _all_finite(arr):
             raise ValidationError("mask values must be finite")
-        if values.min() < 0.0 or values.max() > 1.0:
+        if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValidationError("mask values must lie in [0, 1]")
 
     @property
     def n(self) -> int:
         return self.samples.shape[0]
 
-    def check_grid(self, shape: tuple, pitch: float) -> None:
-        """Refuse a field grid of another shape or pitch than this mask's."""
-        if shape != self.samples.shape or pitch != self.pitch:
+    def check_grid(self, n: int, pitch: float) -> None:
+        """Refuse a field grid of another size or pitch than this mask's."""
+        if n != self.n or pitch != self.pitch:
             raise ValidationError("mask grid does not match field grid")
 
-    @property
-    def profile(self) -> np.ndarray | None:
-        """The one row every row repeats (a broadcast view, as wire_mask
-        makes), or None for a mask of independent rows."""
-        return self.samples[0] if self.samples.strides[0] == 0 else None
-
     def apply(self, fld: ScalarField) -> ScalarField:
-        self.check_grid(fld.samples.shape, fld.pitch)
+        self.check_grid(fld.n, fld.pitch)
         return fld.with_samples(fld.samples * self.samples)
 
 
@@ -251,8 +246,7 @@ def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
             f"wire width {width:g} m is below 2 pitches ({2 * pitch:g} m)"
         )
     x = axis_coords(n, pitch)
-    profile = np.where((x >= -width / 2) & (x < width / 2), 0.0, 1.0)
-    return TransmissionMask(np.broadcast_to(profile, (n, n)), pitch)
+    return TransmissionMask(np.where((x >= -width / 2) & (x < width / 2), 0.0, 1.0), pitch)
 
 
 def _bilinear_cells(n: int, pitch: float, x, y) -> tuple:

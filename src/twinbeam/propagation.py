@@ -8,16 +8,16 @@ Shimobaba, Opt. Express 17, 19662 (2009)).  If that clip would remove more
 than a small configurable fraction of the field power, the hop refuses and
 names the largest safe distance.
 
-A train runs on a :class:`~twinbeam.field.SeparableField`, the form the pump
-takes, as low-rank factors: the field is ``a @ b.T``, where a and b are
+Every train runs on a :class:`~twinbeam.field.SeparableField`, the form the
+pump takes, as low-rank factors: the field is ``a @ b.T``, where a and b are
 (n, R) arrays of 1-D fields, held as samples or as their 1-D spectra
 (``fft2(a @ b.T) = fft(a) @ fft(b).T``, column by column).  No element
 makes an n x n array:
 
 * a thin lens multiplies both factors by its 1-D chirp
   ``p = exp(-i k x^2 / 2f)``, since ``exp(-i k rho^2 / 2f) = outer(p, p)``;
-* a mask whose rows all repeat one profile (``wire_mask``) multiplies b.  A
-  mask of independent rows has no low-rank form and is refused;
+* a mask, the 1-D profile of its column transmissions (``wire_mask``),
+  multiplies b;
 * a hop transforms the factors forward if they hold samples and leaves them
   spectra, so consecutive hops share one transform.  Its clip check reads
   the power on each ring of ``a @ b.T`` from R x R Gram matrices, in
@@ -28,9 +28,10 @@ makes an n x n array:
   stops when a term falls below RANK_TOLERANCE of the running Frobenius norm.
   The hop multiplies the column pairs, ``a[:, r] * u[:, k]`` and
   ``b[:, r] * v[:, k]``, then recompresses them (:func:`_recompress`): each
-  factor is orthonormalised by classical Gram-Schmidt run twice, the small
-  core between them is split by an SVD, and the singular values below
-  RANK_TOLERANCE of the largest are dropped.
+  factor is orthonormalised by classical Gram-Schmidt run twice, keeping
+  only the columns independent of those before them, the small core between
+  them is split by an SVD, and the singular values below RANK_TOLERANCE of
+  the largest are dropped.
 
 The presets' hops take 5 to 10 ACA terms, their fields stay at rank 7 or
 less, and their detector fields agree with the plain 2-D train within 1e-13
@@ -42,13 +43,8 @@ sqrt(2)), where the transfer's zeros make a step of high rank, raises
 :class:`~twinbeam.errors.SamplingError`, naming the pitch.
 
 Every operation on an n- or m-long array is elementwise, a 1-D FFT or an
-``einsum`` without BLAS; only the R x R cores reach LAPACK.  So the factors
-are the same bytes whatever the number of BLAS threads.
-
-A :class:`~twinbeam.field.ScalarField` may hold samples of any rank, which
-no scenario makes.  On it each element is one plain, out-of-place step on
-the grid: ``ifft2(fft2(u) * transfer)`` for a hop, ``u * outer(p, p)`` for a
-lens, ``u * mask`` for a mask.
+``einsum`` without BLAS; only the SVD of the R x R core reaches LAPACK.  So
+the factors are the same bytes whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -113,15 +109,6 @@ def _cone(n: int, pitch: float, wavelength: float, distance: float) -> tuple:
     return f, int(np.searchsorted(f, limit, side="right"))
 
 
-def _ring_table(spectrum: np.ndarray) -> np.ndarray:
-    """Power of an FFT-ordered n x n spectrum on each of its n//2 + 1
-    Chebyshev rings: ring r holds the samples whose larger fold is r."""
-    fold = _fold(spectrum.shape[0])
-    rings = np.maximum.outer(fold, fold)
-    return np.bincount(rings.ravel(), weights=_abs_square(spectrum).ravel(),
-                       minlength=fold.size // 2 + 1)
-
-
 def _folded_grams(x: np.ndarray) -> np.ndarray:
     """The R x R Gram matrix ``sum outer(x[i], conj(x[i]))`` of the rows i of
     an (n, R) factor folded onto each half-axis entry, shape (n//2 + 1, R, R)."""
@@ -134,7 +121,9 @@ def _folded_grams(x: np.ndarray) -> np.ndarray:
 
 
 def _gram_ring_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_ring_table` of the spectrum ``a @ b.T`` from its factors, in O(n R^2).
+    """Power of the FFT-ordered spectrum ``a @ b.T`` on each of its n//2 + 1
+    Chebyshev rings (ring r holds the samples whose larger fold is r), from
+    its factors, in O(n R^2).
 
     With ``ga`` and ``gb`` the folded Gram matrices of the factors, the
     power of the samples folded onto (s, t) is ``sum(ga[s] * gb[t])``.  Ring
@@ -152,9 +141,9 @@ def _clip_curve(power: np.ndarray, ring_f: np.ndarray, window: float, wavelength
     """Clipped power fraction as a function of distance, from one ring table.
 
     The clip at f_limit removes the rings whose frequency ``ring_f[r]`` lies
-    above f_limit.  The table ``power`` (from :func:`_ring_table` or
-    :func:`_gram_ring_table`) is summed in reverse, into the power on and
-    beyond each ring, so a small tail suffers no cancellation.
+    above f_limit.  The table ``power`` (from :func:`_gram_ring_table`) is
+    summed in reverse, into the power on and beyond each ring, so a small
+    tail suffers no cancellation.
     """
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
 
@@ -198,16 +187,18 @@ def _check_clip(power: np.ndarray, f: np.ndarray, window: float, wavelength: flo
         )
 
 
-def max_safe_distance(fld: ScalarField, ctx: WaveContext,
+def max_safe_distance(fld: SeparableField, ctx: WaveContext,
                       max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> float:
     """Largest distance this field can be propagated within the clip budget.
 
     Monotone in distance (the safe cone only shrinks), so a bisection on the
     clipped power fraction suffices.
     """
-    clipped = _clip_curve(_ring_table(np.fft.fft2(fld.samples)), _half_freqs(fld.n, fld.pitch),
-                          fld.window, ctx.wavelength)
-    return _bisect_safe_distance(clipped, fld.window, max_clip_fraction)
+    state = _Factors(fld, ctx)
+    state._domain(True)
+    clipped = _clip_curve(_gram_ring_table(state.a, state.b), _half_freqs(fld.n, fld.pitch),
+                          fld.n * fld.pitch, ctx.wavelength)
+    return _bisect_safe_distance(clipped, fld.n * fld.pitch, max_clip_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +229,6 @@ def _propagates(k: float, f: np.ndarray, m: int) -> bool:
     evanescent."""
     k_sq = (2.0 * np.pi * f[m - 1]) ** 2
     return bool(k**2 - k_sq - k_sq > 0.0)
-
-
-def _grid_transfer(n: int, f: np.ndarray, k: float, m: int, distance: float) -> np.ndarray:
-    """The transfer on every FFT-ordered sample of the n x n grid, built on the
-    cone's m x m quadrant and zero outside it."""
-    k_sq = (2.0 * np.pi * f[:m]) ** 2
-    quadrant = np.zeros((f.size, f.size), np.complex128)
-    quadrant[:m, :m] = _transfer(k_sq[:, None], k_sq[None, :], k, distance)
-    fold = _fold(n)
-    return quadrant[np.ix_(fold, fold)]
 
 
 def _aca(row, column, m: int) -> tuple:
@@ -318,20 +299,29 @@ def _check_distance(distance: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _orthonormal(x: np.ndarray) -> tuple:
-    """``(q, r)`` with ``x = q @ r``, q's columns orthonormal and r upper
-    triangular: classical Gram-Schmidt, each column projected twice."""
+    """``(q, r)`` with ``x = q @ r`` within RANK_TOLERANCE of each column, q's
+    nonzero columns orthonormal and r upper triangular: classical
+    Gram-Schmidt, each column projected twice.  A column whose residual after
+    the projections is at most RANK_TOLERANCE of its norm depends on those
+    before it: its column of q and its diagonal entry of r stay zero, so that
+    no rounding residual is scaled up into a unit column."""
     n, p = x.shape
     q = np.zeros((p, n), np.complex128)  # q's columns, as rows
     q_conj = np.zeros((p, n), np.complex128)
     r = np.zeros((p, p), np.complex128)
+    # The columns' norms from their real and imaginary parts: np.abs would
+    # take a slower hypot per sample.
+    floor = RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->j", x.real, x.real, optimize=False)
+                                     + np.einsum("ij,ij->j", x.imag, x.imag, optimize=False))
     for j in range(p):
         w = x[:, j].copy()
         for _ in range(2):
             h = np.einsum("ji,i->j", q_conj[:j], w, optimize=False)
             w -= np.einsum("ji,j->i", q[:j], h, optimize=False)
             r[:j, j] += h
-        r[j, j] = norm = np.sqrt(np.sum(_abs_square(w)))
-        if norm > 0.0:
+        norm = np.sqrt(np.sum(_abs_square(w)))
+        if norm > floor[j]:
+            r[j, j] = norm
             q[j] = w / norm
             np.conjugate(q[j], out=q_conj[j])
     return q.T, r
@@ -341,10 +331,12 @@ def _recompress(a: np.ndarray, b: np.ndarray) -> tuple:
     """Factors of ``a @ b.T`` at its numerical rank: ``qa @ core @ qb.T``
     with orthonormal qa and qb, the core's SVD ``U s Vh`` cut at
     RANK_TOLERANCE of its largest singular value, and the factors
-    ``qa @ U`` and ``qb @ (Vh.T s)``."""
+    ``qa @ U`` and ``qb @ (Vh.T s)``.  The core is formed by ``einsum``:
+    OpenBLAS rounds a complex product of some core sizes differently on
+    different thread counts."""
     qa, ra = _orthonormal(a)
     qb, rb = _orthonormal(b)
-    left, s, right = np.linalg.svd(ra @ rb.T)
+    left, s, right = np.linalg.svd(np.einsum("pr,qr->pq", ra, rb, optimize=False))
     rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0])) if s[0] > 0.0 else 1
     if rank > RANK_CAP:
         raise PhysicsError(f"the field's rank would be {rank}, past the cap of {RANK_CAP} "
@@ -364,6 +356,9 @@ class _Factors:
     caller's factors are never written."""
 
     def __init__(self, fld: SeparableField, ctx: WaveContext):
+        if not isinstance(fld, SeparableField):
+            raise ValidationError(f"propagation takes a SeparableField (factors whose samples "
+                                  f"are column @ row.T), got a {type(fld).__name__}")
         self.a, self.b, self.pitch, self.ctx = fld.column, fld.row, fld.pitch, ctx
         self.n, self.spectral = fld.n, False
 
@@ -399,12 +394,9 @@ class _Factors:
             self.a, self.b = self.a * p[:, None], self.b * p[:, None]
 
     def mask(self, transmission: TransmissionMask) -> None:
-        transmission.check_grid((self.n, self.n), self.pitch)
-        if transmission.profile is None:
-            raise ValidationError("a factor train takes only a mask whose rows repeat one "
-                                  "profile (wire_mask); apply this mask to a ScalarField")
+        transmission.check_grid(self.n, self.pitch)
         self._domain(False)
-        self.b = self.b * transmission.profile[:, None]
+        self.b = self.b * transmission.samples[:, None]
 
     def check_finite(self) -> None:
         if not (_all_finite(self.a) and _all_finite(self.b)):
@@ -422,65 +414,18 @@ class _Factors:
         return out
 
 
-class _Grid:
-    """A train's field held as its n x n samples, each element one plain,
-    out-of-place step."""
-
-    def __init__(self, fld: ScalarField, ctx: WaveContext):
-        self.u, self.pitch, self.ctx, self.n = fld.samples, fld.pitch, ctx, fld.n
-
-    def hop(self, distance: float, max_clip_fraction: float) -> None:
-        _check_distance(distance)
-        if distance == 0.0:
-            return
-        n, ctx = self.n, self.ctx
-        f, m = _cone(n, self.pitch, ctx.wavelength, distance)
-        spectrum = np.fft.fft2(self.u)
-        if m < f.size:
-            _check_clip(_ring_table(spectrum), f, n * self.pitch, ctx.wavelength, distance,
-                        max_clip_fraction)
-        # Named, so numpy cannot elide it into a product with swapped operands.
-        transfer = _grid_transfer(n, f, ctx.wavenumber, m, distance)
-        self.u = np.fft.ifft2(spectrum * transfer)
-
-    def lens(self, focal: float) -> None:
-        p = _chirp(self.n, self.pitch, self.ctx, focal)
-        if p is not None:
-            phase = np.multiply.outer(p, p)
-            self.u = self.u * phase
-
-    def mask(self, transmission: TransmissionMask) -> None:
-        transmission.check_grid(self.u.shape, self.pitch)
-        self.u = self.u * transmission.samples
-
-    def check_finite(self) -> None:
-        if not _all_finite(self.u):
-            raise ValidationError("field samples must all be finite")
-
-    def rows(self, rows=slice(None), cols=slice(None), transposed: bool = False) -> np.ndarray:
-        out = (self.u.T if transposed else self.u)[rows][:, cols]
-        if not _all_finite(out):
-            raise ValidationError("field samples must all be finite")
-        return out
-
-
-def _state(fld: ScalarField | SeparableField, ctx: WaveContext):
-    return _Factors(fld, ctx) if isinstance(fld, SeparableField) else _Grid(fld, ctx)
-
-
 # ---------------------------------------------------------------------------
 # Angular-spectrum propagation
 # ---------------------------------------------------------------------------
 
-def propagate(fld: ScalarField | SeparableField, ctx: WaveContext, distance: float,
+def propagate(fld: SeparableField, ctx: WaveContext, distance: float,
               max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
     """Propagate a field through free space by the angular-spectrum method.
 
     Parameters
     ----------
-    fld : ScalarField or SeparableField
-        Input field: samples, each hop one step on the grid, or low-rank
-        factors, run as the module docstring describes.
+    fld : SeparableField
+        Input field, low-rank factors, run as the module docstring describes.
     ctx : WaveContext
         Wavenumber of the light being propagated.
     distance : float
@@ -501,20 +446,21 @@ def propagate(fld: ScalarField | SeparableField, ctx: WaveContext, distance: flo
     AliasingRiskError
         If the requested distance lies beyond the band-limited range for
         this grid; the error names the maximum safe distance.
+    ValidationError
+        If ``fld`` is not a SeparableField.
     """
-    state = _state(fld, ctx)
+    state = _Factors(fld, ctx)
     state.hop(distance, max_clip_fraction)
     return ScalarField(state.rows(), fld.pitch)
 
 
-def apply_thin_lens(fld: ScalarField | SeparableField, ctx: WaveContext,
-                    focal: float) -> ScalarField:
+def apply_thin_lens(fld: SeparableField, ctx: WaveContext, focal: float) -> ScalarField:
     """Multiply by the thin-lens phase exp(-i k rho^2 / (2 f)).
 
     Positive focal lengths converge.  An infinite focal length is the
     identity.  Power is unchanged: the lens is unbounded.
     """
-    state = _state(fld, ctx)
+    state = _Factors(fld, ctx)
     state.lens(focal)
     return ScalarField(state.rows(), fld.pitch)
 
@@ -580,7 +526,7 @@ def _apply_element(state, el: OpticalElement, max_clip_fraction: float) -> None:
         state.mask(el.transmission)
 
 
-def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
+def _train_rows(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
                 rows=slice(None), cols=slice(None),
                 max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION,
                 transposed: bool = False) -> np.ndarray:
@@ -592,7 +538,7 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
     with the element index prepended so a failing stage of a long train is
     identifiable.
     """
-    state = _state(fld, ctx)
+    state = _Factors(fld, ctx)
     last = len(train.elements) - 1
     for i, el in enumerate(train.elements):
         try:
@@ -609,13 +555,12 @@ def _train_rows(fld: ScalarField | SeparableField, ctx: WaveContext, train: Opti
     return state.rows(rows, cols, transposed)
 
 
-def propagate_train(fld: ScalarField | SeparableField, ctx: WaveContext, train: OpticalTrain,
+def propagate_train(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
                     max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
     """Apply every element of the train in order and return the field's samples.
 
-    A :class:`~twinbeam.field.SeparableField` runs as factors, as the module
-    docstring describes, and makes the n x n samples only at the end; a
-    ScalarField runs one plain step on the grid per element.
+    The train runs on the factors, as the module docstring describes, and
+    makes the n x n samples only at the end.
     """
     return ScalarField(_train_rows(fld, ctx, train, max_clip_fraction=max_clip_fraction),
                        fld.pitch)

@@ -14,10 +14,12 @@ import pytest
 from twinbeam import (
     DetectorSpec,
     ScalarField,
-    gaussian_beam,
+    SeparableField,
+    TransmissionMask,
     safe_frequency_limit,
     wire_mask,
 )
+from twinbeam.field import separable_gaussian
 from twinbeam.counting import CountingConfig
 from twinbeam.scenario import (
     DetectorsSpec,
@@ -35,15 +37,32 @@ PUMP_WAVELENGTH = 425e-9
 
 
 def random_band_limited_field(rng, n=256, pitch=20e-6, wavelength=PUMP_WAVELENGTH,
-                              max_distance=3.0, fill=0.8) -> ScalarField:
-    """Random complex field whose spectrum fits the safe cone for ``max_distance``."""
+                              max_distance=3.0, fill=0.8) -> SeparableField:
+    """Random complex field whose spectrum S fits the safe cone for
+    ``max_distance``, as exact factors.  S is zero outside the cone's square
+    I x I, so ``ifft2(S) = A @ B.T``, with A the inverse transforms of the
+    unit columns on I and ``B = A @ S[I, I].T``: a field of rank |I|."""
     window = n * pitch
     f_cap = fill * safe_frequency_limit(window, wavelength, max_distance)
     f = np.fft.fftfreq(n, d=pitch)
     fx, fy = np.meshgrid(f, f)
     inside = (np.abs(fx) <= f_cap) & (np.abs(fy) <= f_cap)
     spec = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * inside
-    return ScalarField(np.fft.ifft2(spec), pitch)
+    cone = np.flatnonzero(np.abs(f) <= f_cap)
+    a = np.fft.ifft(np.eye(n)[:, cone], axis=0)
+    return SeparableField(a, a @ spec[np.ix_(cone, cone)].T, pitch)
+
+
+def as_grid(fld: SeparableField) -> ScalarField:
+    """The factors' samples ``column @ row.T`` as a ScalarField, for the
+    oracles and the brute-force checks that read the whole grid."""
+    return ScalarField(fld.column @ fld.row.T, fld.pitch)
+
+
+def masked(fld: SeparableField, mask: TransmissionMask) -> SeparableField:
+    """The field with each row multiplied by the mask's profile: its row
+    factor times the profile."""
+    return SeparableField(fld.column, fld.row * mask.samples[:, None], fld.pitch)
 
 
 def traced_peak(fn) -> int:
@@ -190,4 +209,5 @@ def make_scenario(name="test", waist=1e-3, wire=0.2e-3, z_m1=0.05,
 
 @pytest.fixture
 def masked_beam():
-    return wire_mask(0.2e-3, 512, 20e-6).apply(gaussian_beam(1e-3, 512, 20e-6))
+    """The 1 mm pump behind the 0.2 mm wire, as factors."""
+    return masked(separable_gaussian(1e-3, 512, 20e-6), wire_mask(0.2e-3, 512, 20e-6))

@@ -10,14 +10,14 @@ it checks:
 * :func:`coincidence_imaged` is the closed-form imaged law
   |W_mask[(O/I)(rho_s + rho_i)]|^2 of acceptance criterion 6, read
   straight off the field at the mask, with no propagation;
-* :func:`find_image_plane` locates the image plane by wave optics, which
-  checks the ABCD design of a relay;
+* :func:`find_image_plane` locates the image plane by wave optics, one of
+  the model's trains per candidate plane, which checks the ABCD design of a
+  relay;
 * :func:`read_pgm` decodes the PGM files the writer encodes;
-* :func:`full_grid_transfer`, :func:`lens_phase` and :func:`disk_kernel`
-  build the transfer function, the lens phase and the disk on the whole
-  grid in one numpy call each, where the model builds the transfer on one
-  quadrant or factors it; :func:`ifft2_columns_first` inverts the whole grid
-  down the columns first;
+* :func:`full_grid_transfer`, :func:`lens_phase`, :func:`disk_stop` and
+  :func:`disk_kernel` build the transfer function, the lens phase and the
+  disks on the whole grid in one numpy call each, where the model factors the transfer and the
+  phase;
 * :func:`oracle_angular_spectrum_train` runs a train on the whole grid, one
   ``fft2``, transfer product and ``ifft2`` per hop, where the model runs it
   on low-rank 1-D factors (exact kz, square cone, no clip check);
@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from twinbeam import (FreeSpace, OutOfWindowError, ScalarField, ThinLens, TransmissionMask,
-                      ValidationError, WaveContext, propagate, safe_frequency_limit)
+from twinbeam import (FreeSpace, OpticalTrain, OutOfWindowError, ScalarField, SeparableField,
+                      ThinLens, ValidationError, WaveContext, propagate_train,
+                      safe_frequency_limit)
 from twinbeam.field import axis_coords
 
 
@@ -106,13 +107,6 @@ def full_grid_transfer(n: int, pitch: float, ctx: WaveContext, distance: float,
     return np.where(in_cone, np.exp(1j * distance * kz_rel), 0.0)
 
 
-def ifft2_columns_first(spectrum: np.ndarray) -> np.ndarray:
-    """The inverse 2-D transform as numpy's 1-D ``ifft`` down the columns,
-    then along the rows: the pass order of every inverse of a train, which
-    rounds differently from ``np.fft.ifft2`` (rows first)."""
-    return np.fft.ifft(np.fft.ifft(spectrum, axis=0), axis=1)
-
-
 def lens_phase(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarray:
     """Thin-lens phase exp(-i k rho^2 / 2f) as the outer product of its 1-D
     chirp exp(-i k x^2 / 2f) on the centred axis with itself, rows first."""
@@ -120,17 +114,18 @@ def lens_phase(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarr
     return p[:, None] * p[None, :]
 
 
-def disk_mask(n: int, pitch: float, radius: float) -> TransmissionMask:
-    """Centred disk of ``radius``: transmission 1 inside, 0 outside.  A lens
-    stop, which has no low-rank form."""
-    return TransmissionMask((radius_squared(n, pitch) <= radius**2).astype(np.float64), pitch)
+def disk_stop(n: int, pitch: float, radius: float) -> np.ndarray:
+    """Centred disk of ``radius`` on the whole grid: transmission 1 inside, 0
+    outside.  A lens stop, which has no 1-D profile and no low-rank form."""
+    return (radius_squared(n, pitch) <= radius**2).astype(np.float64)
 
 
 def oracle_angular_spectrum_train(samples: np.ndarray, pitch: float, ctx: WaveContext,
                                   elements) -> np.ndarray:
     """A train's elements on the whole n x n grid, out of place: a hop is
     ``ifft2(fft2(u) * full_grid_transfer)`` (exact kz on its square cone), a
-    lens ``u * lens_phase``, a mask ``u * transmission``."""
+    lens ``u * lens_phase``, a mask ``u * profile``, each row times the
+    mask's profile."""
     u = np.asarray(samples, dtype=np.complex128)
     n = u.shape[0]
     for el in elements:
@@ -283,11 +278,13 @@ def coincidence_imaged(w_at_mask: ScalarField,
 # Image-plane search
 # ---------------------------------------------------------------------------
 
-def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
+def find_image_plane(obj: SeparableField, ctx: WaveContext, train: OpticalTrain,
                      magnification: float, curvature: float,
                      predicted: float, halfwidth: float,
                      step: float | None = None) -> tuple[float, float]:
-    """Locate the plane where the field best matches the scaled object.
+    """Locate the plane after ``train`` where the object's field best
+    matches the scaled object.  Each candidate plane at a distance dz past
+    the train is the train and a hop of dz, run from the object's factors.
 
     The metric is the normalized complex inner product between the
     propagated field and the object resampled by the magnification, with
@@ -299,10 +296,11 @@ def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
     Returns (best distance, correlation at the best distance).
     """
     if step is None:
-        step = fld.pitch
-    ref = resample_scaled(obj, magnification).samples
+        step = obj.pitch
+    grid = ScalarField(obj.column @ obj.row.T, obj.pitch)
+    ref = resample_scaled(grid, magnification).samples
     if abs(curvature) > 1e-12:
-        x2 = fld.coords**2
+        x2 = grid.coords**2
         ref = ref * np.exp(1j * ctx.wavenumber * curvature * (x2[None, :] + x2[:, None])
                            / (2.0 * magnification))
     ref_norm = np.sqrt(np.sum(np.abs(ref) ** 2))
@@ -312,7 +310,8 @@ def find_image_plane(fld: ScalarField, ctx: WaveContext, obj: ScalarField,
         dz = predicted + i * step
         if dz < 0:
             continue
-        u = propagate(fld, ctx, dz).samples
+        hop = OpticalTrain(train.elements + (FreeSpace(dz),))
+        u = propagate_train(obj, ctx, hop).samples
         c = abs(np.sum(np.conj(ref) * u)) / (ref_norm * np.sqrt(np.sum(np.abs(u) ** 2)))
         if c > best[0]:
             best = (c, dz)

@@ -93,8 +93,7 @@ class TestGaussianBeam:
 class TestWireMask:
     def test_exact_zero_column_count(self):
         m = wire_mask(0.2e-3, 512, 20e-6)
-        zero_cols = np.sum(np.all(m.samples == 0.0, axis=0))
-        assert zero_cols == 10
+        assert m.samples.shape == (512,) and np.sum(m.samples == 0.0) == 10
 
     def test_full_width_blocks_everything(self):
         m = wire_mask(512 * 20e-6, 512, 20e-6)
@@ -120,19 +119,23 @@ class TestWireMask:
 
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError):
-            TransmissionMask(np.full((16, 16), 1.5), 1e-5)
+            TransmissionMask(np.full(16, 1.5), 1e-5)
 
     @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
                                               (-0.25, r"\[0, 1\]"), (1.5, r"\[0, 1\]")])
     def test_outside_input_is_checked_at_every_sample(self, bad, message):
-        samples = np.ones((16, 16))
-        samples[11, 5] = bad  # not in the first row
-        with pytest.raises(ValidationError, match=message):
-            TransmissionMask(samples, 1e-5)
-        profile = np.ones(16)
-        profile[5] = bad
-        with pytest.raises(ValidationError, match=message):
-            TransmissionMask(np.broadcast_to(profile, (16, 16)), 1e-5)
+        for index in (0, 5, 15):
+            profile = np.ones(16)
+            profile[index] = bad
+            with pytest.raises(ValidationError, match=message):
+                TransmissionMask(profile, 1e-5)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 1), (1, 16), (), (0,), (8,)])
+    def test_anything_but_a_profile_is_refused(self, shape):
+        # a mask multiplies every row by one profile: a 2-D mask, such as a
+        # lens stop, has no such form
+        with pytest.raises(ValidationError, match=r"mask must be the 1D profile .* got shape"):
+            TransmissionMask(np.ones(shape), 1e-5)
 
     def test_checked_on_its_profile(self, monkeypatch):
         checked = []
@@ -141,12 +144,19 @@ class TestWireMask:
                             lambda a: checked.append(a.shape) or all_finite(a))
         m = wire_mask(0.2e-3, 512, 20e-6)
         assert checked == [(512,)]
-        assert m.samples.shape == (512, 512) and not m.samples.flags.writeable
+        assert m.samples.shape == (512,) and not m.samples.flags.writeable
+
+    def test_applies_its_profile_to_every_row(self):
+        m = wire_mask(0.2e-3, 128, 20e-6)
+        f = gaussian_beam(0.3e-3, 128, 20e-6)
+        assert np.array_equal(m.apply(f).samples, f.samples * m.samples[None, :])
+        with pytest.raises(ValidationError, match="mask grid does not match"):
+            m.apply(gaussian_beam(0.3e-3, 129, 20e-6))
 
     def test_leaves_the_callers_array_writable(self):
-        samples = np.ones((16, 16))
+        samples = np.ones(16)
         m = TransmissionMask(samples, 1e-5)
-        samples[0, 0] = 0.0
+        samples[0] = 0.0
         assert not m.samples.flags.writeable and np.shares_memory(m.samples, samples)
 
 

@@ -1,7 +1,7 @@
-"""Every pass of the factor path gives the same bytes whatever the size of
-numpy's OpenBLAS thread pool, and agrees with its plain 2-D formula.
+"""Every pass of the factor path gives the same bytes whatever the number of
+numpy's OpenBLAS threads, and agrees with its plain 2-D formula.
 
-The ``pool`` fixture runs each pass with OpenBLAS limited to 1, 2 and 3
+The ``threads`` fixture runs each pass with OpenBLAS limited to 1, 2 and 3
 threads and checks the bytes against the one-thread result: every operation
 of the factor path on an n- or m-long array is elementwise, a 1-D FFT or an
 ``einsum`` without BLAS, and only the small R x R cores reach LAPACK.  The
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import PUMP_WAVELENGTH, blas_threads, count_transforms, make_scenario, patch_map
-from oracles import (aperture_map_formula, disk_mask, full_grid_transfer, lens_phase,
-                     oracle_angular_spectrum_train, radius_squared)
+from oracles import (aperture_map_formula, disk_stop, full_grid_transfer, lens_phase,
+                     oracle_angular_spectrum_train)
 from twinbeam import (FreeSpace, Mask, OpticalTrain, ScalarField, SeparableField,
                       ThinLens, TransmissionMask, ValidationError, WaveContext, apply_thin_lens,
                       bilinear_sample, biphoton, field, gaussian_beam, propagate_train, propagation,
@@ -32,24 +32,24 @@ def _bytes(result) -> bytes:
     return np.asarray(result).tobytes()
 
 
-class _Pool:
-    def __init__(self, workers):
-        self.workers = workers
+class _Threads:
+    def __init__(self, count):
+        self.count = count
 
     def run(self, fn):
-        """``fn()`` with OpenBLAS at this pool's thread count, checked to be the
+        """``fn()`` with OpenBLAS on this many threads, checked to be the
         bytes it gives on one thread."""
         with blas_threads(1):
             want = fn()
-        with blas_threads(self.workers):
+        with blas_threads(self.count):
             got = fn()
         assert _bytes(got) == _bytes(want)
         return got
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}w")
-def pool(request):
-    return _Pool(request.param)
+def threads(request):
+    return _Threads(request.param)
 
 
 @pytest.fixture(params=[128, 129, 257])
@@ -76,12 +76,12 @@ def _close(got, want, bound=1e-13):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("distance", [0.05, 1.5])  # full band; band-limited
-def test_transfer_quadrant(n, pool, distance):
+def test_transfer_quadrant(n, threads, distance):
     # the ACA factors of the cone's quadrant, mirrored into FFT order, give
     # the full-grid transfer, zero outside the cone, within the tolerance
     f, m = propagation._cone(n, PITCH, CTX.wavelength, distance)
     assert (m == f.size) == (distance == 0.05)
-    u, v = pool.run(lambda: propagation._transfer_factors(n, f, CTX.wavenumber, m, distance))
+    u, v = threads.run(lambda: propagation._transfer_factors(n, f, CTX.wavenumber, m, distance))
     assert u.shape == v.shape and u.shape[0] == n and u.shape[1] <= propagation.RANK_CAP
     fold = np.minimum(np.arange(n), n - np.arange(n))
     assert not u[fold >= m].any() and not v[fold >= m].any()
@@ -89,17 +89,12 @@ def test_transfer_quadrant(n, pool, distance):
 
 
 @pytest.mark.parametrize("focal", [0.2, -0.2])
-def test_lens_phase(n, pool, focal):
-    # on the grid, the product with the full-grid phase byte for byte; on
-    # factors, each factor times the chirp, within rounding of the product
-    samples = _random_field(n)
-    phase = lens_phase(n, PITCH, CTX, focal)
-    ref = samples * phase
-    out = pool.run(lambda: apply_thin_lens(ScalarField(samples, PITCH), CTX, focal))
-    assert out.samples.tobytes() == ref.tobytes()
+def test_lens_phase(n, threads, focal):
+    # each factor times the chirp, within rounding of the product with the
+    # full-grid phase
     a, b = _random_factors(n)
-    out = pool.run(lambda: apply_thin_lens(SeparableField(a, b, PITCH), CTX, focal))
-    _close(out.samples, (a @ b.T) * phase, 1e-14)
+    out = threads.run(lambda: apply_thin_lens(SeparableField(a, b, PITCH), CTX, focal))
+    _close(out.samples, (a @ b.T) * lens_phase(n, PITCH, CTX, focal), 1e-14)
 
 
 def _folded_grams_case(n):
@@ -120,35 +115,41 @@ def _chirp_case(n):
 
 @pytest.mark.parametrize("runs, index", [(_folded_grams_case, None), (_chirp_case, None)],
                          ids=["fft-order", "centred"])
-def test_mirrored_products(n, pool, runs, index):
+def test_mirrored_products(n, threads, runs, index):
     # a half-axis table read onto a whole axis: FFT order folds sample i onto
     # min(i, n - i), a centred axis onto |i - n//2|; both byte for byte
     fn, want = runs(n)
-    assert pool.run(fn).tobytes() == want.tobytes()
+    assert threads.run(fn).tobytes() == want.tobytes()
 
 
-def test_workspace_copies_the_input(n, pool):
+def test_workspace_copies_the_input(n, threads):
     # a factor train reads the caller's factors and never writes them
     a, b = _random_factors(n)
     fld = SeparableField(a, b, PITCH)
     before = fld.column.tobytes(), fld.row.tobytes()
     train = OpticalTrain((Mask(field.wire_mask(4 * PITCH, n, PITCH)), FreeSpace(0.05),
                           ThinLens(0.2), FreeSpace(0.05)))
-    out = pool.run(lambda: propagate_train(fld, CTX, train, max_clip_fraction=1.0))
+    out = threads.run(lambda: propagate_train(fld, CTX, train, max_clip_fraction=1.0))
     assert (fld.column.tobytes(), fld.row.tobytes()) == before
     assert not fld.column.flags.writeable and np.shares_memory(fld.column, a)
     assert not np.shares_memory(out.samples, a) and not np.shares_memory(out.samples, b)
 
 
-def test_mask_product(n, pool):
+def test_mask_product(n, threads):
+    # a mask multiplies every row by its profile: on the grid byte for byte,
+    # and in a train, through the row factor, within rounding of the product
     samples = _random_field(n)
-    transmission = np.random.default_rng(n + 1).uniform(size=(n, n))
-    out = pool.run(lambda: TransmissionMask(transmission, PITCH).apply(ScalarField(samples, PITCH)))
-    ref = samples * transmission
-    assert out.samples.tobytes() == ref.tobytes()
+    transmission = np.random.default_rng(n + 1).uniform(size=n)
+    mask = TransmissionMask(transmission, PITCH)
+    out = threads.run(lambda: mask.apply(ScalarField(samples, PITCH)))
+    assert out.samples.tobytes() == (samples * transmission[None, :]).tobytes()
+    a, b = _random_factors(n)
+    out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX,
+                                              OpticalTrain((Mask(mask),))))
+    _close(out.samples, (a @ b.T) * transmission, 1e-15)
 
 
-def test_clip_table(n, pool):
+def test_clip_table(n, threads):
     # the ring table of a @ b.T from the factors' folded Gram matrices, against
     # bincount on a ring index of the 2-D spectrum, within 1e-12 of each ring;
     # the clip curve reads the tail sums of the table
@@ -158,10 +159,9 @@ def test_clip_table(n, pool):
     fold = np.minimum(np.arange(n), n - np.arange(n))
     rings = np.maximum(fold[None, :], fold[:, None]).ravel()
     counted = np.bincount(rings, weights=(np.abs(spectrum) ** 2).ravel(), minlength=f.size)
-    table = pool.run(lambda: propagation._gram_ring_table(a, b))
+    table = threads.run(lambda: propagation._gram_ring_table(a, b))
     assert table.shape == counted.shape
     assert np.all(np.abs(table - counted) <= 1e-12 * counted)
-    assert np.all(np.abs(propagation._ring_table(spectrum) - counted) <= 1e-12 * counted)
     clipped = propagation._clip_curve(table, f, n * PITCH, CTX.wavelength)
     tail = np.append(np.cumsum(table[::-1])[::-1], 0.0)
     for z in (0.05, 0.5, 1.5, 3.0):
@@ -170,7 +170,7 @@ def test_clip_table(n, pool):
 
 
 @pytest.mark.parametrize("distance", [0.5, 1.5, 3.0])
-def test_clipped_fraction(n, pool, distance):
+def test_clipped_fraction(n, threads, distance):
     # the fraction a hop's cone clips, from the factors' ring table, equals
     # the power of the 2-D spectrum outside the cone's square to rounding
     a, b = (np.fft.fft(x, axis=0) for x in _random_factors(n))
@@ -178,39 +178,60 @@ def test_clipped_fraction(n, pool, distance):
     assert m <= n // 2
     power = np.abs(a @ b.T) ** 2
     outside = power.sum() - power[np.ix_(*2 * [np.r_[0:m, n - m + 1:n]])].sum()
-    got = pool.run(lambda: propagation._clip_curve(propagation._gram_ring_table(a, b), f,
+    got = threads.run(lambda: propagation._clip_curve(propagation._gram_ring_table(a, b), f,
                                                    n * PITCH, CTX.wavelength)(distance))
     assert got == pytest.approx(outside / power.sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("elements", [(), (FreeSpace(0.05),)], ids=["samples", "spectrum"])
-def test_separable_start(n, pool, elements):
+def test_separable_start(n, threads, elements):
     # from rank-1 factors: outer(column, row) with no element, to the rounding
     # of the product; after a hop, the 2-D oracle's field within 1e-13 of its
     # peak
     rng = np.random.default_rng(n)
     column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     fld = SeparableField(column, row, PITCH)
-    out = pool.run(lambda: propagate_train(fld, CTX, OpticalTrain(elements),
+    out = threads.run(lambda: propagate_train(fld, CTX, OpticalTrain(elements),
                                            max_clip_fraction=1.0)).samples
     want = oracle_angular_spectrum_train(np.multiply.outer(column, row), PITCH, CTX, elements)
     _close(out, want, 1e-13 if elements else 1e-15)
 
 
 @pytest.mark.parametrize("distances", [(0.05, 1.5), (1.5, 0.05, 0.5)])
-def test_stretch_write(n, pool, distances):
+def test_stretch_write(n, threads, distances):
     # consecutive hops on the factors' spectra, each on its own cone, give the
     # 2-D oracle's hop-by-hop field within 1e-13 of its peak
     a, b = _random_factors(n)
     train = OpticalTrain(tuple(FreeSpace(z) for z in distances))
-    out = pool.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
+    out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
                                            max_clip_fraction=1.0)).samples
     _close(out, oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
 
 
+def test_orthonormal_keeps_independent_columns(n, threads):
+    # 12 columns on 5 nonzero rows: the first 5 span them, and the other 7
+    # leave only rounding residuals, which must not become unit columns
+    x = np.zeros((n, 12), complex)
+    x[[0, 3, n // 2, n - 4, n - 1]] = _random_factors(5, rank=12)[0]
+    q, r = threads.run(lambda: propagation._orthonormal(x))
+    kept = np.diagonal(r) != 0.0
+    assert np.count_nonzero(kept) == 5 and not q[:, ~kept].any()
+    gram = q[:, kept].conj().T @ q[:, kept]
+    assert np.max(np.abs(gram - np.eye(5))) <= 1e-14
+    _close(q @ r, x)
+
+
+def test_recompress_core(n, threads, monkeypatch):
+    # 52 column pairs: OpenBLAS rounds a complex 52 x 52 product differently
+    # on 3 threads than on 1, so the core is formed without BLAS
+    monkeypatch.setattr(propagation, "RANK_CAP", 64)
+    a, b = _random_factors(n, rank=52)
+    threads.run(lambda: propagation._recompress(a, b))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("row", [0, -1])  # the first and the last row
-def test_finiteness_checks(n, pool, bad, row):
+def test_finiteness_checks(n, threads, bad, row):
     a, b = _random_factors(n)
     state = propagation._Factors(SeparableField(a, b, PITCH), CTX)
     state.check_finite()
@@ -222,23 +243,23 @@ def test_finiteness_checks(n, pool, bad, row):
     samples[row, n // 3] = bad
     with pytest.raises(ValidationError, match="finite"):
         ScalarField(samples, PITCH)
-    pool.run(lambda: propagation._Factors(SeparableField(a, b, PITCH), CTX).check_finite())
+    threads.run(lambda: propagation._Factors(SeparableField(a, b, PITCH), CTX).check_finite())
 
 
-def test_finiteness_checks_pass_an_overflowing_sum(n, pool):
+def test_finiteness_checks_pass_an_overflowing_sum(n, threads):
     big = np.full((n, 2), 1e308 * (1 + 1j))
     with np.errstate(over="ignore"):
         assert not np.isfinite(big.sum())
-    pool.run(lambda: propagation._Factors(SeparableField(big, big, PITCH), CTX).check_finite())
-    pool.run(lambda: ScalarField(np.full((n, n), 1e308 * (1 + 1j)), PITCH))
+    threads.run(lambda: propagation._Factors(SeparableField(big, big, PITCH), CTX).check_finite())
+    threads.run(lambda: ScalarField(np.full((n, n), 1e308 * (1 + 1j)), PITCH))
 
 
-def test_consecutive_hops_share_one_spectrum(n, pool, monkeypatch):
+def test_consecutive_hops_share_one_spectrum(n, threads, monkeypatch):
     # two hops in a row transform the factors forward once and back once,
     # and agree with the 2-D oracle hop by hop
     a, b = _random_factors(n)
     train = OpticalTrain((FreeSpace(0.05), FreeSpace(1.5)))
-    out = pool.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
+    out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
                                            max_clip_fraction=1.0))
     _close(out.samples, oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
     calls = count_transforms(monkeypatch)
@@ -247,17 +268,17 @@ def test_consecutive_hops_share_one_spectrum(n, pool, monkeypatch):
 
 
 @pytest.mark.parametrize("radius", [0.3e-3, 2e-3])  # inside and beyond the window
-def test_lens_stop(n, pool, radius):
-    # a lens stop is a 2-D disk mask: on the grid it zeroes the samples
-    # outside the disk and keeps the others; a factor train refuses it, since
-    # a disk has no low-rank form
-    samples = _random_field(n)
-    stop = OpticalTrain((Mask(disk_mask(n, PITCH, radius)),))
-    out = pool.run(lambda: propagate_train(ScalarField(samples, PITCH), CTX, stop))
-    ref = np.where(radius_squared(n, PITCH) <= radius**2, samples, 0.0)
-    assert np.array_equal(out.samples, ref)
-    with pytest.raises(ValidationError, match=r"element 0 \(Mask\).*rows repeat one profile"):
-        propagate_train(SeparableField(*_random_factors(n), PITCH), CTX, stop)
+def test_lens_stop(n, threads, radius):
+    # a lens stop is a 2-D disk, which has no 1-D profile and no low-rank
+    # form: no mask holds it.  Its slit |x| <= radius keeps the columns inside
+    # and zeroes the others
+    with pytest.raises(ValidationError, match="1D profile"):
+        TransmissionMask(disk_stop(n, PITCH, radius), PITCH)
+    a, b = _random_factors(n)
+    inside = np.abs(field.axis_coords(n, PITCH)) <= radius
+    slit = OpticalTrain((Mask(TransmissionMask(inside.astype(float), PITCH)),))
+    out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, slit))
+    assert np.array_equal(out.samples, np.where(inside, np.einsum("jr,ir->ji", a, b), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +286,18 @@ def test_lens_stop(n, pool, radius):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
-def test_gaussian_beam(n, pool, waist):
+def test_gaussian_beam(n, threads, waist):
     # the beam is one outer product of its rank-1 factors
     factors = field.separable_gaussian(waist, n, PITCH)
     assert factors.column.shape == factors.row.shape == (n, 1)
     ref = np.outer(factors.column, factors.row)
-    assert pool.run(lambda: gaussian_beam(waist, n, PITCH)).samples.tobytes() == ref.tobytes()
+    assert threads.run(lambda: gaussian_beam(waist, n, PITCH)).samples.tobytes() == ref.tobytes()
 
 
-def test_intensity(n, pool):
+def test_intensity(n, threads):
     samples = _random_field(n)
     ref = np.abs(samples) ** 2
-    got = pool.run(lambda: ScalarField(samples, PITCH).intensity())
+    got = threads.run(lambda: ScalarField(samples, PITCH).intensity())
     assert got.tobytes() == ref.tobytes()
 
 
@@ -285,18 +306,18 @@ def test_intensity(n, pool):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (1e-4, 2e-4)])
-def test_aperture_map(n, pool, radii):
+def test_aperture_map(n, threads, radii):
     # the whole map, from a patch that wraps past every edge, by one 2-D
     # transform.  The left half is dark: there the convolution rounds to tiny
     # negatives, thousands of them, which the clamp must zero
     samples = np.random.default_rng(n).uniform(size=(n, n))
     samples[:, : n // 2] = 0.0
-    out = pool.run(lambda: patch_map(samples, PITCH, radii, [0, n - 1], [0, n - 1]))
+    out = threads.run(lambda: patch_map(samples, PITCH, radii, [0, n - 1], [0, n - 1]))
     ref = aperture_map_formula(np.square(samples), PITCH, radii)
     assert np.max(np.abs(out - ref)) <= 1e-13 * ref.max() and out.min() == 0.0
 
 
-def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
+def test_scan_scales_what_it_reads_from_the_map(n, threads, monkeypatch):
     # the line read carries no kappa and no P: kappa * P multiplies it
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
@@ -306,7 +327,7 @@ def test_scan_scales_what_it_reads_from_the_map(n, pool, monkeypatch):
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
     scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
-    profile = pool.run(lambda: biphoton.scan_detector(scenario, kappa=kappa).rates)
+    profile = threads.run(lambda: biphoton.scan_detector(scenario, kappa=kappa).rates)
     _, raw, _ = biphoton._scan_stage(scenario)
     assert profile.tobytes() == (scale * raw).tobytes()
     rate_map = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4))
