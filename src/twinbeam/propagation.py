@@ -22,18 +22,22 @@ makes an n x n array:
   spectra, so consecutive hops share one transform.  Its clip check reads
   the power on each ring of ``a @ b.T`` from R x R Gram matrices, in
   O(n R^2) (:func:`_gram_ring_table`).  The exact transfer on the cone's
-  m x m quadrant does not factor, but it is smooth: adaptive cross
-  approximation (ACA with partial pivoting; Bebendorf, Numer. Math. 86, 565
-  (2000)) writes it as ``u @ v.T`` from a few of its rows and columns, and
-  stops when a term falls below RANK_TOLERANCE of the running Frobenius norm.
-  The hop multiplies the column pairs, ``a[:, r] * u[:, k]`` and
-  ``b[:, r] * v[:, k]``, then recompresses them (:func:`_recompress`): each
-  factor is orthonormalised by classical Gram-Schmidt run twice, keeping
-  only the columns independent of those before them, the small core between
-  them is split by an SVD, and the singular values below RANK_TOLERANCE of
-  the largest are dropped.
+  m x m quadrant is the Fresnel factor ``exp(-i z (kx^2 + ky^2) / 2k)``, the
+  outer product of one 1-D factor with itself, times a smooth correction
+  whose phase is a few radians.  Adaptive cross approximation (ACA with
+  partial pivoting; Bebendorf, Numer. Math. 86, 565 (2000)) writes the
+  correction as ``u @ v.T`` from a few of its rows and columns, stopping
+  when a term falls below RANK_TOLERANCE of the running Frobenius norm, and
+  u and v are multiplied by the 1-D Fresnel factor
+  (:func:`_transfer_factors`).  On the cone's rows, the hop multiplies the
+  column pairs, ``a[:, r] * u[:, k]`` and ``b[:, r] * v[:, k]``, then
+  recompresses them (:func:`_recompress`): each factor is orthonormalised by
+  a two-level tree QR (:func:`_tree_qr`), the small core between them is
+  split by an SVD, and the singular values below RANK_TOLERANCE of the
+  largest are dropped, with them the pairs that depend on others.  The rows
+  outside the cone stay zero.
 
-The presets' hops take 5 to 10 ACA terms, their fields stay at rank 7 or
+The presets' hops take 5 to 8 ACA terms, their fields stay at rank 7 or
 less, and their detector fields agree with the plain 2-D train within 1e-13
 of the peak.  Two guards refuse what the factors cannot hold: a hop whose
 transfer or field would need more than RANK_CAP terms raises
@@ -42,9 +46,13 @@ reaches evanescent frequencies (only at a pitch of at most lambda /
 sqrt(2)), where the transfer's zeros make a step of high rank, raises
 :class:`~twinbeam.errors.SamplingError`, naming the pitch.
 
-Every operation on an n- or m-long array is elementwise, a 1-D FFT or an
-``einsum`` without BLAS; only the SVD of the R x R core reaches LAPACK.  So
-the factors are the same bytes whatever the number of BLAS threads.
+Only the recompression reaches LAPACK and BLAS: the tree QR of at most 8
+leaves, each a multiple of 64 cone rows by the R K column pairs, the
+products that apply its Q, and the SVD of the core.  Every other operation
+on an n- or m-long array is elementwise, a 1-D FFT or an ``einsum`` without
+BLAS, the core included.  The tests check that every pass gives the same
+bytes under 1, 2 and 3 OpenBLAS threads, up to 32 pairs on 256-row leaves,
+the presets' and the sweeps' widest block and tallest leaves; no larger.
 """
 
 from __future__ import annotations
@@ -205,24 +213,6 @@ def max_safe_distance(fld: SeparableField, ctx: WaveContext,
 # The transfer function and the lens chirp
 # ---------------------------------------------------------------------------
 
-def _transfer(ky_sq: np.ndarray, kx_sq: np.ndarray, k: float, distance: float) -> np.ndarray:
-    """The exact transfer ``exp(i z (kz - k))`` at the broadcast squared
-    wavenumbers ``ky_sq`` (rows) and ``kx_sq`` (columns), zero where
-    evanescent.
-
-    Carrier-referenced: the plane-wave phase k z is dropped so composed short
-    hops agree with one long hop to full precision (k z is ~1e7 rad over a
-    meter, where float64 rounding alone would break the semigroup property
-    at the 1e-10 level).  kz - k is evaluated in its cancellation-free form,
-    -(kx^2 + ky^2) / (kz + k).
-    """
-    kz_sq = k**2 - kx_sq - ky_sq
-    propagating = kz_sq > 0.0
-    kz = np.sqrt(np.maximum(kz_sq, 0.0))
-    kz_rel = -(kx_sq + ky_sq) / (kz + k)
-    return np.where(propagating, np.exp(1j * distance * kz_rel), 0.0)
-
-
 def _propagates(k: float, f: np.ndarray, m: int) -> bool:
     """Whether every sample of the cone's m x m quadrant of half axes ``f``
     propagates: its corner, the sample with the smallest kz^2, is not
@@ -242,11 +232,12 @@ def _aca(row, column, m: int) -> tuple:
     largest.  It stops when the new term's norm falls below RANK_TOLERANCE of
     the running estimate of the approximant's Frobenius norm (Bebendorf 2000).
     """
-    u = np.zeros((m, RANK_CAP), np.complex128)
-    v = np.zeros((m, RANK_CAP), np.complex128)
+    u, v = np.zeros((2, m, 8), np.complex128)
     used = np.zeros(m, bool)
     norm_sq, i = 0.0, 0
     for t in range(min(m, RANK_CAP)):
+        if t == u.shape[1]:  # the arrays grow with the terms, not to RANK_CAP
+            u, v = (np.concatenate([x, np.zeros_like(x)], axis=1) for x in (u, v))
         residual = row(i) - np.einsum("l,jl->j", u[i, :t], v[:, :t], optimize=False)
         used[i] = True
         j = int(np.argmax(np.abs(residual)))
@@ -268,15 +259,30 @@ def _aca(row, column, m: int) -> tuple:
 
 
 def _transfer_factors(n: int, f: np.ndarray, k: float, m: int, distance: float) -> tuple:
-    """Factors (u, v), each (n, K), of the hop's transfer on every FFT-ordered
-    sample: the ACA of the cone's m x m quadrant, mirrored into FFT order
-    and zero outside the cone."""
+    """Factors (u, v), each (rows, K), of the hop's exact transfer
+    ``exp(i z (kz - k))`` on the cone's rows and columns: the FFT-ordered
+    samples i with ``_fold(n)[i] < m``, in order.
+
+    Carrier-referenced: the plane-wave phase k z (~1e7 rad over a meter) is
+    dropped, so composed short hops agree with one long hop.  The identity
+    ``kz - k = -kp2 / 2k - kp2^2 / (2k (kz + k)^2)``, with ``kp2 = kx^2 +
+    ky^2``, splits the transfer into the Fresnel factor ``exp(-i z kp2 / 2k)``,
+    exactly ``outer(p, p)`` with ``p = exp(-i z kx^2 / 2k)``, times a
+    correction whose phase is a few radians: ACA factors only the correction
+    on the cone's m x m quadrant, and the factors, times p, are mirrored into
+    FFT order.
+    """
     k_sq = (2.0 * np.pi * f[:m]) ** 2
-    u, v = _aca(lambda i: _transfer(k_sq[i], k_sq, k, distance),
-                lambda j: _transfer(k_sq, k_sq[j], k, distance), m)
+
+    def correction(ky_sq, kx_sq):
+        kp2 = kx_sq + ky_sq
+        return np.exp(-1j * distance * kp2**2 / (2.0 * k * (np.sqrt(k**2 - kp2) + k) ** 2))
+
+    u, v = _aca(lambda i: correction(k_sq[i], k_sq), lambda j: correction(k_sq, k_sq[j]), m)
+    fresnel = np.exp(-1j * distance * k_sq / (2.0 * k))[:, None]
     fold = _fold(n)
-    inside = fold < m
-    return tuple(np.where(inside[:, None], x[np.minimum(fold, m - 1)], 0.0) for x in (u, v))
+    half = fold[fold < m]  # each cone row's half-axis entry
+    return tuple((x * fresnel)[half] for x in (u, v))
 
 
 def _chirp(n: int, pitch: float, ctx: WaveContext, focal: float) -> np.ndarray | None:
@@ -298,56 +304,46 @@ def _check_distance(distance: float) -> None:
 # Low-rank factors
 # ---------------------------------------------------------------------------
 
-def _orthonormal(x: np.ndarray) -> tuple:
-    """``(q, r)`` with ``x = q @ r`` within RANK_TOLERANCE of each column, q's
-    nonzero columns orthonormal and r upper triangular: classical
-    Gram-Schmidt, each column projected twice.  A column whose residual after
-    the projections is at most RANK_TOLERANCE of its norm depends on those
-    before it: its column of q and its diagonal entry of r stay zero, so that
-    no rounding residual is scaled up into a unit column."""
-    n, p = x.shape
-    q = np.zeros((p, n), np.complex128)  # q's columns, as rows
-    q_conj = np.zeros((p, n), np.complex128)
-    r = np.zeros((p, p), np.complex128)
-    # The columns' norms from their real and imaginary parts: np.abs would
-    # take a slower hypot per sample.
-    floor = RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->j", x.real, x.real, optimize=False)
-                                     + np.einsum("ij,ij->j", x.imag, x.imag, optimize=False))
-    for j in range(p):
-        w = x[:, j].copy()
-        for _ in range(2):
-            h = np.einsum("ji,i->j", q_conj[:j], w, optimize=False)
-            w -= np.einsum("ji,j->i", q[:j], h, optimize=False)
-            r[:j, j] += h
-        norm = np.sqrt(np.sum(_abs_square(w)))
-        if norm > floor[j]:
-            r[j, j] = norm
-            q[j] = w / norm
-            np.conjugate(q[j], out=q_conj[j])
-    return q.T, r
+def _tree_qr(x: np.ndarray, y: np.ndarray) -> tuple:
+    """``(r, apply)`` with ``Q @ r`` the (rows, p) block of the column pairs
+    ``x[:, r] * y[:, k]`` of two (rows, .) arrays, Q's columns orthonormal
+    and ``apply(w) = Q @ w``, by a two-level tree QR (TSQR; Demmel, Grigori,
+    Hoemmen and Langou, SIAM J. Sci. Comput. 34, A206 (2012)).  The pairs
+    are written into at most 8 zero-padded leaves, each a multiple of 64 rows
+    and at least p tall, factored by one batched QR; the leaves' stacked R
+    factors take one QR more.  ``apply`` runs the tree from the top down with
+    batched products."""
+    rows, p = x.shape[0], x.shape[1] * y.shape[1]
+    height = 64 * -(-max(p, -(-rows // 8)) // 64)
+    leaves = -(-rows // height)
+    block = np.zeros((leaves * height, x.shape[1], y.shape[1]), np.complex128)
+    np.multiply(x[:, :, None], y[:, None, :], out=block[:rows])
+    q, r = np.linalg.qr(block.reshape(leaves, height, p))
+    top, r = np.linalg.qr(r.reshape(leaves * p, p))
+
+    def apply(w):
+        return np.matmul(q, (top @ w).reshape(leaves, p, -1)).reshape(-1, w.shape[1])[:rows]
+
+    return r, apply
 
 
-def _recompress(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Factors of ``a @ b.T`` at its numerical rank: ``qa @ core @ qb.T``
-    with orthonormal qa and qb, the core's SVD ``U s Vh`` cut at
-    RANK_TOLERANCE of its largest singular value, and the factors
-    ``qa @ U`` and ``qb @ (Vh.T s)``.  The core is formed by ``einsum``:
-    OpenBLAS rounds a complex product of some core sizes differently on
-    different thread counts."""
-    qa, ra = _orthonormal(a)
-    qb, rb = _orthonormal(b)
+def _recompress(a: np.ndarray, u: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple:
+    """Factors at its numerical rank of ``x @ y.T``, where x and y hold the
+    column pairs ``a[:, r] * u[:, k]`` and ``b[:, r] * v[:, k]``: ``qa @ core
+    @ qb.T`` with orthonormal qa and qb from :func:`_tree_qr`, the core's SVD
+    ``U s Vh`` cut at RANK_TOLERANCE of its largest singular value, which
+    also drops the pairs that depend on others, and the factors ``qa @ U``
+    and ``qb @ (Vh.T s)``.  The core is formed by ``einsum``: OpenBLAS rounds
+    a complex product of some core sizes differently on different thread
+    counts."""
+    ra, qa = _tree_qr(a, u)
+    rb, qb = _tree_qr(b, v)
     left, s, right = np.linalg.svd(np.einsum("pr,qr->pq", ra, rb, optimize=False))
     rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0])) if s[0] > 0.0 else 1
     if rank > RANK_CAP:
         raise PhysicsError(f"the field's rank would be {rank}, past the cap of {RANK_CAP} "
                            f"at tolerance {RANK_TOLERANCE:g}")
-    return (np.einsum("ip,pr->ir", qa, left[:, :rank], optimize=False),
-            np.einsum("ip,pr->ir", qb, right[:rank].T * s[:rank], optimize=False))
-
-
-def _column_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Every product ``x[:, r] * y[:, k]`` of the columns of two (n, .) arrays."""
-    return np.einsum("ir,ik->irk", x, y, optimize=False).reshape(x.shape[0], -1)
+    return qa(left[:, :rank]), qb(right[:rank].T * s[:rank])
 
 
 class _Factors:
@@ -384,8 +380,12 @@ class _Factors:
         if m < f.size:
             _check_clip(_gram_ring_table(self.a, self.b), f, n * self.pitch, ctx.wavelength,
                         distance, max_clip_fraction)
+        # The recompression runs on the cone's rows; the rest are zero.
+        inside = _fold(n) < m
         u, v = _transfer_factors(n, f, ctx.wavenumber, m, distance)
-        self.a, self.b = _recompress(_column_pairs(self.a, u), _column_pairs(self.b, v))
+        pairs = _recompress(self.a[inside], u, self.b[inside], v)
+        self.a, self.b = (np.zeros((n, x.shape[1]), np.complex128) for x in pairs)
+        self.a[inside], self.b[inside] = pairs
 
     def lens(self, focal: float) -> None:
         p = _chirp(self.n, self.pitch, self.ctx, focal)

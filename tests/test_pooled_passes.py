@@ -2,11 +2,15 @@
 numpy's OpenBLAS threads, and agrees with its plain 2-D formula.
 
 The ``threads`` fixture runs each pass with OpenBLAS limited to 1, 2 and 3
-threads and checks the bytes against the one-thread result: every operation
-of the factor path on an n- or m-long array is elementwise, a 1-D FFT or an
-``einsum`` without BLAS, and only the small R x R cores reach LAPACK.  The
-grids are 128, 129 and 257 wide: even and odd n fold their half axes
-differently.
+threads and checks the bytes against the one-thread result.  The one pass
+that reaches BLAS and LAPACK on grid rows is the recompression: its tree QR
+factors leaves that are a multiple of 64 cone rows tall by the hop's column
+pairs, and applies Q by batched products.  The grids are 128, 129 and 257
+wide, whose leaves are 64 rows tall; even and odd n fold their half axes
+differently.  ``test_recompress_largest_block`` checks 32 column pairs on 8
+leaves of 256 rows: the widest block the presets and the fig4b sweeps reach
+is 32 pairs (on 128-row leaves), and their tallest leaves are 256 rows (of
+24 pairs).
 """
 
 import numpy as np
@@ -77,15 +81,18 @@ def _close(got, want, bound=1e-13):
 
 @pytest.mark.parametrize("distance", [0.05, 1.5])  # full band; band-limited
 def test_transfer_quadrant(n, threads, distance):
-    # the ACA factors of the cone's quadrant, mirrored into FFT order, give
-    # the full-grid transfer, zero outside the cone, within the tolerance
+    # the ACA factors of the cone's quadrant, mirrored onto the cone's rows in
+    # FFT order, give the full-grid transfer, zero outside the cone, within
+    # the tolerance
     f, m = propagation._cone(n, PITCH, CTX.wavelength, distance)
     assert (m == f.size) == (distance == 0.05)
     u, v = threads.run(lambda: propagation._transfer_factors(n, f, CTX.wavenumber, m, distance))
-    assert u.shape == v.shape and u.shape[0] == n and u.shape[1] <= propagation.RANK_CAP
-    fold = np.minimum(np.arange(n), n - np.arange(n))
-    assert not u[fold >= m].any() and not v[fold >= m].any()
-    _close(np.einsum("ik,jk->ij", u, v), full_grid_transfer(n, PITCH, CTX, distance), 1e-12)
+    inside = np.minimum(np.arange(n), n - np.arange(n)) < m
+    assert u.shape == v.shape and u.shape[0] == np.count_nonzero(inside)
+    assert u.shape[1] <= propagation.RANK_CAP
+    got = np.zeros((n, n), complex)
+    got[np.ix_(inside, inside)] = np.einsum("ik,jk->ij", u, v)
+    _close(got, full_grid_transfer(n, PITCH, CTX, distance), 1e-12)
 
 
 @pytest.mark.parametrize("focal", [0.2, -0.2])
@@ -208,17 +215,28 @@ def test_stretch_write(n, threads, distances):
     _close(out, oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
 
 
+def _tree_qr_explicit(x):
+    """The tree QR of x's columns as explicit ``(q, r)``."""
+    r, apply = propagation._tree_qr(x, np.ones((x.shape[0], 1)))
+    return apply(np.eye(x.shape[1])), r
+
+
 def test_orthonormal_keeps_independent_columns(n, threads):
-    # 12 columns on 5 nonzero rows: the first 5 span them, and the other 7
-    # leave only rounding residuals, which must not become unit columns
+    # the tree QR of 12 columns on 5 nonzero rows: the first 5 span them, and
+    # the other 7 leave only rounding residuals in r, which the SVD cut of
+    # the recompression must drop
     x = np.zeros((n, 12), complex)
     x[[0, 3, n // 2, n - 4, n - 1]] = _random_factors(5, rank=12)[0]
-    q, r = threads.run(lambda: propagation._orthonormal(x))
-    kept = np.diagonal(r) != 0.0
-    assert np.count_nonzero(kept) == 5 and not q[:, ~kept].any()
-    gram = q[:, kept].conj().T @ q[:, kept]
-    assert np.max(np.abs(gram - np.eye(5))) <= 1e-14
+    q, r = threads.run(lambda: _tree_qr_explicit(x))
+    s = np.linalg.svd(r, compute_uv=False)
+    assert np.count_nonzero(s > propagation.RANK_TOLERANCE * s[0]) == 5
+    assert np.max(np.abs(q.conj().T @ q - np.eye(12))) <= 1e-14
     _close(q @ r, x)
+    b = _random_factors(n, rank=12)[0]
+    one = np.ones((n, 1))
+    qa, qb = threads.run(lambda: propagation._recompress(x, one, b, one))
+    assert qa.shape == qb.shape == (n, 5)
+    _close(qa @ qb.T, x @ b.T)
 
 
 def test_recompress_core(n, threads, monkeypatch):
@@ -226,7 +244,20 @@ def test_recompress_core(n, threads, monkeypatch):
     # on 3 threads than on 1, so the core is formed without BLAS
     monkeypatch.setattr(propagation, "RANK_CAP", 64)
     a, b = _random_factors(n, rank=52)
-    threads.run(lambda: propagation._recompress(a, b))
+    one = np.ones((n, 1))
+    threads.run(lambda: propagation._recompress(a, one, b, one))
+
+
+def test_recompress_largest_block(threads):
+    # the presets' widest block and tallest leaves at once: 32 column pairs
+    # on 2048 cone rows, 8 leaves of 256 rows and a 256 x 32 stack of R
+    # factors
+    rng = np.random.default_rng(2048)
+    a, u, b, v = (rng.normal(size=(2048, r)) + 1j * rng.normal(size=(2048, r))
+                  for r in (4, 8, 4, 8))
+    qa, qb = threads.run(lambda: propagation._recompress(a, u, b, v))
+    x, y = ((f[:, :, None] * g[:, None, :]).reshape(2048, 32) for f, g in ((a, u), (b, v)))
+    _close(qa[::16] @ qb.T, x[::16] @ y.T)  # on every 16th row
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -881,6 +881,38 @@ class TestFactorGuards:
         want = oracle_angular_spectrum_train(a @ b.T, 20e-6, CTX, train.elements)
         assert np.max(np.abs(out.samples - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs a long double wider than float64")
+    def test_fine_long_hop_factors_within_the_cap(self):
+        # fig5's 0.25 m hop at half the preset pitch: the transfer's phase
+        # reaches ~6.2e3 rad at the cone's corner, whose float64 rounding ACA
+        # cannot factor; split off the exact rank-1 Fresnel factor, it takes a
+        # few terms.  On 64 of the cone's rows, the corner's among them, it
+        # matches the exact transfer with its phase in long double within
+        # 4 eps of the largest phase: each axis's Fresnel phase z (2 pi f)^2 /
+        # 2k takes at most 3.5 eps of relative rounding (pi, 2 pi f, its
+        # square, times z, over 2k), the two sum to at most max|z (kz - k)|,
+        # and the rest covers the exps, the products and ACA's tolerance
+        scenario = load_scenario("fig5")
+        n, pitch, z = 2 * scenario.grid.n, scenario.grid.pitch_m / 2, 0.25
+        ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
+        f, m = propagation._cone(n, pitch, ctx.wavelength, z)
+        assert (n, m) == (4096, 1973)
+        u, v = propagation._transfer_factors(n, f, ctx.wavenumber, m, z)
+        assert u.shape[1] <= propagation.RANK_CAP
+        fold = propagation._fold(n)
+        half = fold[fold < m]
+        rows = np.linspace(0, half.size - 1, 65)[:-1].astype(int)
+        assert half[rows].max() == m - 1
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        k_sq = (2 * pi * f[half].astype(np.longdouble)) ** 2
+        kp2 = k_sq[rows, None] + k_sq[None, :]
+        k = np.longdouble(ctx.wavenumber)
+        phase = -np.longdouble(z) * kp2 / (np.sqrt(k**2 - kp2) + k)
+        want = np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
+        bound = 4 * np.finfo(float).eps * float(np.max(np.abs(phase)))
+        assert np.max(np.abs(u[rows] @ v.T - want)) <= bound
+
     def test_evanescent_corner_names_the_pitch(self):
         # at 0.25 um, below lambda / sqrt(2) = 0.3 um, a 5 um hop's cone
         # holds every frequency, and its corner is evanescent
