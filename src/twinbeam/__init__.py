@@ -33,13 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .field import (
-    ScalarField,
     SeparableField,
     TransmissionMask,
     WaveContext,
-    bilinear_sample,
-    gaussian_beam,
-    power,
     wire_mask,
 )
 from .paraxial import (

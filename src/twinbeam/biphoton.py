@@ -31,15 +31,14 @@ fields have rank 7 or less.  A hop that would need more than
 ``propagation.RANK_CAP`` terms raises PhysicsError, and one whose cone
 reaches evanescent frequencies raises SamplingError, naming the pitch.
 
-A scan reads a patch of the detector field, not the field: it works out
-the cells of its points first, then asks the train (:func:`_detector_rows`)
-once for the rows and columns its two map lines reach, ``a[rows] @
-b[cols].T``; a y scan, for a patch of the transpose ``b @ a.T``, whose map
-is the map's transpose.  A run asks once, for the patch that holds its
-scan's and its map crop's, and reads each map from its own patch within
-it, so its profile equals the scan's byte for byte.
-:func:`effective_detector_field` is the whole field as a ScalarField, which
-no scan or run calls.
+The train, :func:`effective_detector_field`, returns the detector field as
+those factors, and a scan reads a patch of it, not the field: it works out
+the cells of its points first, then runs the train once
+(:func:`_detector_rows`) and reads the rows and columns its two map lines
+reach, ``a[rows] @ b[cols].T``; a y scan, a patch of the transpose
+``b @ a.T``, whose map is the map's transpose.  A run reads once, the patch
+that holds its scan's and its map crop's, and reads each map from its own
+patch within it, so its profile equals the scan's byte for byte.
 
 kappa and P are scalars, so the aperture-integrated rate map carries
 neither: it is |W|^2 convolved with the two aperture disks, that is with
@@ -65,9 +64,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfWindowError, SamplingError, ValidationError
-from .field import (ScalarField, SeparableField, WaveContext, _abs_square, _bilinear_cells,
+from .field import (SeparableField, WaveContext, _abs_square, _all_finite, _bilinear_cells,
                     _bilinear_gather, separable_gaussian, wire_mask)
-from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, _train_rows, propagate_train
+from .propagation import FreeSpace, Mask, OpticalTrain, ThinLens, propagate_train
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -147,23 +146,24 @@ def divergence_loss_distance(scenario: "Scenario") -> float:
     return scenario.detectors.distance_from_crystal_m
 
 
-def _detector_train(scenario: "Scenario") -> tuple:
-    """The pump's factors, its wave context and the unfolded train."""
+def effective_detector_field(scenario: "Scenario") -> SeparableField:
+    """Pump field propagated through the unfolded train to the detectors, as
+    its factors."""
     ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
-    return pump_input_field(scenario), ctx, unfolded_pump_train(scenario)
-
-
-def effective_detector_field(scenario: "Scenario") -> ScalarField:
-    """Pump field propagated through the unfolded train to the detectors."""
-    return propagate_train(*_detector_train(scenario))
+    return propagate_train(pump_input_field(scenario), ctx, unfolded_pump_train(scenario))
 
 
 def _detector_rows(scenario: "Scenario", rows=slice(None), cols=slice(None),
                    transposed: bool = False) -> np.ndarray:
     """The patch ``rows`` x ``cols`` (all by default) of the detector field's
-    samples, or of their transpose, equal to :func:`effective_detector_field`'s
-    byte for byte."""
-    return _train_rows(*_detector_train(scenario), rows, cols, transposed=transposed)
+    samples ``a @ b.T``, or of their transpose ``b @ a.T``, checked for
+    finiteness: ``a[rows] @ b[cols].T``."""
+    fld = effective_detector_field(scenario)
+    a, b = (fld.row, fld.column) if transposed else (fld.column, fld.row)
+    patch = np.einsum("jr,ir->ji", a[rows], b[cols], optimize=False)
+    if not _all_finite(patch):
+        raise ValidationError("field samples must all be finite")
+    return patch
 
 
 # ---------------------------------------------------------------------------

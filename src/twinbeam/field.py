@@ -1,14 +1,15 @@
-"""Sampled complex scalar fields on uniform square grids.
+"""Fields held as low-rank factors on uniform square grids.
 
-Grid convention: an N-by-N array with physical pitch (meters per sample),
+Grid convention: n samples per axis at physical pitch (meters per sample);
 sample (row j, column i) sits at transverse coordinate
-``x = (i - N//2) * pitch``, ``y = (j - N//2) * pitch``, so index N//2 is
-the optical axis.
+``x = (i - n//2) * pitch``, ``y = (j - n//2) * pitch``, so index n//2 is
+the optical axis.  A field is never held as its n x n samples: a
+:class:`SeparableField` holds the 1-D factors whose product they are.
 
 The Gaussian beam is defined once, as its two 1-D factors; bilinear
 interpolation once, as the cells of the points (:func:`_bilinear_cells`)
 and the gather from them (:func:`_bilinear_gather`), which the scan calls
-itself on the two map lines it reads.
+on the two map lines it reads.
 """
 
 from __future__ import annotations
@@ -63,60 +64,13 @@ def axis_coords(n: int, pitch: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Complex transverse amplitude sampled on a centered square grid."""
-
-    samples: np.ndarray
-    pitch: float
-
-    def __post_init__(self):
-        # A read-only view: the caller's own array stays writable.
-        arr = np.asarray(self.samples, dtype=np.complex128).view()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"field must be square 2D, got shape {arr.shape}")
-        if arr.shape[0] < MIN_GRID:
-            raise ValidationError(f"grid must be at least {MIN_GRID}x{MIN_GRID}, got {arr.shape[0]}")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ValidationError(f"pitch must be positive, got {self.pitch}")
-        if not _all_finite(arr):
-            raise ValidationError("field samples must all be finite")
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def window(self) -> float:
-        """Physical side length of the grid, in meters."""
-        return self.n * self.pitch
-
-    @property
-    def coords(self) -> np.ndarray:
-        return axis_coords(self.n, self.pitch)
-
-    def intensity(self) -> np.ndarray:
-        cached = self.__dict__.get("_intensity")
-        if cached is None:
-            cached = _abs_square(self.samples)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_intensity", cached)
-        return cached
-
-    def with_samples(self, samples: np.ndarray) -> "ScalarField":
-        return ScalarField(samples, self.pitch)
-
-
-@dataclass(frozen=True)
 class SeparableField:
     """A field held as low-rank factors: sample (j, i) is
-    ``sum_r column[j, r] * row[i, r]``, on the centred square grid of a
-    ScalarField, so the samples are ``column @ row.T``.  Each factor is an
-    (n, R) array of R 1-D fields; a 1-D factor is read as R = 1, the product
-    ``outer(column, row)``.  The factors are held as read-only complex
-    views, as ScalarField holds its samples, so no train that starts from
-    them writes the caller's arrays.
+    ``sum_r column[j, r] * row[i, r]``, on the centred n x n grid, so the
+    samples are ``column @ row.T``.  Each factor is an (n, R) array of R 1-D
+    fields; a 1-D factor is read as R = 1, the product ``outer(column, row)``.
+    The factors are held as read-only complex views, so no train that starts
+    from them writes the caller's arrays.
     """
 
     column: np.ndarray
@@ -149,8 +103,8 @@ class SeparableField:
 @dataclass(frozen=True)
 class TransmissionMask:
     """Real amplitude transmission in [0, 1] of each of the n columns of the
-    ScalarField grid, held as that 1-D profile: a mask multiplies every row
-    of a field by it."""
+    grid, held as that 1-D profile: a mask multiplies every row of a field
+    by it, that is the field's row factor."""
 
     samples: np.ndarray
     pitch: float
@@ -177,15 +131,6 @@ class TransmissionMask:
         """Refuse a field grid of another size or pitch than this mask's."""
         if n != self.n or pitch != self.pitch:
             raise ValidationError("mask grid does not match field grid")
-
-    def apply(self, fld: ScalarField) -> ScalarField:
-        self.check_grid(fld.n, fld.pitch)
-        return fld.with_samples(fld.samples * self.samples)
-
-
-def power(fld: ScalarField) -> float:
-    """Total power proxy: sum of |samples|^2 times the pixel area."""
-    return float(np.sum(fld.intensity()) * fld.pitch**2)
 
 
 def _check_gaussian_sampling(waist: float, n: int, pitch: float) -> None:
@@ -225,13 +170,6 @@ def separable_gaussian(waist: float, n: int, pitch: float) -> SeparableField:
     _check_gaussian_sampling(waist, n, pitch)
     profile = np.exp(-axis_coords(n, pitch) ** 2 / waist**2)
     return SeparableField(profile, profile, pitch)
-
-
-def gaussian_beam(waist: float, n: int, pitch: float) -> ScalarField:
-    """:func:`separable_gaussian`'s beam on the grid, ``outer(column, row)`` of its
-    factors: within half an ulp of the unit peak of exp(-rho^2 / waist^2)."""
-    beam = separable_gaussian(waist, n, pitch)
-    return ScalarField(np.multiply.outer(beam.column[:, 0], beam.row[:, 0]), pitch)
 
 
 def wire_mask(width: float, n: int, pitch: float) -> TransmissionMask:
@@ -282,13 +220,3 @@ def _bilinear_gather(values: np.ndarray, i0, j0, tx, ty):
            + values[j0 + 1, i0] * (1 - tx) * ty
            + values[j0 + 1, i0 + 1] * tx * ty)
     return float(out) if out.ndim == 0 else out
-
-
-def bilinear_sample(values: np.ndarray, pitch: float, x, y):
-    """Bilinearly interpolate a centered grid of real values at (x, y) meters.
-
-    Scalar coordinates give a float, broadcast arrays an array of the same
-    values.  Raises OutOfWindowError when any point falls outside the hull
-    of sample centers (see :func:`_bilinear_cells`).
-    """
-    return _bilinear_gather(values, *_bilinear_cells(values.shape[0], pitch, x, y))

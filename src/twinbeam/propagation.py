@@ -11,8 +11,9 @@ names the largest safe distance.
 Every train runs on a :class:`~twinbeam.field.SeparableField`, the form the
 pump takes, as low-rank factors: the field is ``a @ b.T``, where a and b are
 (n, R) arrays of 1-D fields, held as samples or as their 1-D spectra
-(``fft2(a @ b.T) = fft(a) @ fft(b).T``, column by column).  No element
-makes an n x n array:
+(``fft2(a @ b.T) = fft(a) @ fft(b).T``, column by column), and every train
+returns its factors, in samples, as a SeparableField.  No element makes an
+n x n array:
 
 * a thin lens multiplies both factors by its 1-D chirp
   ``p = exp(-i k x^2 / 2f)``, since ``exp(-i k rho^2 / 2f) = outer(p, p)``;
@@ -37,14 +38,15 @@ makes an n x n array:
   largest are dropped, with them the pairs that depend on others.  The rows
   outside the cone stay zero.
 
-The presets' hops take 5 to 8 ACA terms, their fields stay at rank 7 or
-less, and their detector fields agree with the plain 2-D train within 1e-13
-of the peak.  Two guards refuse what the factors cannot hold: a hop whose
-transfer or field would need more than RANK_CAP terms raises
-:class:`~twinbeam.errors.PhysicsError`, naming the rank, and a hop whose cone
-reaches evanescent frequencies (only at a pitch of at most lambda /
-sqrt(2)), where the transfer's zeros make a step of high rank, raises
-:class:`~twinbeam.errors.SamplingError`, naming the pitch.
+The presets' hops take 5 to 8 ACA terms and their fields stay at rank 7 or
+less.  Their detector fields agree with the plain 2-D train within 1e-13 of
+its peak for fig4a and fig4b, and within 3e-13 for fig5's seven elements
+(measured 1.2e-14, 6.4e-15 and 2.2e-13).  Two guards refuse what the
+factors cannot hold: a hop whose transfer or field would need more than
+RANK_CAP terms raises :class:`~twinbeam.errors.PhysicsError`, naming the
+rank, and a hop whose cone reaches evanescent frequencies (only at a pitch
+of at most lambda / sqrt(2)), where the transfer's zeros make a step of high
+rank, raises :class:`~twinbeam.errors.SamplingError`, naming the pitch.
 
 Only the recompression reaches LAPACK and BLAS: the tree QR of at most 8
 leaves, each a multiple of 64 cone rows by the R K column pairs, the
@@ -63,8 +65,8 @@ from typing import Union
 import numpy as np
 
 from .errors import AliasingRiskError, PhysicsError, SamplingError, ValidationError
-from .field import (ScalarField, SeparableField, TransmissionMask, WaveContext, _abs_square,
-                    _all_finite, axis_coords)
+from .field import (SeparableField, TransmissionMask, WaveContext, _abs_square, _all_finite,
+                    axis_coords)
 
 # Fraction of field power the band-limit clip may silently remove. Hard-edged
 # masks carry percent-level spectral tails, so this is deliberately loose;
@@ -348,14 +350,14 @@ def _recompress(a: np.ndarray, u: np.ndarray, b: np.ndarray, v: np.ndarray) -> t
 
 class _Factors:
     """A train's field held as factors ``a @ b.T``, as samples or, after a
-    hop, as their 1-D spectra.  Every element makes new arrays, so the
-    caller's factors are never written."""
+    hop, as their 1-D spectra.  The factors are copied on entry, so the
+    caller's arrays are never written and the result never shares them."""
 
     def __init__(self, fld: SeparableField, ctx: WaveContext):
         if not isinstance(fld, SeparableField):
             raise ValidationError(f"propagation takes a SeparableField (factors whose samples "
                                   f"are column @ row.T), got a {type(fld).__name__}")
-        self.a, self.b, self.pitch, self.ctx = fld.column, fld.row, fld.pitch, ctx
+        self.a, self.b, self.pitch, self.ctx = fld.column.copy(), fld.row.copy(), fld.pitch, ctx
         self.n, self.spectral = fld.n, False
 
     def _domain(self, spectral: bool) -> None:
@@ -402,16 +404,12 @@ class _Factors:
         if not (_all_finite(self.a) and _all_finite(self.b)):
             raise ValidationError("field samples must all be finite")
 
-    def rows(self, rows=slice(None), cols=slice(None), transposed: bool = False) -> np.ndarray:
-        """The patch ``rows`` x ``cols`` (all by default) of the samples
-        ``a @ b.T``, or of their transpose ``b @ a.T``, checked for finiteness:
-        ``a[rows] @ b[cols].T``."""
+    def field(self) -> SeparableField:
+        """The factors, in samples.  SeparableField checks them for
+        finiteness again; a train's own check_finite stays so that its
+        error names the element."""
         self._domain(False)
-        a, b = (self.b, self.a) if transposed else (self.a, self.b)
-        out = np.einsum("jr,ir->ji", a[rows], b[cols], optimize=False)
-        if not _all_finite(out):
-            raise ValidationError("field samples must all be finite")
-        return out
+        return SeparableField(self.a, self.b, self.pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +417,7 @@ class _Factors:
 # ---------------------------------------------------------------------------
 
 def propagate(fld: SeparableField, ctx: WaveContext, distance: float,
-              max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
+              max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> SeparableField:
     """Propagate a field through free space by the angular-spectrum method.
 
     Parameters
@@ -436,9 +434,9 @@ def propagate(fld: SeparableField, ctx: WaveContext, distance: float,
 
     Returns
     -------
-    ScalarField
-        The propagated field.  Power is conserved to better than 1e-9
-        (relative) whenever the input has no evanescent or out-of-cone
+    SeparableField
+        The propagated field's factors.  Power is conserved to better than
+        1e-9 (relative) whenever the input has no evanescent or out-of-cone
         content.
 
     Raises
@@ -451,10 +449,10 @@ def propagate(fld: SeparableField, ctx: WaveContext, distance: float,
     """
     state = _Factors(fld, ctx)
     state.hop(distance, max_clip_fraction)
-    return ScalarField(state.rows(), fld.pitch)
+    return state.field()
 
 
-def apply_thin_lens(fld: SeparableField, ctx: WaveContext, focal: float) -> ScalarField:
+def apply_thin_lens(fld: SeparableField, ctx: WaveContext, focal: float) -> SeparableField:
     """Multiply by the thin-lens phase exp(-i k rho^2 / (2 f)).
 
     Positive focal lengths converge.  An infinite focal length is the
@@ -462,7 +460,7 @@ def apply_thin_lens(fld: SeparableField, ctx: WaveContext, focal: float) -> Scal
     """
     state = _Factors(fld, ctx)
     state.lens(focal)
-    return ScalarField(state.rows(), fld.pitch)
+    return state.field()
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +524,19 @@ def _apply_element(state, el: OpticalElement, max_clip_fraction: float) -> None:
         state.mask(el.transmission)
 
 
-def _train_rows(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
-                rows=slice(None), cols=slice(None),
-                max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION,
-                transposed: bool = False) -> np.ndarray:
-    """The patch ``rows`` x ``cols`` (all by default) of :func:`propagate_train`'s
-    samples or of their transpose.
+def propagate_train(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
+                    max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> SeparableField:
+    """Apply every element of the train in order and return the field's factors.
 
-    Each element's output is checked for finiteness (on the factors, in
-    O(n R)), the last one's on the patch read.  Element errors are re-raised
-    with the element index prepended so a failing stage of a long train is
-    identifiable.
+    The train runs on the factors, as the module docstring describes.  Each
+    element's output is checked for finiteness, on the factors in O(n R).
+    Element errors are re-raised with the element index prepended so a
+    failing stage of a long train is identifiable.
     """
     state = _Factors(fld, ctx)
-    last = len(train.elements) - 1
     for i, el in enumerate(train.elements):
         try:
             _apply_element(state, el, max_clip_fraction)
-            if i == last:
-                return state.rows(rows, cols, transposed)
             state.check_finite()
         except AliasingRiskError as exc:
             raise AliasingRiskError(
@@ -552,15 +544,4 @@ def _train_rows(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
             ) from exc
         except (ValidationError, PhysicsError) as exc:
             raise type(exc)(f"element {i} ({el.describe()}): {exc}") from exc
-    return state.rows(rows, cols, transposed)
-
-
-def propagate_train(fld: SeparableField, ctx: WaveContext, train: OpticalTrain,
-                    max_clip_fraction: float = DEFAULT_MAX_CLIP_FRACTION) -> ScalarField:
-    """Apply every element of the train in order and return the field's samples.
-
-    The train runs on the factors, as the module docstring describes, and
-    makes the n x n samples only at the end.
-    """
-    return ScalarField(_train_rows(fld, ctx, train, max_clip_fraction=max_clip_fraction),
-                       fld.pitch)
+    return state.field()

@@ -13,13 +13,12 @@ import pytest
 
 from twinbeam import (
     DetectorSpec,
-    ScalarField,
     SeparableField,
     TransmissionMask,
     safe_frequency_limit,
     wire_mask,
 )
-from twinbeam.field import separable_gaussian
+from twinbeam.field import axis_coords, separable_gaussian
 from twinbeam.counting import CountingConfig
 from twinbeam.scenario import (
     DetectorsSpec,
@@ -53,10 +52,10 @@ def random_band_limited_field(rng, n=256, pitch=20e-6, wavelength=PUMP_WAVELENGT
     return SeparableField(a, a @ spec[np.ix_(cone, cone)].T, pitch)
 
 
-def as_grid(fld: SeparableField) -> ScalarField:
-    """The factors' samples ``column @ row.T`` as a ScalarField, for the
-    oracles and the brute-force checks that read the whole grid."""
-    return ScalarField(fld.column @ fld.row.T, fld.pitch)
+def as_grid(fld: SeparableField) -> np.ndarray:
+    """The factors' samples ``column @ row.T``, the n x n array that the
+    oracles and the brute-force checks read."""
+    return fld.column @ fld.row.T
 
 
 def masked(fld: SeparableField, mask: TransmissionMask) -> SeparableField:
@@ -174,10 +173,10 @@ def intensity_ncc(a: np.ndarray, b: np.ndarray) -> float:
     return float((x * y).sum() / np.sqrt((x * x).sum() * (y * y).sum()))
 
 
-def second_moment_radius(fld: ScalarField) -> float:
+def second_moment_radius(samples: np.ndarray, pitch: float) -> float:
     """1/e^2 intensity radius of a Gaussian beam via second moments."""
-    intensity = fld.intensity()
-    x = fld.coords
+    intensity = np.abs(samples) ** 2
+    x = axis_coords(samples.shape[0], pitch)
     xx, _ = np.meshgrid(x, x)
     return float(2.0 * np.sqrt((intensity * xx**2).sum() / intensity.sum()))
 

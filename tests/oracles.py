@@ -6,7 +6,7 @@ it checks:
 * :func:`oracle_fresnel_direct` sums the Fresnel integral directly; it calls
   neither ``propagate`` nor the split FFT;
 * :func:`resample_scaled` and :func:`rate_from_intensity` interpolate with
-  their own bilinear core, not ``field.bilinear_sample``;
+  their own bilinear core, not the scan's ``field._bilinear_gather``;
 * :func:`coincidence_imaged` is the closed-form imaged law
   |W_mask[(O/I)(rho_s + rho_i)]|^2 of acceptance criterion 6, read
   straight off the field at the mask, with no propagation;
@@ -34,9 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from twinbeam import (FreeSpace, OpticalTrain, OutOfWindowError, ScalarField, SeparableField,
-                      ThinLens, ValidationError, WaveContext, propagate_train,
-                      safe_frequency_limit)
+from twinbeam import (FreeSpace, OpticalTrain, OutOfWindowError, SeparableField, ThinLens,
+                      ValidationError, WaveContext, propagate_train, safe_frequency_limit)
 from twinbeam.field import axis_coords
 
 
@@ -52,7 +51,8 @@ def radius_squared(n: int, pitch: float) -> np.ndarray:
 ORACLE_MAX_GRID = 128
 
 
-def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -> ScalarField:
+def oracle_fresnel_direct(samples: np.ndarray, pitch: float, ctx: WaveContext,
+                          distance: float) -> np.ndarray:
     """Fresnel diffraction integral evaluated by direct double summation.
 
     The paraxial convolution kernel exp(i k (r2 - r1)^2 / (2 z)) is summed
@@ -63,9 +63,10 @@ def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -
     agrees with ``propagate`` to better than 1e-6 relative RMS in the
     paraxial regime.
     """
-    if fld.n > ORACLE_MAX_GRID:
+    n = samples.shape[0]
+    if n > ORACLE_MAX_GRID:
         raise ValidationError(
-            f"oracle grid capped at {ORACLE_MAX_GRID}, got {fld.n}; "
+            f"oracle grid capped at {ORACLE_MAX_GRID}, got {n}; "
             "the direct quadrature is O(N^4)"
         )
     wavelength = ctx.wavelength
@@ -75,13 +76,12 @@ def oracle_fresnel_direct(fld: ScalarField, ctx: WaveContext, distance: float) -
             f"got {distance:g} m"
         )
     k = ctx.wavenumber
-    x = fld.coords
+    x = axis_coords(n, pitch)
     # Separable 1D chirp factors: kernel(x2-x1) * kernel(y2-y1).
     diff = x[:, None] - x[None, :]
     chirp = np.exp(1j * k * diff**2 / (2.0 * distance))
-    prefac = fld.pitch**2 / (1j * wavelength * distance)
-    out = chirp @ fld.samples @ chirp.T * prefac
-    return fld.with_samples(out)
+    prefac = pitch**2 / (1j * wavelength * distance)
+    return chirp @ samples @ chirp.T * prefac
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,8 @@ def _bilinear(values: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
             + values[j0 + 1, i0 + 1] * tx * ty)
 
 
-def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
-    """Field resampled at coordinates scaled by a magnification.
+def resample_scaled(samples: np.ndarray, pitch: float, magnification: float) -> np.ndarray:
+    """Field samples resampled at coordinates scaled by a magnification.
 
     Output sample at position r takes the input value at r / magnification
     (bilinear; zero outside the window).  Negative magnifications invert
@@ -231,12 +231,11 @@ def resample_scaled(fld: ScalarField, magnification: float) -> ScalarField:
     """
     if magnification == 0:
         raise ValidationError("magnification must be nonzero")
-    n = fld.n
-    x = fld.coords / magnification
-    fi = x / fld.pitch + n // 2
+    n = samples.shape[0]
+    fi = axis_coords(n, pitch) / magnification / pitch + n // 2
     fi_x, fi_y = fi[None, :], fi[:, None]
     inside = (fi_x >= 0) & (fi_x <= n - 1) & (fi_y >= 0) & (fi_y <= n - 1)
-    return fld.with_samples(np.where(inside, _bilinear(fld.samples, fi_x, fi_y), 0.0))
+    return np.where(inside, _bilinear(samples, fi_x, fi_y), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +257,12 @@ def rate_from_intensity(intensity: np.ndarray, pitch: float,
     return kappa * prefactor * float(_bilinear(intensity, fi, fj))
 
 
-def coincidence_imaged(w_at_mask: ScalarField,
+def coincidence_imaged(intensity_at_mask: np.ndarray, pitch: float,
                        object_distance: float, image_distance: float,
                        rho_s: tuple[float, float], rho_i: tuple[float, float],
                        kappa: float = 1.0) -> float:
-    """Closed-form imaged coincidence rate |W_mask[(O/I)(rho_s + rho_i)]|^2.
+    """Closed-form imaged coincidence rate |W_mask[(O/I)(rho_s + rho_i)]|^2,
+    read from the grid ``intensity_at_mask`` = |W_mask|^2.
 
     O is the mask-to-lens distance (pump plus twin legs) and I the
     lens-to-detector distance.
@@ -271,7 +271,7 @@ def coincidence_imaged(w_at_mask: ScalarField,
         raise ValidationError("object and image distances must be positive")
     scale = object_distance / image_distance
     u = (scale * (rho_s[0] + rho_i[0]), scale * (rho_s[1] + rho_i[1]))
-    return rate_from_intensity(w_at_mask.intensity(), w_at_mask.pitch, u, kappa)
+    return rate_from_intensity(intensity_at_mask, pitch, u, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +297,9 @@ def find_image_plane(obj: SeparableField, ctx: WaveContext, train: OpticalTrain,
     """
     if step is None:
         step = obj.pitch
-    grid = ScalarField(obj.column @ obj.row.T, obj.pitch)
-    ref = resample_scaled(grid, magnification).samples
+    ref = resample_scaled(obj.column @ obj.row.T, obj.pitch, magnification)
     if abs(curvature) > 1e-12:
-        x2 = grid.coords**2
+        x2 = axis_coords(obj.n, obj.pitch) ** 2
         ref = ref * np.exp(1j * ctx.wavenumber * curvature * (x2[None, :] + x2[:, None])
                            / (2.0 * magnification))
     ref_norm = np.sqrt(np.sum(np.abs(ref) ** 2))
@@ -311,7 +310,8 @@ def find_image_plane(obj: SeparableField, ctx: WaveContext, train: OpticalTrain,
         if dz < 0:
             continue
         hop = OpticalTrain(train.elements + (FreeSpace(dz),))
-        u = propagate_train(obj, ctx, hop).samples
+        out = propagate_train(obj, ctx, hop)
+        u = out.column @ out.row.T
         c = abs(np.sum(np.conj(ref) * u)) / (ref_norm * np.sqrt(np.sum(np.abs(u) ** 2)))
         if c > best[0]:
             best = (c, dz)

@@ -3,23 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (PUMP_WAVELENGTH, count_inverse_lines, intensity_ncc, make_scenario,
-                      patch_map, traced_peak)
+from conftest import (PUMP_WAVELENGTH, as_grid, count_inverse_lines, intensity_ncc,
+                      make_scenario, masked, patch_map, traced_peak)
 from oracles import (aperture_map_formula, aperture_map_per_disk, circular_rate_map,
                      coincidence_imaged, composite_kernel, disk_kernel,
                      oracle_angular_spectrum_train, rate_from_intensity)
 from twinbeam import (
     OutOfWindowError,
     SamplingError,
-    ScalarField,
     SeparableField,
     ValidationError,
     WaveContext,
-    bilinear_sample,
     divergence_loss_distance,
     divergence_prefactor,
     effective_detector_field,
-    gaussian_beam,
     load_scenario,
     propagate_train,
     scan_detector,
@@ -28,7 +25,7 @@ from twinbeam import (
 )
 from twinbeam import biphoton, propagation
 from twinbeam.biphoton import CoincidenceProfile, pump_input_field
-from twinbeam.field import _bilinear_cells, _bilinear_gather
+from twinbeam.field import _bilinear_cells, _bilinear_gather, separable_gaussian
 from twinbeam.propagation import FreeSpace, OpticalTrain, ThinLens
 from twinbeam.scenario import LensElement
 
@@ -52,28 +49,35 @@ def with_idler_at(scenario, x_m):
 
 @pytest.fixture(scope="module")
 def free_field():
-    return effective_detector_field(free_scenario())
+    """The free scenario's detector field, as its n x n samples."""
+    return as_grid(effective_detector_field(free_scenario()))
+
+
+def _masked_intensity():
+    """|W|^2 of the 0.5 mm pump behind the 0.2 mm wire on the 256-sample grid."""
+    beam = masked(separable_gaussian(0.5e-3, 256, 20e-6), wire_mask(0.2e-3, 256, 20e-6))
+    return np.abs(as_grid(beam)) ** 2
 
 
 class TestCoincidenceFree:
     def test_free_train_is_one_hop_at_pump_wavenumber(self, free_field):
         assert unfolded_pump_train(free_scenario()).elements == (FreeSpace(0.5),)
-        direct = oracle_angular_spectrum_train(gaussian_beam(0.5e-3, 256, 20e-6).samples,
+        direct = oracle_angular_spectrum_train(as_grid(separable_gaussian(0.5e-3, 256, 20e-6)),
                                                20e-6, CTX, (FreeSpace(0.5),))
         # the train runs on the pump's two 1-D spectra, so it agrees with the
         # 2-D hop to rounding, not byte for byte
         peak = np.max(np.abs(direct))
-        assert np.max(np.abs(free_field.samples - direct)) <= 1e-13 * peak
+        assert np.max(np.abs(free_field - direct)) <= 1e-13 * peak
 
     def test_rate_depends_only_on_sum_coordinate(self, free_field):
-        intensity = free_field.intensity()
+        intensity = np.abs(free_field) ** 2
         rng = np.random.default_rng(0)
         for _ in range(100):
             rho_s = rng.uniform(-1e-3, 1e-3, 2)
             rho_i = rng.uniform(-1e-3, 1e-3, 2)
             delta = rng.uniform(-5e-4, 5e-4, 2)
-            r1 = rate_from_intensity(intensity, free_field.pitch, tuple(rho_s + rho_i))
-            r2 = rate_from_intensity(intensity, free_field.pitch,
+            r1 = rate_from_intensity(intensity, 20e-6, tuple(rho_s + rho_i))
+            r2 = rate_from_intensity(intensity, 20e-6,
                                      tuple((rho_s + delta) + (rho_i - delta)))
             assert r2 == pytest.approx(r1, rel=1e-6)
 
@@ -83,16 +87,16 @@ class TestCoincidenceFree:
         assert peak == pytest.approx(-3e-4, abs=5e-6)
 
     def test_prefactor_quarters_when_distance_doubles(self, free_field):
-        intensity = free_field.intensity()
-        r1 = rate_from_intensity(intensity, free_field.pitch, (1e-4, 2e-4),
+        intensity = np.abs(free_field) ** 2
+        r1 = rate_from_intensity(intensity, 20e-6, (1e-4, 2e-4),
                                  prefactor=divergence_prefactor(K_P, 1.0))
-        r2 = rate_from_intensity(intensity, free_field.pitch, (1e-4, 2e-4),
+        r2 = rate_from_intensity(intensity, 20e-6, (1e-4, 2e-4),
                                  prefactor=divergence_prefactor(K_P, 2.0))
         assert r1 / r2 == pytest.approx(4.0, rel=1e-12)
 
     def test_out_of_window_is_error_not_zero(self, free_field):
         with pytest.raises(OutOfWindowError):
-            rate_from_intensity(free_field.intensity(), free_field.pitch, (1e-2, 0.0))
+            rate_from_intensity(np.abs(free_field) ** 2, 20e-6, (1e-2, 0.0))
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
     def test_kappa_must_be_positive_and_finite(self, kappa):
@@ -106,24 +110,22 @@ class TestCoincidenceFree:
 
 class TestCoincidenceImaged:
     def test_unit_magnification_samples_mask_field(self):
-        w_mask = wire_mask(0.2e-3, 256, 20e-6).apply(gaussian_beam(0.5e-3, 256, 20e-6))
-        intensity = w_mask.intensity()
-        r = coincidence_imaged(w_mask, 0.2, 0.2, (2e-4, 1e-4), (1e-4, -1e-4))
-        assert r == pytest.approx(
-            rate_from_intensity(intensity, w_mask.pitch, (3e-4, 0.0)), rel=1e-12)
+        intensity = _masked_intensity()
+        r = coincidence_imaged(intensity, 20e-6, 0.2, 0.2, (2e-4, 1e-4), (1e-4, -1e-4))
+        assert r == pytest.approx(rate_from_intensity(intensity, 20e-6, (3e-4, 0.0)), rel=1e-12)
 
     def test_demagnification_scales_coordinates(self):
-        w_mask = wire_mask(0.2e-3, 256, 20e-6).apply(gaussian_beam(0.5e-3, 256, 20e-6))
+        intensity = _masked_intensity()
         # O = 2I: a feature at u in the mask appears at sum coordinate u/2
         u = 4e-4
-        r_feature = coincidence_imaged(w_mask, 0.4, 0.2, (u / 2, 0.0), (0.0, 0.0))
-        direct = rate_from_intensity(w_mask.intensity(), w_mask.pitch, (u, 0.0))
+        r_feature = coincidence_imaged(intensity, 20e-6, 0.4, 0.2, (u / 2, 0.0), (0.0, 0.0))
+        direct = rate_from_intensity(intensity, 20e-6, (u, 0.0))
         assert r_feature == pytest.approx(direct, rel=1e-12)
 
     def test_nonpositive_distances_rejected(self):
-        w_mask = gaussian_beam(0.5e-3, 256, 20e-6)
+        intensity = np.abs(as_grid(separable_gaussian(0.5e-3, 256, 20e-6))) ** 2
         with pytest.raises(ValidationError):
-            coincidence_imaged(w_mask, 0.0, 0.2, (0, 0), (0, 0))
+            coincidence_imaged(intensity, 20e-6, 0.0, 0.2, (0, 0), (0, 0))
 
 
 class TestUnfoldedTrain:
@@ -133,11 +135,11 @@ class TestUnfoldedTrain:
         # elements: wire mask, pump leg to crystal, free leg to the detector
         kinds = [type(el).__name__ for el in train.elements]
         assert kinds == ["Mask", "FreeSpace", "FreeSpace"]
-        w_train = effective_detector_field(scenario)
-        masked = wire_mask(0.2e-3, 512, 20e-6).apply(gaussian_beam(1e-3, 512, 20e-6))
-        w_free = oracle_angular_spectrum_train(masked.samples, 20e-6, CTX,
+        w_train = as_grid(effective_detector_field(scenario))
+        beam = masked(separable_gaussian(1e-3, 512, 20e-6), wire_mask(0.2e-3, 512, 20e-6))
+        w_free = oracle_angular_spectrum_train(as_grid(beam), 20e-6, CTX,
                                                (FreeSpace(0.02), FreeSpace(0.5)))
-        assert np.allclose(w_train.samples, w_free, atol=1e-12)
+        assert np.allclose(w_train, w_free, atol=1e-12)
 
     def test_imaging_condition_on_equivalent_abcd(self):
         from twinbeam import check_imaging, compose
@@ -169,11 +171,11 @@ class TestUnfoldedTrain:
         train = unfolded_pump_train(scenario)
         assert all(not isinstance(el, ThinLens) or el is train.elements[2]
                    for el in train.elements)
-        w_eff = effective_detector_field(scenario)
+        w_eff = as_grid(effective_detector_field(scenario))
         # the pump side, up to the crystal, then the pump's own 0.7 m on
         pump_side = OpticalTrain(train.elements[:-1] + (FreeSpace(0.7),))
-        pump_img = propagate_train(pump_input_field(scenario), CTX, pump_side)
-        assert intensity_ncc(w_eff.intensity(), pump_img.intensity()) >= 0.99
+        pump_img = as_grid(propagate_train(pump_input_field(scenario), CTX, pump_side))
+        assert intensity_ncc(np.abs(w_eff) ** 2, np.abs(pump_img) ** 2) >= 0.99
 
     def test_divergence_loss_distance(self):
         free = make_scenario(twin_lenses=(), z_det=0.7)
@@ -183,30 +185,40 @@ class TestUnfoldedTrain:
 
 
 class TestSeparablePump:
-    """The pump enters the train as its two 1-D factors; the detector field
-    is the one the 2-D oracle's train makes from the 2-D beam, to rounding."""
+    """The pump enters the train as its two 1-D factors, and the detector
+    field leaves it as factors; their samples are the field that the 2-D
+    oracle's train makes from the 2-D beam, to rounding."""
 
-    @pytest.mark.parametrize("scenario", [
-        lambda: load_scenario("fig4a"),
-        lambda: load_scenario("fig4b"),
-        lambda: free_scenario(z_m1=0.02),
-    ], ids=["fig4a", "fig4b", "no-mask"])
-    def test_detector_field_equals_the_train_of_the_2d_beam(self, scenario):
+    @pytest.mark.parametrize("scenario, bound", [
+        (lambda: load_scenario("fig4a"), 1e-13),  # measured 1.2e-14
+        (lambda: load_scenario("fig4b"), 1e-13),  # measured 6.4e-15
+        # measured 2.2e-13: seven hops and lenses over 3 m, rank 7 at the end
+        (lambda: load_scenario("fig5"), 3e-13),
+        (lambda: free_scenario(z_m1=0.02), 1e-13),
+    ], ids=["fig4a", "fig4b", "fig5", "no-mask"])
+    def test_detector_field_equals_the_train_of_the_2d_beam(self, scenario, bound):
         scenario = scenario()
         ctx = WaveContext.from_wavelength(scenario.pump.wavelength_m)
-        beam = gaussian_beam(scenario.pump.waist_m, scenario.grid.n, scenario.grid.pitch_m)
-        want = oracle_angular_spectrum_train(beam.samples, beam.pitch, ctx,
+        beam = as_grid(pump_input_field(scenario))
+        want = oracle_angular_spectrum_train(beam, scenario.grid.pitch_m, ctx,
                                              unfolded_pump_train(scenario).elements)
-        got = effective_detector_field(scenario).samples
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = effective_detector_field(scenario)
+        assert isinstance(got, SeparableField)
+        assert np.max(np.abs(as_grid(got) - want)) <= bound * np.max(np.abs(want))
 
     def test_pump_input_field_factors_the_beam(self):
         pump = pump_input_field(free_scenario())
-        beam = gaussian_beam(0.5e-3, 256, 20e-6)
-        assert isinstance(pump, SeparableField) and pump.pitch == beam.pitch
+        assert isinstance(pump, SeparableField) and pump.pitch == 20e-6
         assert pump.column.shape == pump.row.shape == (256, 1)
         outer = np.multiply.outer(pump.column[:, 0], pump.row[:, 0])
-        assert np.max(np.abs(outer - beam.samples)) <= 1e-15
+        x2 = ((np.arange(256) - 128) * 20e-6) ** 2
+        assert np.max(np.abs(outer - np.exp(-(x2[:, None] + x2[None, :]) / 0.5e-3**2))) <= 1e-15
+
+    def test_detector_field_holds_no_grid(self):
+        # fig5's train at 2048 x 2048 returns its factors: its peak stays
+        # below one n x n complex array, 64 MiB (measured 4.2 MiB)
+        nbytes = 2048**2 * np.dtype(np.complex128).itemsize
+        assert traced_peak(lambda: effective_detector_field(load_scenario("fig5"))) < nbytes
 
 
 class TestScanDetector:
@@ -216,7 +228,7 @@ class TestScanDetector:
         profile = scan_detector(scenario, kappa=1.0)
         w = effective_detector_field(scenario)
         pref = divergence_prefactor(K_P, 0.5)
-        expected = [rate_from_intensity(w.intensity(), w.pitch, (x, 0.0), 1.0, pref)
+        expected = [rate_from_intensity(np.abs(as_grid(w)) ** 2, w.pitch, (x, 0.0), 1.0, pref)
                     for x in profile.coordinates]
         assert np.allclose(profile.rates, expected, rtol=1e-12)
 
@@ -268,14 +280,15 @@ class TestScanDetector:
                                  scan=(-1e-3, 1e-3, 1e-4))
         w = effective_detector_field(scenario)
         # the map carries no kappa and no P: they scale what is read from it
-        rate_map = circular_rate_map(w.samples, w.pitch, (1e-4, 1e-4))
+        rate_map = circular_rate_map(as_grid(w), w.pitch, (1e-4, 1e-4))
         scale = 2.0 * divergence_prefactor(K_P, divergence_loss_distance(scenario))
         for axis in ("x", "y"):
             scanned = dataclasses.replace(scenario,
                                           scan=dataclasses.replace(scenario.scan, axis=axis))
             profile = scan_detector(scanned, kappa=2.0)
             points = [(c, 0.0) if axis == "x" else (0.0, c) for c in profile.coordinates]
-            mid = [scale * bilinear_sample(rate_map, w.pitch, *point) for point in points]
+            mid = [scale * _bilinear_gather(rate_map, *_bilinear_cells(w.n, w.pitch, *point))
+                   for point in points]
             assert np.allclose(profile.rates, mid, rtol=1e-12)
 
 
@@ -291,13 +304,13 @@ class TestProfileInvariants:
     def test_aperture_map_point_limit_is_identity(self):
         # with point detectors the map of a patch is |patch|^2, byte for
         # byte, and the patch is the map points themselves
-        fld = gaussian_beam(0.15e-3, 64, 20e-6)
-        assert biphoton._patch(64, fld.pitch, (), [5, 32], [0, 63]) == (slice(5, 33),
-                                                                         slice(0, 64))
-        rows = patch_map(fld.samples, fld.pitch, (), [5, 32], [0, 63])
-        columns = patch_map(fld.samples.T, fld.pitch, (), [5, 32], [0, 63])
-        assert rows.tobytes() == fld.intensity()[5:33].tobytes()
-        assert columns.tobytes() == np.ascontiguousarray(fld.intensity()[:, 5:33].T).tobytes()
+        fld, pitch = as_grid(separable_gaussian(0.15e-3, 64, 20e-6)), 20e-6
+        assert biphoton._patch(64, pitch, (), [5, 32], [0, 63]) == (slice(5, 33), slice(0, 64))
+        rows = patch_map(fld, pitch, (), [5, 32], [0, 63])
+        columns = patch_map(fld.T, pitch, (), [5, 32], [0, 63])
+        intensity = np.abs(fld) ** 2
+        assert rows.tobytes() == intensity[5:33].tobytes()
+        assert columns.tobytes() == np.ascontiguousarray(intensity[:, 5:33].T).tobytes()
 
     @pytest.mark.parametrize("radii, center", [((1e-4, 1e-4), 73), ((1e-4, 2e-4), 73),
                                                ((1e-4, 0.0), 1)])
@@ -377,11 +390,11 @@ class TestProfileInvariants:
         scenario = make_scenario(z_m1=0.02, z_det=0.5, aperture=1e-4,
                                  scan=(-1e-3, 1e-3, 1e-4))
         profile = scan_detector(scenario, kappa=1.0)
-        w = effective_detector_field(scenario)
-        cells = _bilinear_cells(w.n, w.pitch, profile.coordinates, 0.0)
+        n, pitch = scenario.grid.n, scenario.grid.pitch_m
+        cells = _bilinear_cells(n, pitch, profile.coordinates, 0.0)
         i0, j0 = cells[:2]
-        lines = patch_map(w.samples, w.pitch, (1e-4, 1e-4), [j0[0], j0[0] + 1],
-                          [i0[0], i0[-1] + 1])
+        lines = patch_map(biphoton._detector_rows(scenario), pitch, (1e-4, 1e-4),
+                          [j0[0], j0[0] + 1], [i0[0], i0[-1] + 1])
         reversed_rates = [_bilinear_gather(lines, i - i0[0], j - j0[0], tx, ty)
                           for i, j, tx, ty in zip(*(c[::-1] for c in cells))]
         scale = divergence_prefactor(K_P, divergence_loss_distance(scenario))
@@ -390,7 +403,7 @@ class TestProfileInvariants:
 
 def _fixed_coordinate(n, pitch, where):
     """A coordinate on a node, between two nodes, or in the last cell, whose
-    lower corner bilinear_sample clamps to n - 2."""
+    lower corner the bilinear read clamps to n - 2."""
     return {"node": 3 * pitch, "between": -2.3 * pitch,
             "last": (n - 1 - n // 2) * pitch}[where]
 
@@ -485,12 +498,14 @@ class TestLineRead:
         coords, raw, _ = biphoton._scan_stage(scenario)
         if positive:
             rate_map = circular_rate_map(samples, pitch, positive)
-            ref = bilinear_sample(rate_map, pitch, *((coords, fixed) if axis == "x"
-                                                     else (fixed, coords)))
+            point = (coords, fixed) if axis == "x" else (fixed, coords)
+            cells = _bilinear_cells(n, pitch, *point)
+            ref = _bilinear_gather(rate_map, *cells)
             assert np.max(np.abs(raw - ref)) <= 1e-13 * rate_map.max()
         else:
-            rate_map = ScalarField(samples if axis == "x" else samples.T, pitch).intensity()
-            assert raw.tobytes() == bilinear_sample(rate_map, pitch, coords, fixed).tobytes()
+            rate_map = np.abs(samples if axis == "x" else samples.T) ** 2
+            ref = _bilinear_gather(rate_map, *_bilinear_cells(n, pitch, coords, fixed))
+            assert raw.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("radii", [(1e-4, 1e-4), (5e-4, 5e-4)])
     def test_line_read_holds_no_grid(self, monkeypatch, radii):
@@ -616,10 +631,10 @@ class TestScanRows:
         assert peak < n * n * np.dtype(np.complex128).itemsize
         # the patch read is the whole field's, byte for byte
         derived = with_free_twin_side(scenario, 0.5, 0.5e-3)
+        whole = biphoton._detector_rows(derived)
         reads = _recorded_reads(monkeypatch)
         biphoton._scan_stage(derived)
         (rows, cols, patch), = reads
-        whole = effective_detector_field(derived).samples
         assert patch.shape == (202, 502)
         assert patch.tobytes() == whole[np.ix_(rows, cols)].tobytes()
 
@@ -630,10 +645,10 @@ class TestScanRows:
         # patch byte for byte, 42 of its columns by 342 of its rows
         scenario = load_scenario(preset)
         scenario = dataclasses.replace(scenario, scan=dataclasses.replace(scenario.scan, axis="y"))
+        whole = biphoton._detector_rows(scenario)
         reads = _recorded_reads(monkeypatch)
         biphoton._scan_stage(scenario)
         (columns, rows, patch), = reads
-        whole = effective_detector_field(scenario).samples
         assert patch.shape == (42, 342)
         assert patch.tobytes() == np.ascontiguousarray(whole[np.ix_(rows, columns)].T).tobytes()
 

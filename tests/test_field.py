@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_grid
 from oracles import radius_squared, resample_scaled
 from twinbeam import (
+    Mask,
+    OpticalTrain,
     OutOfWindowError,
     SamplingError,
-    ScalarField,
+    SeparableField,
     TransmissionMask,
     ValidationError,
     WaveContext,
-    bilinear_sample,
-    gaussian_beam,
-    power,
+    propagate_train,
     wire_mask,
 )
-from twinbeam import biphoton, field
+from twinbeam import biphoton, field, max_safe_distance, propagation
+from twinbeam.field import _bilinear_cells, _bilinear_gather, separable_gaussian
+
+CTX = WaveContext.from_wavelength(425e-9)
 
 
 class TestWaveContext:
@@ -35,23 +39,22 @@ class TestWaveContext:
 
 class TestGaussianBeam:
     def test_peak_is_one_at_center(self):
-        f = gaussian_beam(1e-3, 512, 20e-6)
-        assert f.samples[256, 256] == 1.0 + 0.0j
+        f = as_grid(separable_gaussian(1e-3, 512, 20e-6))
+        assert f[256, 256] == 1.0 + 0.0j
 
     def test_amplitude_at_waist_radius(self):
-        f = gaussian_beam(1e-3, 512, 20e-6)
+        f = as_grid(separable_gaussian(1e-3, 512, 20e-6))
         # rho = waist = 50 pitches along x
-        assert abs(f.samples[256, 256 + 50]) == pytest.approx(np.e**-1, rel=1e-12)
+        assert abs(f[256, 256 + 50]) == pytest.approx(np.e**-1, rel=1e-12)
 
     def test_power_matches_analytic_integral(self):
         # closed form: integral of exp(-2 rho^2/w^2) = pi w^2 / 2
-        waist = 1e-3
-        f = gaussian_beam(waist, 512, 20e-6)
-        assert power(f) == pytest.approx(np.pi / 2 * waist**2, rel=1e-3)
+        waist, pitch = 1e-3, 20e-6
+        f = as_grid(separable_gaussian(waist, 512, pitch))
+        assert np.sum(np.abs(f) ** 2) * pitch**2 == pytest.approx(np.pi / 2 * waist**2, rel=1e-3)
 
     def test_radial_symmetry(self):
-        f = gaussian_beam(0.7e-3, 128, 40e-6)
-        s = f.samples
+        s = as_grid(separable_gaussian(0.7e-3, 128, 40e-6))
         n = 128
         for i, j in [(10, 40), (3, 50), (60, 21)]:
             assert s[n // 2 + i, n // 2 + j] == s[n // 2 + j, n // 2 + i]
@@ -60,34 +63,33 @@ class TestGaussianBeam:
     @pytest.mark.parametrize("n", [128, 129])
     @pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
     def test_mirrored_quadrant_matches_full_grid(self, n, waist):
-        # the beam is the outer product of the separable factors, and within
-        # 4 ulp of the unit peak of the 2-D exponential (measured half an
-        # ulp; relative to each sample the tails differ by up to 48 ulp,
-        # the rounding of the exponent rho^2 / waist^2)
+        # the product of the beam's two equal 1-D factors is within 4 ulp of
+        # the unit peak of the 2-D exponential (measured half an ulp;
+        # relative to each sample the tails differ by up to 48 ulp, the
+        # rounding of the exponent rho^2 / waist^2)
         pitch = 20e-6
-        factors = field.separable_gaussian(waist, n, pitch)
-        beam = gaussian_beam(waist, n, pitch).samples
-        assert beam.tobytes() == np.outer(factors.column, factors.row).tobytes()
+        factors = separable_gaussian(waist, n, pitch)
+        assert factors.column.tobytes() == factors.row.tobytes()
+        beam = as_grid(factors)
         ref = np.exp(-radius_squared(n, pitch) / waist**2)
         assert np.max(np.abs(beam - ref)) <= 4 * np.spacing(1.0)
 
     def test_underresolved_waist_rejected(self):
         with pytest.raises(SamplingError):
-            gaussian_beam(30e-6, 64, 20e-6)
+            separable_gaussian(30e-6, 64, 20e-6)
 
     def test_guard_band_violation_names_required_n(self):
         with pytest.raises(SamplingError, match="need N >"):
-            gaussian_beam(1e-3, 128, 20e-6)
+            separable_gaussian(1e-3, 128, 20e-6)
 
-    @pytest.mark.parametrize("make", [gaussian_beam, field.separable_gaussian])
     @pytest.mark.parametrize("args, message", [
         ((30e-6, 64, 20e-6), "waist 3e-05 m must exceed 2 pitches (4e-05 m)"),
         ((1e-3, 128, 20e-6),
          "window 0.00256 m too small for waist 0.001 m; need N > 301 at pitch 2e-05 m"),
     ], ids=["waist", "window"])
-    def test_beam_and_its_factors_refuse_alike(self, make, args, message):
+    def test_refusal_names_the_limit(self, args, message):
         with pytest.raises(SamplingError, match=re.escape(message) + "$"):
-            make(*args)
+            separable_gaussian(*args)
 
 
 class TestWireMask:
@@ -101,17 +103,18 @@ class TestWireMask:
 
     def test_power_loss_fraction(self):
         n, pitch, width = 512, 20e-6, 0.2e-3
-        uniform = ScalarField(np.ones((n, n), complex), pitch)
-        masked = wire_mask(width, n, pitch).apply(uniform)
-        loss = 1.0 - power(masked) / power(uniform)
+        uniform = SeparableField(np.ones(n), np.ones(n), pitch)
+        wire = OpticalTrain((Mask(wire_mask(width, n, pitch)),))
+        masked = as_grid(propagate_train(uniform, CTX, wire))
+        loss = 1.0 - np.sum(np.abs(masked) ** 2) / n**2
         assert loss == pytest.approx(width / (n * pitch), abs=pitch / (n * pitch))
 
     def test_idempotent(self):
-        m = wire_mask(0.2e-3, 128, 20e-6)
-        f = gaussian_beam(0.3e-3, 128, 20e-6)
-        once = m.apply(f)
-        twice = m.apply(once)
-        assert np.array_equal(once.samples, twice.samples)
+        wire = Mask(wire_mask(0.2e-3, 128, 20e-6))
+        f = separable_gaussian(0.3e-3, 128, 20e-6)
+        once = propagate_train(f, CTX, OpticalTrain((wire,)))
+        twice = propagate_train(f, CTX, OpticalTrain((wire, wire)))
+        assert np.array_equal(as_grid(once), as_grid(twice))
 
     def test_too_narrow_rejected(self):
         with pytest.raises(SamplingError):
@@ -147,11 +150,14 @@ class TestWireMask:
         assert m.samples.shape == (512,) and not m.samples.flags.writeable
 
     def test_applies_its_profile_to_every_row(self):
+        # a mask element multiplies the row factor, so every row of the samples
         m = wire_mask(0.2e-3, 128, 20e-6)
-        f = gaussian_beam(0.3e-3, 128, 20e-6)
-        assert np.array_equal(m.apply(f).samples, f.samples * m.samples[None, :])
+        f = separable_gaussian(0.3e-3, 128, 20e-6)
+        out = propagate_train(f, CTX, OpticalTrain((Mask(m),)))
+        assert np.array_equal(out.row[:, 0], f.row[:, 0] * m.samples)
+        assert np.array_equal(as_grid(out), as_grid(f) * m.samples[None, :])
         with pytest.raises(ValidationError, match="mask grid does not match"):
-            m.apply(gaussian_beam(0.3e-3, 129, 20e-6))
+            propagate_train(separable_gaussian(0.3e-3, 129, 20e-6), CTX, OpticalTrain((Mask(m),)))
 
     def test_leaves_the_callers_array_writable(self):
         samples = np.ones(16)
@@ -161,72 +167,89 @@ class TestWireMask:
 
 
 class TestPower:
+    """A field's power, as the library reads it: the ring table of its
+    spectrum, from the factors (``propagation._gram_ring_table``), which the
+    clip check sums.  By Parseval the table sums to n^2 times the power of
+    the samples over the pixel area."""
+
     def test_zero_field(self):
-        assert power(ScalarField(np.zeros((16, 16), complex), 1e-5)) == 0.0
+        zero = SeparableField(np.zeros(16), np.zeros(16), 1e-5)
+        assert not propagation._gram_ring_table(zero.column, zero.row).any()
+        # no power, so nothing to clip at any distance
+        assert max_safe_distance(zero, CTX) == float("inf")
 
     def test_single_unit_sample(self):
-        s = np.zeros((16, 16), complex)
-        s[3, 4] = 1.0
-        assert power(ScalarField(s, 2e-5)) == pytest.approx((2e-5) ** 2, rel=1e-15)
+        n = 16
+        column, row = np.eye(n)[3], np.eye(n)[4]
+        table = propagation._gram_ring_table(*(np.fft.fft(x)[:, None] for x in (column, row)))
+        assert table.sum() == pytest.approx(n**2, rel=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-np.pi, max_value=np.pi))
     def test_invariant_under_global_phase(self, phase):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        rotated = f.with_samples(f.samples * np.exp(1j * phase))
-        assert power(rotated) == pytest.approx(power(f), rel=1e-12)
+        f = separable_gaussian(0.15e-3, 64, 20e-6)
+        a, b = (np.fft.fft(x, axis=0) for x in (f.column, f.row))
+        rotated = propagation._gram_ring_table(a * np.exp(1j * phase), b)
+        assert np.allclose(rotated, propagation._gram_ring_table(a, b), rtol=1e-12, atol=0.0)
 
 
 class TestScalarFieldValidation:
+    """The scalar field, held as its factors, is checked when it is made."""
+
     def test_rejects_small_grid(self):
-        with pytest.raises(ValidationError):
-            ScalarField(np.ones((8, 8), complex), 1e-5)
+        with pytest.raises(ValidationError, match="at least 16x16"):
+            SeparableField(np.ones(8), np.ones(8), 1e-5)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            ScalarField(np.ones((16, 32), complex), 1e-5)
+        # factors of two lengths would make an n x m grid
+        with pytest.raises(ValidationError, match="one length"):
+            SeparableField(np.ones(16), np.ones(32), 1e-5)
 
     def test_rejects_nonfinite(self):
-        s = np.ones((16, 16), complex)
-        s[0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            ScalarField(s, 1e-5)
+        column = np.ones(16, complex)
+        column[0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            SeparableField(column, np.ones(16), 1e-5)
 
     def test_rejects_bad_pitch(self):
-        with pytest.raises(ValidationError):
-            ScalarField(np.ones((16, 16), complex), 0.0)
+        with pytest.raises(ValidationError, match="pitch"):
+            SeparableField(np.ones(16), np.ones(16), 0.0)
 
     def test_samples_frozen(self):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        with pytest.raises(ValueError):
-            f.samples[0, 0] = 5.0
+        f = separable_gaussian(0.15e-3, 64, 20e-6)
+        for factor in (f.column, f.row):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 5.0
 
     def test_leaves_the_callers_array_writable(self):
-        samples = np.ones((16, 16), complex)
-        f = ScalarField(samples, 1e-5)
-        samples[0, 0] = 0.0
-        assert not f.samples.flags.writeable and np.shares_memory(f.samples, samples)
+        column = np.ones(16, complex)
+        f = SeparableField(column, np.ones(16), 1e-5)
+        column[0] = 0.0
+        assert not f.column.flags.writeable and np.shares_memory(f.column, column)
 
 
 class TestBilinearSample:
+    """The scan's bilinear read: the cells of the points
+    (``_bilinear_cells``), then the gather from them (``_bilinear_gather``)."""
+
     def test_exact_at_sample_points(self):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        intensity = f.intensity()
-        assert bilinear_sample(intensity, f.pitch, 0.0, 0.0) == intensity[32, 32]
+        intensity = np.abs(as_grid(separable_gaussian(0.15e-3, 64, 20e-6))) ** 2
+        cells = _bilinear_cells(64, 20e-6, 0.0, 0.0)
+        assert _bilinear_gather(intensity, *cells) == intensity[32, 32]
 
     def test_midpoint_average(self):
         vals = np.zeros((16, 16))
         vals[8, 8] = 1.0
         vals[8, 9] = 3.0
-        assert bilinear_sample(vals, 1e-5, 0.5e-5, 0.0) == pytest.approx(2.0)
+        cells = _bilinear_cells(16, 1e-5, 0.5e-5, 0.0)
+        assert _bilinear_gather(vals, *cells) == pytest.approx(2.0)
 
     def test_out_of_window_raises(self):
-        vals = np.ones((16, 16))
         with pytest.raises(OutOfWindowError):
-            bilinear_sample(vals, 1e-5, 1.0, 0.0)
+            _bilinear_cells(16, 1e-5, 1.0, 0.0)
         # one point of an array call outside the window fails the whole call
         with pytest.raises(OutOfWindowError):
-            bilinear_sample(vals, 1e-5, np.array([0.0, 2e-5, 1.0]), 0.0)
+            _bilinear_cells(16, 1e-5, np.array([0.0, 2e-5, 1.0]), 0.0)
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_one_cell_rule(self, n):
@@ -236,42 +259,42 @@ class TestBilinearSample:
         pitch = 20e-6
         last = n - 1 - n // 2
         x = np.array([3.0, -2.3, last - 0.5, last]) * pitch
-        i0, j0, tx, ty = field._bilinear_cells(n, pitch, x, 0.0)
+        i0, j0, tx, ty = _bilinear_cells(n, pitch, x, 0.0)
         assert i0.tolist() == [n // 2 + 3, n // 2 - 3, n - 2, n - 2]
         assert j0.tolist() == [n // 2] * 4 and tx[-1] == 1.0 and not ty.any()
         assert biphoton._bilinear_cells is field._bilinear_cells
+        assert biphoton._bilinear_gather is field._bilinear_gather
         ramp = np.broadcast_to(np.arange(n, dtype=np.float64), (n, n))
-        assert bilinear_sample(ramp, pitch, x, 0.0) == pytest.approx(x / pitch + n // 2,
-                                                                     rel=1e-14)
+        assert _bilinear_gather(ramp, i0, j0, tx, ty) == pytest.approx(x / pitch + n // 2,
+                                                                        rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-3e-4, max_value=3e-4),
            st.floats(min_value=-3e-4, max_value=3e-4))
     def test_interpolation_bounded_by_neighbors(self, x, y):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        intensity = f.intensity()
-        value = bilinear_sample(intensity, f.pitch, x, y)
-        i = int(np.floor(x / f.pitch)) + 32
-        j = int(np.floor(y / f.pitch)) + 32
+        pitch = 20e-6
+        intensity = np.abs(as_grid(separable_gaussian(0.15e-3, 64, pitch))) ** 2
+        value = _bilinear_gather(intensity, *_bilinear_cells(64, pitch, x, y))
+        i = int(np.floor(x / pitch)) + 32
+        j = int(np.floor(y / pitch)) + 32
         cell = intensity[j:j + 2, i:i + 2]
         assert cell.min() - 1e-15 <= value <= cell.max() + 1e-15
         # an array call returns, bit for bit, the scalar call at every point
         xs, ys = np.array([x, 0.0, -x, y]), np.array([y, y, 0.0, x])
-        batch = bilinear_sample(intensity, f.pitch, xs, ys)
-        one_by_one = [bilinear_sample(intensity, f.pitch, a, b) for a, b in zip(xs, ys)]
+        batch = _bilinear_gather(intensity, *_bilinear_cells(64, pitch, xs, ys))
+        one_by_one = [_bilinear_gather(intensity, *_bilinear_cells(64, pitch, a, b))
+                      for a, b in zip(xs, ys)]
         assert batch.tobytes() == np.array(one_by_one).tobytes()
 
 
 class TestCircularMaskAndResample:
     def test_resample_unit_magnification_is_identity_inside(self):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        r = resample_scaled(f, 1.0)
-        assert np.allclose(r.samples, f.samples)
+        f = as_grid(separable_gaussian(0.15e-3, 64, 20e-6))
+        assert np.allclose(resample_scaled(f, 20e-6, 1.0), f)
 
     def test_resample_inversion(self):
-        f = gaussian_beam(0.15e-3, 64, 20e-6)
-        shifted = f.with_samples(np.roll(f.samples, 5, axis=1))
-        r = resample_scaled(shifted, -1.0)
+        shifted = np.roll(as_grid(separable_gaussian(0.15e-3, 64, 20e-6)), 5, axis=1)
+        r = resample_scaled(shifted, 20e-6, -1.0)
         # peak moves from +5 pitches to -5 pitches
-        j = np.argmax(np.abs(r.samples[32, :]))
+        j = np.argmax(np.abs(r[32, :]))
         assert j == 32 - 5

@@ -3,15 +3,17 @@ import io
 import numpy as np
 import pytest
 
+from conftest import as_grid
 from oracles import read_pgm
-from twinbeam import SweepRow, ValidationError, gaussian_beam
+from twinbeam import SweepRow, ValidationError
 from twinbeam import fileio
+from twinbeam.field import separable_gaussian
 
 
 def test_pgm_header_and_values(tmp_path):
-    f = gaussian_beam(0.15e-3, 64, 20e-6)
+    f = as_grid(separable_gaussian(0.15e-3, 64, 20e-6))
     path = tmp_path / "field.pgm"
-    path.write_bytes(fileio.intensity_to_pgm(f.intensity()))
+    path.write_bytes(fileio.intensity_to_pgm(np.abs(f) ** 2))
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n64 64\n65535\n")
     img = read_pgm(path)

@@ -16,13 +16,13 @@ is 32 pairs (on 128-row leaves), and their tallest leaves are 256 rows (of
 import numpy as np
 import pytest
 
-from conftest import PUMP_WAVELENGTH, blas_threads, count_transforms, make_scenario, patch_map
+from conftest import (PUMP_WAVELENGTH, as_grid, blas_threads, count_transforms, make_scenario,
+                      patch_map)
 from oracles import (aperture_map_formula, disk_stop, full_grid_transfer, lens_phase,
                      oracle_angular_spectrum_train)
-from twinbeam import (FreeSpace, Mask, OpticalTrain, ScalarField, SeparableField,
-                      ThinLens, TransmissionMask, ValidationError, WaveContext, apply_thin_lens,
-                      bilinear_sample, biphoton, field, gaussian_beam, propagate_train, propagation,
-                      safe_frequency_limit)
+from twinbeam import (FreeSpace, Mask, OpticalTrain, SeparableField, ThinLens, TransmissionMask,
+                      ValidationError, WaveContext, apply_thin_lens, biphoton, field,
+                      propagate_train, propagation, safe_frequency_limit)
 
 CTX = WaveContext.from_wavelength(PUMP_WAVELENGTH)
 PITCH = 20e-6
@@ -31,8 +31,8 @@ PITCH = 20e-6
 def _bytes(result) -> bytes:
     if isinstance(result, (tuple, list)):
         return b"".join(_bytes(r) for r in result)
-    if isinstance(result, ScalarField):
-        return result.samples.tobytes()
+    if isinstance(result, SeparableField):
+        return result.column.tobytes() + result.row.tobytes()
     return np.asarray(result).tobytes()
 
 
@@ -101,7 +101,7 @@ def test_lens_phase(n, threads, focal):
     # full-grid phase
     a, b = _random_factors(n)
     out = threads.run(lambda: apply_thin_lens(SeparableField(a, b, PITCH), CTX, focal))
-    _close(out.samples, (a @ b.T) * lens_phase(n, PITCH, CTX, focal), 1e-14)
+    _close(as_grid(out), (a @ b.T) * lens_phase(n, PITCH, CTX, focal), 1e-14)
 
 
 def _folded_grams_case(n):
@@ -139,21 +139,22 @@ def test_workspace_copies_the_input(n, threads):
     out = threads.run(lambda: propagate_train(fld, CTX, train, max_clip_fraction=1.0))
     assert (fld.column.tobytes(), fld.row.tobytes()) == before
     assert not fld.column.flags.writeable and np.shares_memory(fld.column, a)
-    assert not np.shares_memory(out.samples, a) and not np.shares_memory(out.samples, b)
+    for factor in (out.column, out.row):
+        assert not np.shares_memory(factor, a) and not np.shares_memory(factor, b)
 
 
 def test_mask_product(n, threads):
-    # a mask multiplies every row by its profile: on the grid byte for byte,
-    # and in a train, through the row factor, within rounding of the product
-    samples = _random_field(n)
+    # a mask multiplies every row by its profile, through the row factor:
+    # on the factor byte for byte, and on the samples within rounding of the
+    # product
     transmission = np.random.default_rng(n + 1).uniform(size=n)
     mask = TransmissionMask(transmission, PITCH)
-    out = threads.run(lambda: mask.apply(ScalarField(samples, PITCH)))
-    assert out.samples.tobytes() == (samples * transmission[None, :]).tobytes()
     a, b = _random_factors(n)
     out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX,
                                               OpticalTrain((Mask(mask),))))
-    _close(out.samples, (a @ b.T) * transmission, 1e-15)
+    assert out.column.tobytes() == a.tobytes()
+    assert out.row.tobytes() == (b * transmission[:, None]).tobytes()
+    _close(as_grid(out), (a @ b.T) * transmission, 1e-15)
 
 
 def test_clip_table(n, threads):
@@ -198,8 +199,8 @@ def test_separable_start(n, threads, elements):
     rng = np.random.default_rng(n)
     column, row = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     fld = SeparableField(column, row, PITCH)
-    out = threads.run(lambda: propagate_train(fld, CTX, OpticalTrain(elements),
-                                           max_clip_fraction=1.0)).samples
+    out = as_grid(threads.run(lambda: propagate_train(fld, CTX, OpticalTrain(elements),
+                                                      max_clip_fraction=1.0)))
     want = oracle_angular_spectrum_train(np.multiply.outer(column, row), PITCH, CTX, elements)
     _close(out, want, 1e-13 if elements else 1e-15)
 
@@ -210,8 +211,8 @@ def test_stretch_write(n, threads, distances):
     # 2-D oracle's hop-by-hop field within 1e-13 of its peak
     a, b = _random_factors(n)
     train = OpticalTrain(tuple(FreeSpace(z) for z in distances))
-    out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
-                                           max_clip_fraction=1.0)).samples
+    out = as_grid(threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
+                                                      max_clip_fraction=1.0)))
     _close(out, oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
 
 
@@ -270,10 +271,8 @@ def test_finiteness_checks(n, threads, bad, row):
     state.b[row, 1] = bad
     with pytest.raises(ValidationError, match="finite"):
         state.check_finite()
-    samples = _random_field(n)
-    samples[row, n // 3] = bad
-    with pytest.raises(ValidationError, match="finite"):
-        ScalarField(samples, PITCH)
+    with pytest.raises(ValidationError, match="row factor samples must all be finite"):
+        SeparableField(a, state.b, PITCH)
     threads.run(lambda: propagation._Factors(SeparableField(a, b, PITCH), CTX).check_finite())
 
 
@@ -282,7 +281,6 @@ def test_finiteness_checks_pass_an_overflowing_sum(n, threads):
     with np.errstate(over="ignore"):
         assert not np.isfinite(big.sum())
     threads.run(lambda: propagation._Factors(SeparableField(big, big, PITCH), CTX).check_finite())
-    threads.run(lambda: ScalarField(np.full((n, n), 1e308 * (1 + 1j)), PITCH))
 
 
 def test_consecutive_hops_share_one_spectrum(n, threads, monkeypatch):
@@ -292,7 +290,7 @@ def test_consecutive_hops_share_one_spectrum(n, threads, monkeypatch):
     train = OpticalTrain((FreeSpace(0.05), FreeSpace(1.5)))
     out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, train,
                                            max_clip_fraction=1.0))
-    _close(out.samples, oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
+    _close(as_grid(out), oracle_angular_spectrum_train(a @ b.T, PITCH, CTX, train.elements))
     calls = count_transforms(monkeypatch)
     propagate_train(SeparableField(a, b, PITCH), CTX, train, max_clip_fraction=1.0)
     assert calls == [False, True]
@@ -302,14 +300,15 @@ def test_consecutive_hops_share_one_spectrum(n, threads, monkeypatch):
 def test_lens_stop(n, threads, radius):
     # a lens stop is a 2-D disk, which has no 1-D profile and no low-rank
     # form: no mask holds it.  Its slit |x| <= radius keeps the columns inside
-    # and zeroes the others
+    # and zeroes the others: the rows of the row factor
     with pytest.raises(ValidationError, match="1D profile"):
         TransmissionMask(disk_stop(n, PITCH, radius), PITCH)
     a, b = _random_factors(n)
     inside = np.abs(field.axis_coords(n, PITCH)) <= radius
     slit = OpticalTrain((Mask(TransmissionMask(inside.astype(float), PITCH)),))
     out = threads.run(lambda: propagate_train(SeparableField(a, b, PITCH), CTX, slit))
-    assert np.array_equal(out.samples, np.where(inside, np.einsum("jr,ir->ji", a, b), 0.0))
+    assert np.array_equal(out.column, a)
+    assert np.array_equal(out.row, np.where(inside[:, None], b, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +317,17 @@ def test_lens_stop(n, threads, radius):
 
 @pytest.mark.parametrize("waist", [0.3e-3, 0.41e-3])
 def test_gaussian_beam(n, threads, waist):
-    # the beam is one outer product of its rank-1 factors
-    factors = field.separable_gaussian(waist, n, PITCH)
+    # the beam is two equal rank-1 factors, each the 1-D Gaussian
+    factors = threads.run(lambda: field.separable_gaussian(waist, n, PITCH))
     assert factors.column.shape == factors.row.shape == (n, 1)
-    ref = np.outer(factors.column, factors.row)
-    assert threads.run(lambda: gaussian_beam(waist, n, PITCH)).samples.tobytes() == ref.tobytes()
+    ref = np.exp(-field.axis_coords(n, PITCH) ** 2 / waist**2).astype(complex)
+    assert factors.column.tobytes() == factors.row.tobytes() == ref.tobytes()
 
 
 def test_intensity(n, threads):
     samples = _random_field(n)
     ref = np.abs(samples) ** 2
-    got = threads.run(lambda: ScalarField(samples, PITCH).intensity())
+    got = threads.run(lambda: field._abs_square(samples))
     assert got.tobytes() == ref.tobytes()
 
 
@@ -352,17 +351,17 @@ def test_scan_scales_what_it_reads_from_the_map(n, threads, monkeypatch):
     # the line read carries no kappa and no P: kappa * P multiplies it
     scenario = make_scenario(waist=0.2e-3, n=n, pitch=PITCH, aperture=1e-4,
                              scan=(-1e-3, 1e-3, 1e-4))
-    detector_field = ScalarField(_random_field(n), PITCH)
+    detector_field = _random_field(n)
     monkeypatch.setattr(biphoton, "_detector_rows", lambda scenario, rows, cols, transposed:
-                        detector_field.samples[np.ix_(rows, cols)])
+                        detector_field[np.ix_(rows, cols)])
     kappa = 1359.4635691545443
     k_p = 2.0 * np.pi / scenario.pump.wavelength_m
     scale = kappa * biphoton.divergence_prefactor(k_p, biphoton.divergence_loss_distance(scenario))
     profile = threads.run(lambda: biphoton.scan_detector(scenario, kappa=kappa).rates)
     _, raw, _ = biphoton._scan_stage(scenario)
     assert profile.tobytes() == (scale * raw).tobytes()
-    rate_map = aperture_map_formula(np.abs(detector_field.samples) ** 2, PITCH, (1e-4, 1e-4))
+    rate_map = aperture_map_formula(np.abs(detector_field) ** 2, PITCH, (1e-4, 1e-4))
     coords = biphoton.scan_points(scenario)[0]
-    ref = bilinear_sample(rate_map, PITCH, coords, 0.0)
+    ref = field._bilinear_gather(rate_map, *field._bilinear_cells(n, PITCH, coords, 0.0))
     assert np.max(np.abs(raw - ref)) <= 1e-13 * rate_map.max()
 

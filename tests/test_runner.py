@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, run_child, traced_peak
-from twinbeam import PhysicsError, ValidationError, biphoton, effective_detector_field, fileio
+from twinbeam import PhysicsError, ValidationError, biphoton, fileio
 from twinbeam.runner import resolve_kappa, run, scenario_digest
 from twinbeam.scenario import CalibrationSpec, emit_scenario, load_scenario, parse_scenario
 
@@ -124,18 +124,17 @@ def test_nondegenerate_distance_scales():
 
 @pytest.fixture
 def train_calls(monkeypatch):
-    """The trains ``biphoton._train_rows``, the scans' and runs' one way to
-    the detector field, is called with, in order."""
-    from twinbeam import biphoton
-
+    """The trains, in order, that ``biphoton.effective_detector_field``, the
+    scans' and runs' one way to the detector field, runs through
+    ``propagate_train``."""
     calls = []
-    train_rows = biphoton._train_rows
+    propagate_train = biphoton.propagate_train
 
     def counting_train(*args, **kwargs):
         calls.append(args[2])
-        return train_rows(*args, **kwargs)
+        return propagate_train(*args, **kwargs)
 
-    monkeypatch.setattr(biphoton, "_train_rows", counting_train)
+    monkeypatch.setattr(biphoton, "propagate_train", counting_train)
     return calls
 
 
@@ -216,7 +215,7 @@ def test_detector_field_image_is_the_intensity_on_the_crop(tmp_path, scan):
     pitch, n = scenario.grid.pitch_m, scenario.grid.n
     keep = np.rint(table[:251, 0] / pitch).astype(int) + n // 2
     assert np.array_equal(np.rint(table[::251, 1] / pitch).astype(int) + n // 2, keep)
-    intensity = effective_detector_field(scenario).intensity()[np.ix_(keep, keep)]
+    intensity = np.abs(biphoton._detector_rows(scenario)[np.ix_(keep, keep)]) ** 2
     assert np.array_equal(pixels, np.round(intensity / intensity.max() * 65535.0))
     x_scan = run(load_scenario("fig4a"), tmp_path / "x", seed=0)
     assert x_scan.manifest["detector_field.pgm"] == hashlib.sha256(raw).hexdigest()
